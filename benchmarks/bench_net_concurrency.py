@@ -7,13 +7,14 @@ the same Ode databases.  Two measurements live here:
   request latency at 1, 4, and 16 concurrent clients running a mixed
   browse workload (point fetches, counts, batched cluster scans);
 * the connection-count sweep (``--sweep``) — an asyncio load generator
-  drives 64/256/1024/4096 concurrent connections against each I/O core
+  drives 64/256/1024/4096 concurrent connections against the server
   in two regimes: *saturated* (closed loop, every client hammering —
-  the throughput comparison) and *paced* (a fixed total offered load
-  spread across the connections — the "do idle connections cost
-  latency" comparison, where the thread-per-connection core pays for
-  its recv-poll and scheduler load and the event-loop core should hold
-  p95 flat).  Results land in ``benchmarks/artifacts/BENCH_net_async.json``.
+  the throughput measurement) and *paced* (a fixed total offered load
+  spread across the connections — "do idle connections cost latency":
+  the event loop should hold p95 flat).  Results land in
+  ``benchmarks/artifacts/BENCH_net_async.json``; the committed copy
+  also holds the rows of the thread-per-connection core that the sweep
+  retired (reproducible at commit ``f2b9201``).
 
 Run directly for the full measurement::
 
@@ -42,11 +43,10 @@ from repro.net.server import OdeServer
 
 CLIENT_COUNTS = (1, 4, 16)
 
-#: Connection counts for the sweep.  Both cores are asked for every
-#: level; a level the threaded core cannot host (thread exhaustion,
-#: listener failure) is recorded as an error row, not a crash.
+#: Connection counts for the sweep.  A level the server cannot host
+#: (fd exhaustion, listener failure) is recorded as an error row, not
+#: a crash.
 SWEEP_COUNTS = (64, 256, 1024, 4096)
-THREADED_SWEEP_COUNTS = (64, 256, 1024, 4096)
 
 #: Total offered load (requests/second across ALL connections) in the
 #: paced regime; per-connection rate shrinks as the count grows, which
@@ -212,8 +212,8 @@ async def _run_sweep_mode(port: int, clients: int, duration: float,
     errors: List[str] = []
     conns: List = []
     try:
-        # Ramp up in waves so neither the listen backlog nor (for the
-        # threaded core) the accept loop is hit by one giant burst.
+        # Ramp up in waves so the listen backlog is not hit by one
+        # giant burst.
         for base in range(0, clients, CONNECT_WAVE):
             wave = await asyncio.gather(
                 *[asyncio.open_connection("127.0.0.1", port)
@@ -276,25 +276,23 @@ def _oid_pool(port: int) -> List[str]:
         database.close()
 
 
-def run_sweep_level(root: Path, io_model: str, clients: int,
-                    duration: float,
+def run_sweep_level(root: Path, clients: int, duration: float,
                     repeats: int = 1) -> List[Dict[str, Any]]:
     """Both regimes at one connection count against a fresh server.
 
     With ``repeats > 1`` each regime runs that many times and the
     median-throughput run is kept (raw per-run samples attached) —
     single-core boxes shared with other tenants are noisy enough that
-    one 4-second run can swing 2x.  A level the I/O core cannot host
-    at all (listener falls over, thread exhaustion, ...) is recorded
-    as a row with ``"error"`` set rather than aborting the sweep —
-    the threaded core is *expected* to struggle at the top counts.
+    one 4-second run can swing 2x.  A level the server cannot host
+    at all (listener falls over, fd exhaustion, ...) is recorded as a
+    row with ``"error"`` set rather than aborting the sweep.
     """
     rows: List[Dict[str, Any]] = []
     try:
-        server = OdeServer(root, io_model=io_model)
+        server = OdeServer(root)
         server.start()
     except Exception as exc:
-        return [{"io_model": io_model, "clients": clients, "mode": mode,
+        return [{"clients": clients, "mode": mode,
                  "error": f"{type(exc).__name__}: {exc}"}
                 for mode in ("saturated", "paced")]
     try:
@@ -310,8 +308,8 @@ def run_sweep_level(root: Path, io_model: str, clients: int,
                 except Exception as exc:
                     failure = f"{type(exc).__name__}: {exc}"
             if not attempts:
-                rows.append({"io_model": io_model, "clients": clients,
-                             "mode": mode, "error": failure})
+                rows.append({"clients": clients, "mode": mode,
+                             "error": failure})
                 continue
             attempts.sort(key=lambda r: r["ops_per_sec"])
             chosen = dict(attempts[len(attempts) // 2])
@@ -320,27 +318,18 @@ def run_sweep_level(root: Path, io_model: str, clients: int,
                                          for a in attempts]
                 chosen["p95_samples"] = sorted(
                     round(a["p95_ms"], 2) for a in attempts)
-            rows.append({"io_model": io_model, "clients": clients,
-                         "mode": mode, **chosen})
+            rows.append({"clients": clients, "mode": mode, **chosen})
     finally:
         server.shutdown()
     return rows
 
 
 def run_sweep(root: Path, duration: float,
-              io_models: Sequence[str] = ("async", "threaded"),
-              counts: Optional[Sequence[int]] = None,
+              counts: Sequence[int] = SWEEP_COUNTS,
               repeats: int = 1) -> Dict[str, Any]:
     rows: List[Dict[str, Any]] = []
-    for io_model in io_models:
-        if counts is not None:
-            levels = counts
-        else:
-            levels = (SWEEP_COUNTS if io_model == "async"
-                      else THREADED_SWEEP_COUNTS)
-        for clients in levels:
-            rows.extend(run_sweep_level(root, io_model, clients, duration,
-                                        repeats))
+    for clients in counts:
+        rows.extend(run_sweep_level(root, clients, duration, repeats))
     return {
         "benchmark": "NET-ASYNC connection-count sweep",
         "duration_seconds": duration,
@@ -354,29 +343,20 @@ def run_sweep(root: Path, duration: float,
 
 def _sweep_summary(rows: List[Dict[str, Any]]) -> Dict[str, Any]:
     """The acceptance ratios, computed once so readers don't have to."""
-    def find(io_model: str, clients: int, mode: str) -> Optional[Dict]:
+    def find(clients: int, mode: str) -> Optional[Dict]:
         for row in rows:
-            if (row["io_model"] == io_model and row["clients"] == clients
-                    and row["mode"] == mode and "error" not in row):
+            if (row["clients"] == clients and row["mode"] == mode
+                    and "error" not in row):
                 return row
         return None
 
     summary: Dict[str, Any] = {}
-    speedups = {}
-    for clients in THREADED_SWEEP_COUNTS:
-        fast = find("async", clients, "saturated")
-        slow = find("threaded", clients, "saturated")
-        if fast and slow and slow["ops_per_sec"]:
-            speedups[str(clients)] = round(
-                fast["ops_per_sec"] / slow["ops_per_sec"], 2)
-    if speedups:
-        summary["async_vs_threaded_ops"] = speedups
-    low = find("async", 256, "paced")
-    high = find("async", 1024, "paced")
+    low = find(256, "paced")
+    high = find(1024, "paced")
     if low and high and low["p95_ms"]:
         summary["async_paced_p95_ratio_1024_vs_256"] = round(
             high["p95_ms"] / low["p95_ms"], 2)
-    top = find("async", max(SWEEP_COUNTS), "saturated")
+    top = find(max(SWEEP_COUNTS), "saturated")
     if top:
         summary["async_max_clients_sustained"] = top["connected"]
         summary["async_max_clients_errors"] = top["errors"]
@@ -384,15 +364,15 @@ def _sweep_summary(rows: List[Dict[str, Any]]) -> Dict[str, Any]:
 
 
 def format_sweep(payload: Dict[str, Any]) -> str:
-    lines = ["io        clients  mode       conns  requests  ops/sec"
+    lines = ["clients  mode       conns  requests  ops/sec"
              "   p50(ms)  p95(ms)  err"]
     for row in payload["rows"]:
         if "error" in row:
-            lines.append(f"{row['io_model']:<8}  {row['clients']:>7}  "
-                         f"{row['mode']:<9}  FAILED: {row['error']}")
+            lines.append(f"{row['clients']:>7}  {row['mode']:<9}  "
+                         f"FAILED: {row['error']}")
             continue
         lines.append(
-            f"{row['io_model']:<8}  {row['clients']:>7}  {row['mode']:<9}  "
+            f"{row['clients']:>7}  {row['mode']:<9}  "
             f"{row['connected']:>5}  {row['requests']:>8}  "
             f"{row['ops_per_sec']:>7.0f}  {row['p50_ms']:>7.2f}  "
             f"{row['p95_ms']:>7.2f}  {row['errors']:>3}")
@@ -403,11 +383,11 @@ def format_sweep(payload: Dict[str, Any]) -> str:
 # -- pytest entry points (short smoke durations) --------------------------------
 
 def test_net_async_sweep_smoke(tmp_path):
-    """A miniature sweep completes on both cores and writes sane JSON."""
+    """A miniature sweep completes and writes sane JSON."""
     make_lab_database(tmp_path).close()
     payload = run_sweep(tmp_path, duration=0.5, counts=(4, 8))
     rows = [row for row in payload["rows"] if "error" not in row]
-    assert len(rows) == 8  # 2 cores x 2 levels x 2 modes
+    assert len(rows) == 4  # 2 levels x 2 modes
     for row in rows:
         assert row["connected"] == row["clients"]
         if row["mode"] == "saturated":
@@ -444,9 +424,6 @@ def main() -> int:
     parser.add_argument("--sweep", action="store_true",
                         help="run the 64/256/1024/4096 connection-count "
                              "sweep instead of the classic benchmark")
-    parser.add_argument("--io-model", choices=("async", "threaded", "both"),
-                        default="both",
-                        help="which server core(s) the sweep drives")
     parser.add_argument("--repeats", type=int, default=3,
                         help="sweep runs per cell; the median-throughput "
                              "run is reported (default 3)")
@@ -461,9 +438,7 @@ def main() -> int:
     artifacts = Path(__file__).parent / "artifacts"
     artifacts.mkdir(exist_ok=True)
     if args.sweep:
-        io_models = (("async", "threaded") if args.io_model == "both"
-                     else (args.io_model,))
-        payload = run_sweep(root, args.duration or 4.0, io_models,
+        payload = run_sweep(root, args.duration or 4.0,
                             repeats=args.repeats)
         print(format_sweep(payload))
         (artifacts / "BENCH_net_async.json").write_text(

@@ -18,7 +18,6 @@ from repro.cdc.router import (
     DEFAULT_QUEUE_CAPACITY,
     CdcSubscriber,
     ChangeRouter,
-    SubscriberPump,
 )
 from repro.cdc.subscription import ChangeEvent, Subscription
 from repro.cdc.summary import (
@@ -35,7 +34,6 @@ __all__ = [
     "ChangeEvent",
     "ChangeRouter",
     "ChangeSummary",
-    "SubscriberPump",
     "Subscription",
     "merge_summaries",
     "summarize_unit",

@@ -11,8 +11,8 @@ path:
 
 * :meth:`_on_commit` runs on the committer's thread under the store
   lock; it does O(subscribers) *enqueues* and nothing else — no socket
-  I/O, no waiting.  A subscriber's pump thread does the actual frame
-  writes.
+  I/O, no waiting.  A subscriber's pump task on the server's event
+  loop does the actual frame writes.
 * Every subscriber's queue is **bounded**.  When a slow consumer falls
   ``capacity`` summaries behind, the queue collapses into one pending
   *resync* marker ("delta detail lost; wholesale-invalidate from epoch
@@ -27,12 +27,11 @@ path:
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.obs import get_registry
-from repro.cdc.summary import ChangeSummary, merge_summaries, summarize_unit
+from repro.cdc.summary import ChangeSummary, summarize_unit
 
 #: Summaries a subscriber may fall behind before its queue coalesces
 #: into a single resync event.
@@ -46,9 +45,10 @@ class CdcSubscriber:
     """One connection's bounded, coalescing delta queue.
 
     ``offer`` is the commit-path side: filter, enqueue (or coalesce),
-    notify — it never blocks and never raises.  ``take`` is the pump
-    side: wait for the next event to ship.  The two meet only at this
-    object's condition variable.
+    notify — it never blocks and never raises.  ``drain`` is the pump
+    side: everything pending, without blocking; the pump parks on the
+    wakeup notifier between bursts.  The two meet only at this object's
+    lock.
     """
 
     def __init__(self, sub_id: int, db_name: str,
@@ -58,7 +58,7 @@ class CdcSubscriber:
         self.db_name = db_name
         self.clusters = frozenset(clusters) if clusters is not None else None
         self.capacity = max(1, min(int(capacity), MAX_QUEUE_CAPACITY))
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
         self._queue: deque = deque()
         self._resync_from: Optional[int] = None
         self._closed = False
@@ -70,12 +70,12 @@ class CdcSubscriber:
         """Register a wakeup callback fired after every enqueue and on
         close.
 
-        This is how the event-loop server parks without a thread: the
+        This is how the server's pump parks without a thread: the
         callback (``loop.call_soon_threadsafe`` setting an event) runs
         on the committer's thread, so it must be cheap and must not
         raise — exceptions are swallowed, a lost wakeup is not.
         """
-        with self._cond:
+        with self._lock:
             self._notify_cb = notify
 
     def _fire_notifier(self) -> None:
@@ -100,7 +100,7 @@ class CdcSubscriber:
         narrowed = summary.restrict(self.clusters)
         if not narrowed.resync and not narrowed.changes:
             return False
-        with self._cond:
+        with self._lock:
             if self._closed:
                 return False
             if self._resync_from is not None or narrowed.resync:
@@ -113,43 +113,20 @@ class CdcSubscriber:
                 self.coalesced += 1
             else:
                 self._queue.append(narrowed)
-            self._cond.notify_all()
         self._fire_notifier()
         return True
 
     # -- pump path ---------------------------------------------------------------
 
-    def take(self, timeout: Optional[float] = None) -> Optional[ChangeSummary]:
-        """Next summary to ship, or None on timeout/close.
-
-        A pending resync marker outranks everything: it is delivered as
-        a ``resync`` summary and cleared, so the consumer's first sight
-        of the backlog gap is the instruction to heal it.
-        """
-        with self._cond:
-            while True:
-                if self._resync_from is not None:
-                    epoch = self._resync_from
-                    self._resync_from = None
-                    self.delivered += 1
-                    return ChangeSummary(epoch=epoch, resync=True)
-                if self._queue:
-                    self.delivered += 1
-                    return self._queue.popleft()
-                if self._closed:
-                    return None
-                if not self._cond.wait(timeout):
-                    return None
-
     def drain(self) -> List[ChangeSummary]:
         """Everything pending right now, without blocking.
 
-        A pending resync marker outranks the queue, exactly as in
-        :meth:`take`; the queue behind it was already cleared when the
-        marker formed, so the marker is the whole batch.  This is the
-        batching pump's bulk form of ``take``.
+        A pending resync marker outranks the queue — the consumer's
+        first sight of the backlog gap is the instruction to heal it;
+        the queue behind it was already cleared when the marker formed,
+        so the marker is the whole batch.
         """
-        with self._cond:
+        with self._lock:
             if self._resync_from is not None:
                 epoch = self._resync_from
                 self._resync_from = None
@@ -161,21 +138,20 @@ class CdcSubscriber:
             return batch
 
     def close(self) -> None:
-        with self._cond:
+        with self._lock:
             self._closed = True
             self._queue.clear()
             self._resync_from = None
-            self._cond.notify_all()
         self._fire_notifier()
 
     @property
     def closed(self) -> bool:
-        with self._cond:
+        with self._lock:
             return self._closed
 
     @property
     def backlog(self) -> int:
-        with self._cond:
+        with self._lock:
             return len(self._queue) + (1 if self._resync_from is not None
                                        else 0)
 
@@ -262,70 +238,3 @@ class ChangeRouter:
             "backlog": sum(s.backlog for s in subscribers),
             "events": self._m_events.value,
         }
-
-
-class SubscriberPump(threading.Thread):
-    """Drains one subscriber's queue onto its connection.
-
-    ``send`` is whatever writes one event payload to the wire (the
-    server's per-connection push channel).  A send failure means the
-    consumer is gone: the pump reports it via ``on_failure`` (which
-    unregisters the subscriber) and exits — the commit path never even
-    notices.
-
-    The pump parks on the subscriber's condition variable (``close``
-    wakes it) — no recv-poll-style idle timeout, an idle pump costs
-    zero wakeups.  With ``flush_seconds`` set, the pump batches: after
-    the first event of a burst it sleeps one flush tick, then drains
-    the whole backlog and ships it merged as a single frame
-    (:func:`~repro.cdc.summary.merge_summaries` — no epoch is skipped,
-    the union invalidates everything the burst touched at the newest
-    epoch).  ``flush_seconds=None`` (the default) preserves exact
-    one-frame-per-commit delivery.
-    """
-
-    def __init__(self, subscriber: CdcSubscriber,
-                 send: Callable[[ChangeSummary], None],
-                 on_failure: Optional[Callable[[], None]] = None,
-                 flush_seconds: Optional[float] = None):
-        super().__init__(
-            name=f"cdc-pump-{subscriber.db_name}-{subscriber.sub_id}",
-            daemon=True)
-        self.subscriber = subscriber
-        self._send = send
-        self._on_failure = on_failure
-        self.flush_seconds = flush_seconds
-        registry = get_registry()
-        self._m_send_errors = registry.counter("cdc.send_errors")
-        self._m_batch_events = registry.counter("cdc.batch.events_in")
-        self._m_batch_frames = registry.counter("cdc.batch.frames_out")
-        self._m_batch_merged = registry.counter("cdc.batch.merged")
-
-    def run(self) -> None:
-        while True:
-            summary = self.subscriber.take(timeout=None)
-            if summary is None:
-                if self.subscriber.closed:
-                    return
-                continue
-            if self.flush_seconds is None:
-                batch = [summary]
-            else:
-                if self.flush_seconds > 0.0:
-                    time.sleep(self.flush_seconds)  # let the burst land
-                batch = [summary, *self.subscriber.drain()]
-            try:
-                self._send(merge_summaries(batch))
-            except Exception:
-                self._m_send_errors.inc()
-                self.subscriber.close()
-                if self._on_failure is not None:
-                    try:
-                        self._on_failure()
-                    except Exception:
-                        get_registry().counter("net.teardown_error").inc()
-                return
-            self._m_batch_events.inc(len(batch))
-            self._m_batch_frames.inc()
-            if len(batch) > 1:
-                self._m_batch_merged.inc(len(batch) - 1)

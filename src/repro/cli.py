@@ -40,8 +40,6 @@ Besides the REPL, two network entry points::
       [--replica-of host:port]                  ... as a read replica
       [--replica-peers host:port,...]           failover candidates the
                                                 applier may re-home to
-      [--io-model async|threaded]               event-loop (default) or
-                                                thread-per-connection core
       [--cdc-flush-ms N]                        batch CDC pushes per tick
   python -m repro connect <host> <port> <db>    browse a served database
   python -m repro connect <host> <port> <db> --follow [cluster,...]
@@ -54,7 +52,7 @@ from __future__ import annotations
 
 import shlex
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import OdeError, OdeViewError
 from repro.core.app import OdeView
@@ -378,69 +376,73 @@ class OdeViewCli:
         return "bye"
 
 
+_SERVE_USAGE = ("usage: python -m repro serve <root> [host] [port] "
+                "[--replica-of host:port] [--replica-peers host:port,...] "
+                "[--cdc-flush-ms N]")
+
+
+def _host_port(text: str) -> Tuple[str, int]:
+    host, port = text.rsplit(":", 1)
+    return host, int(port)
+
+
+#: ``serve`` flag -> (OdeServer keyword, value parser, what the value is).
+_SERVE_FLAGS = {
+    "--replica-of": ("replica_of", _host_port, "host:port"),
+    "--replica-peers": (
+        "replica_peers",
+        lambda text: [_host_port(peer) for peer in text.split(",")],
+        "host:port[,host:port...]"),
+    "--cdc-flush-ms": (
+        "cdc_flush_seconds", lambda text: float(text) / 1000.0, "a number"),
+}
+
+
+def _parse_serve_args(argv: List[str]) -> Dict[str, Any]:
+    """``serve``'s arguments as :class:`OdeServer` keywords.
+
+    Raises :class:`CommandError` carrying the line to print before
+    exiting 2: a flag's value hint, or the usage for anything else —
+    an unknown ``--flag`` is never taken for a positional.
+    """
+    kwargs: Dict[str, Any] = {}
+    positional: List[str] = []
+    tokens = iter(argv)
+    for token in tokens:
+        if not token.startswith("--"):
+            positional.append(token)
+            continue
+        if token not in _SERVE_FLAGS:
+            raise CommandError(_SERVE_USAGE)
+        keyword, parse, hint = _SERVE_FLAGS[token]
+        try:
+            kwargs[keyword] = parse(next(tokens))
+        except (StopIteration, ValueError):
+            raise CommandError(f"{token} needs {hint}") from None
+    if not 1 <= len(positional) <= 3:
+        raise CommandError(_SERVE_USAGE)
+    kwargs["root"] = positional[0]
+    kwargs["host"] = positional[1] if len(positional) > 1 else "127.0.0.1"
+    try:
+        # Default port: 'Ode' on a phone pad.
+        kwargs["port"] = int(positional[2]) if len(positional) > 2 else 6455
+    except ValueError:
+        raise CommandError(_SERVE_USAGE) from None
+    return kwargs
+
+
 def _main_serve(argv: List[str]) -> int:  # pragma: no cover - entry
-    """``python -m repro serve <root> [host] [port] [--replica-of host:port]
-    [--replica-peers host:port,...] [--io-model async|threaded]
-    [--cdc-flush-ms N]``."""
+    """``python -m repro serve`` — see :data:`_SERVE_USAGE`."""
     from repro.net.server import OdeServer
 
-    replica_of = None
-    if "--replica-of" in argv:
-        index = argv.index("--replica-of")
-        try:
-            upstream = argv[index + 1]
-            upstream_host, upstream_port = upstream.rsplit(":", 1)
-            replica_of = (upstream_host, int(upstream_port))
-        except (IndexError, ValueError):
-            print("--replica-of needs host:port", file=sys.stderr)
-            return 2
-        argv = argv[:index] + argv[index + 2:]
-    replica_peers = None
-    if "--replica-peers" in argv:
-        index = argv.index("--replica-peers")
-        try:
-            replica_peers = []
-            for peer in argv[index + 1].split(","):
-                peer_host, peer_port = peer.rsplit(":", 1)
-                replica_peers.append((peer_host, int(peer_port)))
-        except (IndexError, ValueError):
-            print("--replica-peers needs host:port[,host:port...]",
-                  file=sys.stderr)
-            return 2
-        argv = argv[:index] + argv[index + 2:]
-    io_model = None
-    if "--io-model" in argv:
-        index = argv.index("--io-model")
-        try:
-            io_model = argv[index + 1]
-        except IndexError:
-            print("--io-model needs 'async' or 'threaded'", file=sys.stderr)
-            return 2
-        argv = argv[:index] + argv[index + 2:]
-    cdc_flush_seconds = None
-    if "--cdc-flush-ms" in argv:
-        index = argv.index("--cdc-flush-ms")
-        try:
-            cdc_flush_seconds = float(argv[index + 1]) / 1000.0
-        except (IndexError, ValueError):
-            print("--cdc-flush-ms needs a number", file=sys.stderr)
-            return 2
-        argv = argv[:index] + argv[index + 2:]
-    if not argv:
-        print("usage: python -m repro serve <root> [host] [port] "
-              "[--replica-of host:port] [--replica-peers host:port,...] "
-              "[--io-model async|threaded] [--cdc-flush-ms N]",
-              file=sys.stderr)
+    try:
+        server = OdeServer(**_parse_serve_args(argv))
+    except CommandError as exc:
+        print(exc, file=sys.stderr)
         return 2
-    root = argv[0]
-    host = argv[1] if len(argv) > 1 else "127.0.0.1"
-    port = int(argv[2]) if len(argv) > 2 else 6455  # 'Ode' on a phone pad
-    server = OdeServer(root, host=host, port=port, replica_of=replica_of,
-                       replica_peers=replica_peers, io_model=io_model,
-                       cdc_flush_seconds=cdc_flush_seconds)
     server.start()
     print(f"serving {', '.join(server.database_names())} "
-          f"on {host}:{server.port} as {server.role} (ctrl-c to stop)")
+          f"on {server.host}:{server.port} as {server.role} (ctrl-c to stop)")
     try:
         server.serve_forever()
     except KeyboardInterrupt:

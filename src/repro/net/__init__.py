@@ -7,12 +7,10 @@ reproduction the same shape over a real network boundary:
 * :mod:`repro.net.protocol` — a length-prefixed binary wire protocol
   (request id, opcode, CRC) whose payloads are
   :mod:`repro.ode.codec` values;
-* :mod:`repro.net.server` / :mod:`repro.net.aserver` — the
-  :func:`OdeServer` factory and its two I/O cores: the default
-  event-loop :class:`AsyncOdeServer` and the legacy
-  :class:`ThreadedOdeServer` baseline (``io_model="threaded"``), both
-  hosting one or more databases with concurrent readers and serialized
-  writers;
+* :mod:`repro.net.server` / :mod:`repro.net.aserver` —
+  :class:`OdeServer`, hosting one or more databases from one ``asyncio``
+  event loop with concurrent lock-free readers and serialized writers,
+  and the loop's per-connection layer;
 * :mod:`repro.net.session` — the per-connection server session (the
   network analogue of the db-interactor/object-interactor pair, with
   server-side sequencing cursors);
@@ -25,16 +23,13 @@ reproduction the same shape over a real network boundary:
   network.
 """
 
-from repro.net.aserver import AsyncOdeServer
 from repro.net.client import OdeClient
 from repro.net.remote import RemoteDatabase, RemoteObjectManager
-from repro.net.server import OdeServer, ThreadedOdeServer
+from repro.net.server import OdeServer
 
 __all__ = [
-    "AsyncOdeServer",
     "OdeClient",
     "OdeServer",
     "RemoteDatabase",
     "RemoteObjectManager",
-    "ThreadedOdeServer",
 ]

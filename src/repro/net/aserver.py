@@ -1,10 +1,9 @@
-"""AsyncOdeServer: the event-loop I/O core.
+"""The connection layer of :class:`~repro.net.server.OdeServer`'s event loop.
 
-One ``asyncio`` loop on one background thread replaces the accept
-thread and the thread-per-connection fleet.  Connections are
-coroutines, so their cost is a file descriptor and a small heap object
-— the connection-count ceiling moves from "how many OS threads can the
-box stand" to the fd limit.
+One ``asyncio`` loop on one background thread serves every connection.
+Connections are coroutines, so their cost is a file descriptor and a
+small heap object — the connection-count ceiling is the fd limit, not
+how many OS threads the box can stand.
 
 Division of labour around the loop:
 
@@ -13,11 +12,10 @@ reads
     request pins a snapshot), so there is nothing to wait on and a hop
     to another thread would only add latency.
 writes
-    serialized per database by an ``asyncio.Lock`` (the thread-affine
-    rw-lock cannot follow a request across executor threads) and run on
-    a small thread pool in two steps: ``write_prepare`` — overlay apply
-    plus ``commit_stage`` — under the lock, then ``commit_wait`` with
-    the lock *released*, so the loop never blocks on an fsync and
+    serialized per database by an ``asyncio.Lock`` and run on a small
+    thread pool in two steps: ``write_prepare`` — overlay apply plus
+    ``commit_stage`` — under the lock, then ``commit_wait`` with the
+    lock *released*, so the loop never blocks on an fsync and
     concurrent sessions' commits batch into one ``wal.group.sync``.
 CDC push
     loop-native pump tasks.  The subscriber's wakeup notifier posts to
@@ -40,35 +38,22 @@ from __future__ import annotations
 import asyncio
 import functools
 import itertools
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.cdc import CdcSubscriber, merge_summaries, summary_to_wire
 from repro.errors import NetworkError, OdeError
 from repro.net import protocol as P
-from repro.net.server import (
-    _DRAIN_SECONDS,
-    _LISTEN_BACKLOG,
-    _POLL_SECONDS,
-    ServerCore,
-)
 from repro.net.session import ServerSession
 from repro.obs import get_registry
 from repro.repl.feed import MAX_WAIT_SECONDS
+
+if TYPE_CHECKING:  # the server imports this module
+    from repro.net.server import OdeServer
 
 #: Bytes asked of the transport per reader iteration.  Large enough
 #: that a bulk reply's worth of requests arrives in few syscalls, small
 #: enough not to hoard buffers per connection.
 _READ_CHUNK = 64 * 1024
-
-#: Executor threads for the blocking slice of the write path
-#: (``write_prepare`` + ``commit_wait``) and replica snapshots.  A
-#: commit_wait parks a worker for at most one group flush — and the
-#: barrier elects one of its own waiters as leader, so progress never
-#: depends on a free worker beyond those already parked.
-_EXECUTOR_WORKERS = 16
 
 
 class _AsyncSubscription:
@@ -88,16 +73,13 @@ class _AsyncSubscription:
 class _AsyncConnection:
     """One client connection: reader coroutine, dispatcher, pumps."""
 
-    def __init__(self, server: "AsyncOdeServer",
+    def __init__(self, server: "OdeServer",
                  reader: asyncio.StreamReader,
                  writer: asyncio.StreamWriter, session_id: int):
         self._server = server
         self._reader = reader
         self._writer = writer
-        # No rw-lock participation (thread_locks=False): writes hop
-        # executor threads, serialization is the server's asyncio lock.
-        self._session = ServerSession(server, session_id, channel=None,
-                                      thread_locks=False)
+        self._session = ServerSession(server, session_id)
         #: Frame writes interleave from the dispatcher and any number of
         #: CDC pump tasks; the lock keeps them whole on the wire.
         self._wlock = asyncio.Lock()
@@ -279,12 +261,6 @@ class _AsyncConnection:
         loop = asyncio.get_running_loop()
         fetch = functools.partial(feed.fetch, after, max_units=max_units,
                                   wait_seconds=0.0)
-        # In the executor, not inline: a fetch below the ring floor
-        # re-reads units from the WAL file.
-        result = await loop.run_in_executor(self._server._executor, fetch)
-        if result["units"] or wait_seconds <= 0.0:
-            return result
-        # Nothing to stream yet: park loop-natively as a feed waiter.
         # The waiter fires on the committer's thread (and on feed
         # close), so it only posts the event back to the loop.
         wake = asyncio.Event()
@@ -295,8 +271,17 @@ class _AsyncConnection:
             except RuntimeError:
                 pass  # loop already shut down
 
+        # Register BEFORE the first fetch: a commit landing between an
+        # empty fetch and a later registration would wake no one and
+        # the poller would sleep its whole wait with a unit ready.
         feed.add_waiter(notify)
         try:
+            # In the executor, not inline: a fetch below the ring floor
+            # re-reads units from the WAL file.
+            result = await loop.run_in_executor(self._server._executor, fetch)
+            if result["units"] or wait_seconds <= 0.0:
+                return result
+            # Nothing to stream yet: park loop-natively on the waiter.
             try:
                 await asyncio.wait_for(wake.wait(), wait_seconds)
             except asyncio.TimeoutError:
@@ -335,9 +320,10 @@ class _AsyncConnection:
         subscriber.set_notifier(notify)
         sub = _AsyncSubscription(sub_id, database.name, subscriber, wake)
         router = self._server.router(database.name)
-        # Same ordering proof as the threaded path: register BEFORE
+        # Ordering is the whole soundness story: register BEFORE
         # reading the ack epoch, so no commit can fall between them
-        # unseen — a duplicate at/below the ack epoch is harmless.
+        # unseen — a duplicate event at/below the ack epoch is a
+        # harmless extra eviction, the reverse order would lose deltas.
         router.register(subscriber)
         epoch = database.store.epoch
         self._subscriptions[sub_id] = sub
@@ -363,7 +349,7 @@ class _AsyncConnection:
         return {"closed": True}
 
     async def _pump(self, sub: _AsyncSubscription) -> None:
-        """Loop-native SubscriberPump: drain the queue, write frames.
+        """Drain one subscriber's queue onto the connection.
 
         Parks on the subscription's wake event — zero idle wakeups.
         With the server's CDC flush tick set, a burst is merged into one
@@ -413,193 +399,3 @@ class _AsyncConnection:
                 m_frames.inc(len(summaries))
             if subscriber.closed:
                 return
-
-
-class AsyncOdeServer(ServerCore):
-    """The event-loop core: one loop thread, coroutine connections."""
-
-    def __init__(self, root: Union[str, Path], host: str = "127.0.0.1",
-                 port: int = 0, poll_seconds: float = _POLL_SECONDS,
-                 replica_of: Optional[Tuple[str, int]] = None,
-                 replica_peers: Optional[List[Tuple[str, int]]] = None,
-                 cdc_flush_seconds: Optional[float] = None,
-                 **database_kwargs):
-        super().__init__(root, host=host, port=port,
-                         poll_seconds=poll_seconds, replica_of=replica_of,
-                         replica_peers=replica_peers,
-                         cdc_flush_seconds=cdc_flush_seconds,
-                         **database_kwargs)
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._loop_thread: Optional[threading.Thread] = None
-        self._aserver: Optional[asyncio.AbstractServer] = None
-        self._port: Optional[int] = None
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self._connections: set = set()
-        self._write_locks: Dict[str, asyncio.Lock] = {}
-        self._executor = ThreadPoolExecutor(
-            max_workers=_EXECUTOR_WORKERS,
-            thread_name_prefix="ode-server-exec")
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    def start(self) -> None:
-        """Open the databases, then bring the loop up on its thread.
-
-        Discovery/bootstrap runs synchronously here (same as the
-        threaded core), so a bad root or a crashed open raises in the
-        caller, not on a background thread.
-        """
-        if self._loop_thread is not None:
-            raise NetworkError("server already started")
-        if self.replica_of is not None:
-            self.root.mkdir(parents=True, exist_ok=True)
-            self._bootstrap_from_primary()
-        self._discover()
-        if self.replica_of is not None:
-            self._start_appliers()
-        self._ready.clear()
-        self._startup_error = None
-        thread = threading.Thread(target=self._run_loop,
-                                  name="ode-server-loop", daemon=True)
-        self._loop_thread = thread
-        thread.start()
-        self._ready.wait()
-        if self._startup_error is not None:
-            exc = self._startup_error
-            thread.join(timeout=1.0)
-            self._loop_thread = None
-            self._loop = None
-            self._stop_appliers()
-            self._close_feeds()
-            self._close_hosted()
-            raise exc
-
-    def _run_loop(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            try:
-                server = loop.run_until_complete(asyncio.start_server(
-                    self._on_connect, self.host, self._requested_port,
-                    backlog=_LISTEN_BACKLOG))
-            except BaseException as exc:
-                self._startup_error = exc
-                return
-            self._aserver = server
-            self._port = server.sockets[0].getsockname()[1]
-            self._ready.set()
-            try:
-                loop.run_forever()
-            finally:
-                # Straggler tasks (cancelled pumps, dying connections)
-                # get one chance to unwind before the loop closes.
-                pending = asyncio.all_tasks(loop)
-                for task in pending:
-                    task.cancel()
-                if pending:
-                    loop.run_until_complete(asyncio.gather(
-                        *pending, return_exceptions=True))
-        finally:
-            self._ready.set()
-            asyncio.set_event_loop(None)
-            loop.close()
-
-    @property
-    def started(self) -> bool:
-        return self._loop_thread is not None
-
-    @property
-    def port(self) -> int:
-        if self._port is None:
-            raise NetworkError("server not started")
-        return self._port
-
-    def shutdown(self, drain: float = _DRAIN_SECONDS) -> None:
-        """Stop accepting, drain in-flight requests, close databases."""
-        self._stopping.set()
-        self._stop_appliers()
-        loop, thread = self._loop, self._loop_thread
-        if loop is None or thread is None or not thread.is_alive():
-            # Never started (or the loop already died): just tear down
-            # whatever hosting state exists.
-            self._close_feeds()
-            self._close_hosted()
-            self._loop = None
-            self._loop_thread = None
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            return
-        try:
-            future = asyncio.run_coroutine_threadsafe(
-                self._shutdown_async(drain), loop)
-            future.result(timeout=drain + 5.0)
-        except Exception:
-            get_registry().counter("net.teardown_error").inc()
-        try:
-            loop.call_soon_threadsafe(loop.stop)
-        except RuntimeError:
-            pass  # loop already stopped
-        thread.join(timeout=drain)
-        self._executor.shutdown(wait=False, cancel_futures=True)
-        self._close_hosted()
-        self._loop = None
-        self._loop_thread = None
-        self._aserver = None
-
-    async def _shutdown_async(self, drain: float) -> None:
-        if self._aserver is not None:
-            self._aserver.close()
-            await self._aserver.wait_closed()
-        # Feeds first: a replication long-poll parked on a feed waiter
-        # wakes immediately with a clean error instead of riding out
-        # its wait against the drain budget.
-        self._close_feeds()
-        for conn in list(self._connections):
-            conn.request_close()
-        tasks = [conn.task for conn in list(self._connections)
-                 if conn.task is not None and not conn.task.done()]
-        if tasks:
-            _done, pending = await asyncio.wait(tasks, timeout=drain)
-            if pending:
-                # Something is parked past the drain deadline — most
-                # likely a commit_wait behind a wedged peer.  Cancel the
-                # barrier's waiters (clean GroupCommitError), then give
-                # the tasks one more beat before cancelling them.
-                self._cancel_commit_waiters()
-                _done2, still = await asyncio.wait(pending, timeout=1.0)
-                for task in still:
-                    task.cancel()
-                if still:
-                    await asyncio.wait(still, timeout=1.0)
-
-    # -- connections -------------------------------------------------------------
-
-    def _write_lock_for(self, name: str) -> asyncio.Lock:
-        # Loop-thread only, so plain dict ops need no lock.
-        lock = self._write_locks.get(name)
-        if lock is None:
-            lock = self._write_locks.setdefault(name, asyncio.Lock())
-        return lock
-
-    async def _on_connect(self, reader: asyncio.StreamReader,
-                          writer: asyncio.StreamWriter) -> None:
-        if self._stopping.is_set():
-            writer.close()
-            return
-        session_id = next(self._session_ids)
-        conn = _AsyncConnection(self, reader, writer, session_id)
-        conn.task = asyncio.current_task()
-        self._connections.add(conn)
-        try:
-            await conn.run()
-        except asyncio.CancelledError:
-            raise
-        except BaseException:
-            # Includes simulated crashes from faultsim: the coordinator
-            # (GroupCommit) already recorded the damage; here it only
-            # kills this one connection, exactly like the thread it
-            # replaced.
-            get_registry().counter("net.teardown_error").inc()
-        finally:
-            self._connections.discard(conn)

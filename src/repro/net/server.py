@@ -1,116 +1,87 @@
-"""OdeServer: socket servers hosting Ode databases over the wire protocol.
+"""OdeServer: the socket server hosting Ode databases over the wire protocol.
 
 One server process owns the databases (and therefore their directory
 locks); any number of OdeView front ends connect and browse the same
 data concurrently — the paper's multi-user premise made literal.
 
-Two I/O cores share one hosting layer (:class:`ServerCore`) and one
-request dispatcher (:class:`~repro.net.session.ServerSession`):
+:class:`OdeServer` is the hosting layer (databases, replication feeds,
+change routers, replica appliers, request metrics) plus the lifecycle of
+the one I/O core: an ``asyncio`` event loop on one background thread.
+Connections are coroutines (:mod:`repro.net.aserver`), frames reassemble
+incrementally from whatever the socket has, snapshot reads run inline
+on the loop, and writes hop to a small executor for the group-commit
+stage/wait so the loop never blocks on an fsync.  Connection count is
+bounded by file descriptors, not OS threads.
 
-:class:`AsyncOdeServer` (the default)
-    an ``asyncio`` event loop on one background thread.  Connections
-    are coroutines, frames reassemble incrementally from whatever the
-    socket has, snapshot reads run inline on the loop, and writes hop
-    to a small executor for the group-commit stage/wait so the loop
-    never blocks on an fsync.  Connection count is bounded by file
-    descriptors, not OS threads.
+Writers are serialized per database by an ``asyncio.Lock`` the server
+hands out (:meth:`OdeServer._write_lock_for`); readers are lock-free
+(MVCC snapshots).
 
-:class:`ThreadedOdeServer`
-    the original accept-thread + thread-per-connection core, kept for
-    one release as the A/B baseline (``--io-model threaded``).  Each
-    connection's session takes the target database's write lock per
-    mutation; readers are lock-free either way (MVCC snapshots).
-
-``OdeServer(...)`` is a factory: it honours the ``io_model`` keyword,
-then the ``ODE_IO_MODEL`` environment variable, and defaults to the
-event-loop core — so every existing caller (tests, CLI, benchmarks)
-exercises the async server without change.
-
-Shutdown drains gracefully on both cores: the listener closes first
-(no new connections), in-flight requests finish, replication feeds
-close (unparking long-pollers with a clean error), and if connections
-fail to drain the group-commit barrier cancels its parked waiters
-rather than leaking them past the drain deadline.
+Shutdown drains gracefully: the listener closes first (no new
+connections), replication feeds close (unparking long-pollers with a
+clean error), in-flight requests finish, and if connections fail to
+drain the group-commit barrier cancels its parked waiters rather than
+leaking them past the drain deadline.
 """
 
 from __future__ import annotations
 
+import asyncio
 import itertools
-import os
-import socket
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.cdc.router import ChangeRouter
 from repro.errors import NetworkError, OdeError, StorageError
 from repro.net import protocol as P
-from repro.net.rwlock import ReadWriteLock
-from repro.net.session import HostedDatabase, ServerSession
+from repro.net.aserver import _AsyncConnection
+from repro.net.session import HostedDatabase
 from repro.obs.metrics import get_registry
 from repro.ode.database import Database
 from repro.repl.feed import ReplicationFeed
 from repro.repl.replica import ReplicaApplier, bootstrap_replica
 
-#: How long a threaded connection blocks in recv before re-checking the
-#: server's stop flag.  The event-loop core has no such poll — its
-#: readers park on the selector — but keeps the knob for API parity.
-_POLL_SECONDS = 0.5
-
-#: How long shutdown waits for in-flight connection threads to drain.
+#: How long shutdown waits for in-flight connections to drain.
 _DRAIN_SECONDS = 5.0
 
 #: Listen backlog.  Sized for the connection-count sweep: a 4096-client
-#: ramp connects in waves larger than the old backlog of 32.
+#: ramp connects in large waves.
 _LISTEN_BACKLOG = 512
 
-
-class PushChannel:
-    """Serialized frame writes to one connection's socket.
-
-    Replies (the connection thread) and unsolicited CDC events (one
-    pump thread per subscription) share a socket; the channel's lock
-    keeps their frames from interleaving mid-write.  A wedged peer can
-    only wedge its own channel — every other connection, and the commit
-    path, write elsewhere.
-    """
-
-    def __init__(self, conn: socket.socket):
-        self._conn = conn
-        self._lock = threading.Lock()
-
-    def send(self, request_id: int, opcode: int,
-             payload: Optional[Dict[str, Any]] = None) -> int:
-        with self._lock:
-            return P.write_frame(self._conn, request_id, opcode, payload)
-
-    def send_push(self, opcode: int, payload: Dict[str, Any]) -> int:
-        """An unsolicited frame: request id 0 marks it as no one's reply."""
-        return self.send(0, opcode, payload)
+#: Executor threads for the blocking slice of the write path
+#: (``write_prepare`` + ``commit_wait``) and replica snapshots.  A
+#: commit_wait parks a worker for at most one group flush — and the
+#: barrier elects one of its own waiters as leader, so progress never
+#: depends on a free worker beyond those already parked.
+_EXECUTOR_WORKERS = 16
 
 
-class ServerCore:
-    """Everything both I/O cores share: hosting, replication, stats.
+class OdeServer:
+    """Hosts the databases under a root and serves them from one event loop.
 
     Owns the databases, their replication feeds and change routers, the
-    replica appliers, the session-id well, and the request metrics.
-    Subclasses provide the transport: ``start``, ``port``, ``shutdown``
-    and whatever moves frames.
+    replica appliers, the session-id well, the request metrics, and the
+    loop thread that moves frames.
     """
 
     def __init__(self, root: Union[str, Path], host: str = "127.0.0.1",
-                 port: int = 0, poll_seconds: float = _POLL_SECONDS,
+                 port: int = 0, io_model: str = "async",
                  replica_of: Optional[Tuple[str, int]] = None,
                  replica_peers: Optional[List[Tuple[str, int]]] = None,
                  cdc_flush_seconds: Optional[float] = None,
                  **database_kwargs):
+        # Not an option: the frozen benchmark (benchmarks/odebench) still
+        # passes io_model="async" from when a threaded core existed, so
+        # the keyword survives with that one legal value.
+        if io_model != "async":
+            raise NetworkError(
+                f"io_model={io_model!r}: the threaded core was removed; "
+                f"the event-loop core is the only one")
         self.root = Path(root)
         self.host = host
         self._requested_port = port
-        #: Stop-flag poll interval, also the threaded core's per-
-        #: connection recv timeout.  Torture tests shrink it so a
-        #: shutdown with stuck connections drains quickly.
-        self.poll_seconds = poll_seconds
         #: CDC flush tick: with a value set, each subscriber's pump
         #: batches a burst of commits into one merged OP_CDC_EVENT per
         #: tick.  None (the default) ships one frame per commit.
@@ -148,6 +119,18 @@ class ServerCore:
         self._m_wakeups = registry.counter("net.server.wakeups")
         self._m_requests: Dict[int, object] = {}
 
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._loop_thread: Optional[threading.Thread] = None
+        self._aserver: Optional[asyncio.AbstractServer] = None
+        self._port: Optional[int] = None
+        self._ready = threading.Event()
+        self._startup_error: Optional[BaseException] = None
+        self._connections: set = set()
+        self._write_locks: Dict[str, asyncio.Lock] = {}
+        self._executor = ThreadPoolExecutor(
+            max_workers=_EXECUTOR_WORKERS,
+            thread_name_prefix="ode-server-exec")
+
     # -- database hosting --------------------------------------------------------
 
     def _discover(self) -> None:
@@ -168,8 +151,7 @@ class ServerCore:
             raise StorageError(f"no databases found under {self.root}")
         for path in candidates:
             database = Database.open(path, **self._database_kwargs)
-            self._hosted[database.name] = HostedDatabase(
-                database, ReadWriteLock())
+            self._hosted[database.name] = HostedDatabase(database)
             # Every hosted database gets a feed, whatever the role: on
             # a primary it serves replicas; on a replica it makes the
             # node a valid upstream for chained replication (the
@@ -338,62 +320,15 @@ class ServerCore:
             self._m_requests[opcode] = counter
         return counter
 
-    # -- lifecycle (shared surface) ----------------------------------------------
-
-    def start(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def shutdown(self, drain: float = _DRAIN_SECONDS) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    def serve_forever(self) -> None:
-        """Block until :meth:`shutdown` is called (e.g. from a signal).
-
-        No busy poll: the stop event parks this thread.  The wait is
-        chunked only so the main thread stays promptly interruptible by
-        KeyboardInterrupt — one wakeup a minute, not two a second.
-        """
-        if not self.started:
-            self.start()
-        while not self._stopping.is_set():
-            self._stopping.wait(60.0)
-
-    @property
-    def started(self) -> bool:  # pragma: no cover - trivial override hook
-        return False
-
-    def __enter__(self) -> "ServerCore":
-        self.start()
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.shutdown()
-
-
-class ThreadedOdeServer(ServerCore):
-    """The original threaded core: accept thread + thread per connection."""
-
-    def __init__(self, root: Union[str, Path], host: str = "127.0.0.1",
-                 port: int = 0, poll_seconds: float = _POLL_SECONDS,
-                 replica_of: Optional[Tuple[str, int]] = None,
-                 replica_peers: Optional[List[Tuple[str, int]]] = None,
-                 cdc_flush_seconds: Optional[float] = None,
-                 **database_kwargs):
-        super().__init__(root, host=host, port=port,
-                         poll_seconds=poll_seconds, replica_of=replica_of,
-                         replica_peers=replica_peers,
-                         cdc_flush_seconds=cdc_flush_seconds,
-                         **database_kwargs)
-        self._listener: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
-        self._threads: List[threading.Thread] = []
-        self._threads_lock = threading.Lock()
-
     # -- lifecycle ---------------------------------------------------------------
 
     def start(self) -> None:
-        """Open the databases and begin accepting connections."""
-        if self._listener is not None:
+        """Open the databases, then bring the loop up on its thread.
+
+        Discovery/bootstrap runs synchronously here, so a bad root or a
+        crashed open raises in the caller, not on a background thread.
+        """
+        if self._loop_thread is not None:
             raise NetworkError("server already started")
         if self.replica_of is not None:
             self.root.mkdir(parents=True, exist_ok=True)
@@ -401,138 +336,166 @@ class ThreadedOdeServer(ServerCore):
         self._discover()
         if self.replica_of is not None:
             self._start_appliers()
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self._requested_port))
-        listener.listen(_LISTEN_BACKLOG)
-        listener.settimeout(self.poll_seconds)
-        self._listener = listener
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="ode-server-accept", daemon=True)
-        self._accept_thread.start()
+        self._ready.clear()
+        self._startup_error = None
+        thread = threading.Thread(target=self._run_loop,
+                                  name="ode-server-loop", daemon=True)
+        self._loop_thread = thread
+        thread.start()
+        self._ready.wait()
+        if self._startup_error is not None:
+            exc = self._startup_error
+            thread.join(timeout=1.0)
+            self._loop_thread = None
+            self._loop = None
+            self._stop_appliers()
+            self._close_feeds()
+            self._close_hosted()
+            raise exc
+
+    def _run_loop(self) -> None:
+        loop = asyncio.new_event_loop()
+        asyncio.set_event_loop(loop)
+        self._loop = loop
+        try:
+            try:
+                server = loop.run_until_complete(asyncio.start_server(
+                    self._on_connect, self.host, self._requested_port,
+                    backlog=_LISTEN_BACKLOG))
+            except BaseException as exc:
+                self._startup_error = exc
+                return
+            self._aserver = server
+            self._port = server.sockets[0].getsockname()[1]
+            self._ready.set()
+            try:
+                loop.run_forever()
+            finally:
+                # Straggler tasks (cancelled pumps, dying connections)
+                # get one chance to unwind before the loop closes.
+                pending = asyncio.all_tasks(loop)
+                for task in pending:
+                    task.cancel()
+                if pending:
+                    loop.run_until_complete(asyncio.gather(
+                        *pending, return_exceptions=True))
+        finally:
+            self._ready.set()
+            asyncio.set_event_loop(None)
+            loop.close()
 
     @property
     def started(self) -> bool:
-        return self._accept_thread is not None
+        return self._loop_thread is not None
 
     @property
     def port(self) -> int:
-        if self._listener is None:
+        if self._port is None:
             raise NetworkError("server not started")
-        return self._listener.getsockname()[1]
+        return self._port
 
     def shutdown(self, drain: float = _DRAIN_SECONDS) -> None:
-        """Stop accepting, let in-flight requests finish, close databases."""
+        """Stop accepting, drain in-flight requests, close databases."""
         self._stopping.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                get_registry().counter("net.teardown_error").inc()
         self._stop_appliers()
-        # Before joining connection threads: a fetch parked on a feed's
-        # long poll wakes immediately with a clean error instead of
-        # riding out its wait against the drain budget.
-        self._close_feeds()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=drain)
-        with self._threads_lock:
-            threads = list(self._threads)
-        for thread in threads:
-            thread.join(timeout=drain)
-        if any(thread.is_alive() for thread in threads):
-            # Something is still parked past the drain deadline — most
-            # likely on the group-commit barrier behind a wedged peer.
-            # Cancel the waiters (clean GroupCommitError) and give the
-            # threads one more beat to exit.
-            self._cancel_commit_waiters()
-            for thread in threads:
-                thread.join(timeout=1.0)
+        loop, thread = self._loop, self._loop_thread
+        if loop is None or thread is None or not thread.is_alive():
+            # Never started (or the loop already died): just tear down
+            # whatever hosting state exists.
+            self._close_feeds()
+            self._close_hosted()
+            self._loop = None
+            self._loop_thread = None
+            self._executor.shutdown(wait=False, cancel_futures=True)
+            return
+        try:
+            future = asyncio.run_coroutine_threadsafe(
+                self._shutdown_async(drain), loop)
+            future.result(timeout=drain + 5.0)
+        except Exception:
+            get_registry().counter("net.teardown_error").inc()
+        try:
+            loop.call_soon_threadsafe(loop.stop)
+        except RuntimeError:
+            pass  # loop already stopped
+        thread.join(timeout=drain)
+        self._executor.shutdown(wait=False, cancel_futures=True)
         self._close_hosted()
-        self._listener = None
-        self._accept_thread = None
+        self._loop = None
+        self._loop_thread = None
+        self._aserver = None
 
-    # -- connection handling -----------------------------------------------------
+    async def _shutdown_async(self, drain: float) -> None:
+        if self._aserver is not None:
+            self._aserver.close()
+            await self._aserver.wait_closed()
+        # Feeds first: a replication long-poll parked on a feed waiter
+        # wakes immediately with a clean error instead of riding out
+        # its wait against the drain budget.
+        self._close_feeds()
+        for conn in list(self._connections):
+            conn.request_close()
+        tasks = [conn.task for conn in list(self._connections)
+                 if conn.task is not None and not conn.task.done()]
+        if tasks:
+            _done, pending = await asyncio.wait(tasks, timeout=drain)
+            if pending:
+                # Something is parked past the drain deadline — most
+                # likely a commit_wait behind a wedged peer.  Cancel the
+                # barrier's waiters (clean GroupCommitError), then give
+                # the tasks one more beat before cancelling them.
+                self._cancel_commit_waiters()
+                _done2, still = await asyncio.wait(pending, timeout=1.0)
+                for task in still:
+                    task.cancel()
+                if still:
+                    await asyncio.wait(still, timeout=1.0)
 
-    def _accept_loop(self) -> None:
+    def serve_forever(self) -> None:
+        """Block until :meth:`shutdown` is called (e.g. from a signal).
+
+        No busy poll: the stop event parks this thread.  The wait is
+        chunked only so the main thread stays promptly interruptible by
+        KeyboardInterrupt — one wakeup a minute.
+        """
+        if not self.started:
+            self.start()
         while not self._stopping.is_set():
-            try:
-                conn, _addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            # Allocated here, on the single accept thread: the plain
-            # iterator needs no lock and ids are never duplicated.
-            session_id = next(self._session_ids)
-            thread = threading.Thread(
-                target=self._serve_connection, args=(conn, session_id),
-                name="ode-server-conn", daemon=True)
-            with self._threads_lock:
-                self._threads = [t for t in self._threads if t.is_alive()]
-                self._threads.append(thread)
-            thread.start()
+            self._stopping.wait(60.0)
 
-    def _serve_connection(self, conn: socket.socket, session_id: int) -> None:
-        conn.settimeout(self.poll_seconds)
-        session = ServerSession(self, session_id, channel=PushChannel(conn))
-        self._session_started()
+    def __enter__(self) -> "OdeServer":
+        self.start()
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.shutdown()
+
+    # -- connections -------------------------------------------------------------
+
+    def _write_lock_for(self, name: str) -> asyncio.Lock:
+        # Loop-thread only, so plain dict ops need no lock.
+        lock = self._write_locks.get(name)
+        if lock is None:
+            lock = self._write_locks.setdefault(name, asyncio.Lock())
+        return lock
+
+    async def _on_connect(self, reader: asyncio.StreamReader,
+                          writer: asyncio.StreamWriter) -> None:
+        if self._stopping.is_set():
+            writer.close()
+            return
+        session_id = next(self._session_ids)
+        conn = _AsyncConnection(self, reader, writer, session_id)
+        conn.task = asyncio.current_task()
+        self._connections.add(conn)
         try:
-            while not self._stopping.is_set():
-                try:
-                    frame = P.read_frame(conn, idle_ok=True)
-                except P.IdleTimeout:
-                    self._m_wakeups.inc()
-                    continue  # no frame started; re-check the stop flag
-                except NetworkError:
-                    break  # closed, stalled, or corrupt: drop the connection
-                self._handle_frame(session, frame)
+            await conn.run()
+        except asyncio.CancelledError:
+            raise
+        except BaseException:
+            # Includes simulated crashes from faultsim: the coordinator
+            # (GroupCommit) already recorded the damage; here it only
+            # kills this one connection.
+            get_registry().counter("net.teardown_error").inc()
         finally:
-            session.close()
-            self._session_finished()
-            try:
-                conn.close()
-            except OSError:
-                get_registry().counter("net.teardown_error").inc()
-
-    def _handle_frame(self, session: ServerSession, frame: P.Frame) -> None:
-        self._m_bytes_in.inc(frame.wire_size)
-        self._request_counter(frame.opcode).inc()
-        with self._m_request_seconds.time():
-            try:
-                result = session.dispatch(frame.opcode, frame.payload)
-                reply_op, reply = P.OP_REPLY, result
-            except Exception as exc:  # marshal any failure to the client
-                self._m_errors.inc()
-                reply_op = P.OP_ERROR
-                reply = {"kind": type(exc).__name__, "message": str(exc)}
-        try:
-            # Through the channel: replies must not tear a CDC push
-            # frame a subscription pump is writing concurrently.
-            sent = session.channel.send(frame.request_id, reply_op, reply)
-            self._m_bytes_out.inc(sent)
-        except NetworkError:
-            pass  # client vanished mid-reply; the finally block cleans up
-
-
-def OdeServer(root: Union[str, Path], host: str = "127.0.0.1",
-              port: int = 0, io_model: Optional[str] = None,
-              **kwargs) -> ServerCore:
-    """Build a server with the selected I/O core.
-
-    Selection order: the ``io_model`` keyword, then the ``ODE_IO_MODEL``
-    environment variable, then the default (``async``).  Keeping the
-    constructor-shaped factory under the old name means every existing
-    call site — tests, fixtures, the CLI, benchmarks — runs against the
-    event-loop core unchanged, and can pin the threaded baseline with
-    one keyword or one environment variable.
-    """
-    model = (io_model or os.environ.get("ODE_IO_MODEL") or "async").lower()
-    if model in ("threaded", "thread", "threads"):
-        return ThreadedOdeServer(root, host=host, port=port, **kwargs)
-    if model in ("async", "asyncio", "loop"):
-        from repro.net.aserver import AsyncOdeServer
-
-        return AsyncOdeServer(root, host=host, port=port, **kwargs)
-    raise NetworkError(
-        f"unknown io model {model!r}; expected 'async' or 'threaded'")
+            self._connections.discard(conn)

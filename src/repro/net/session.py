@@ -18,28 +18,34 @@ Dispatch discipline (MVCC):
   to the newest committed epoch;
 * a session reading the database *it has an open transaction on* reads
   through the transaction overlay instead (read-your-writes);
-* write opcodes take the *write* lock, which now only serializes
-  writer against writer — and only for the cheap part: overlay apply
-  and epoch mint (``commit_stage``).  The commit fsync happens on the
-  store's shared group-commit barrier **after** the write lock is
-  released, so concurrent sessions' commits batch into one
-  ``wal.group.sync`` instead of queueing at disk latency.  An explicit
-  transaction holds the lock from ``begin`` until ``commit``/``abort``
-  stages it;
+* write opcodes split in two: :meth:`ServerSession.write_prepare` —
+  the cheap part, overlay apply and epoch mint (``commit_stage``) —
+  and ``commit_wait``, the fsync on the store's shared group-commit
+  barrier.  The session takes **no lock** itself: whoever drives it
+  serializes writer against writer around ``write_prepare`` (the
+  server's connection layer holds a per-database ``asyncio.Lock``
+  there, and across an explicit transaction from ``begin`` until
+  ``commit``/``abort`` stages it) and waits with that lock released,
+  so concurrent sessions' commits batch into one ``wal.group.sync``
+  instead of queueing at disk latency;
 * no reply is sent (and no cache-visible epoch reported) until
   ``commit_wait`` confirms the staged epoch is durable *and*
   published, so clients never observe an unacknowledged commit;
-* a session that disconnects mid-transaction is aborted and its locks
-  released, so a crashed client never wedges the database.
+* a session that disconnects mid-transaction is aborted, so a crashed
+  client never wedges the database.
+
+CDC subscriptions and the replication long-poll park on the event loop,
+so the connection layer (:mod:`repro.net.aserver`) serves those opcodes
+itself; everything else goes through :meth:`ServerSession.dispatch`, the
+one synchronous entry point (reads inline; a write is ``write_prepare``
+then ``commit_wait``).
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 from typing import Any, Dict, Optional, Tuple
 
-from repro.cdc import CdcSubscriber, SubscriberPump, summary_to_wire
 from repro.errors import (
     NetworkError,
     OdeError,
@@ -56,35 +62,21 @@ MAX_SCAN_BATCH = 1024
 
 
 class HostedDatabase:
-    """One database the server hosts: the database plus its rw-lock."""
+    """One database the server hosts."""
 
-    def __init__(self, database, lock) -> None:
+    def __init__(self, database) -> None:
         self.database = database
-        self.lock = lock
 
 
 class ServerSession:
     """Per-connection request dispatcher."""
 
-    def __init__(self, server, session_id: int, channel=None,
-                 thread_locks: bool = True):
+    def __init__(self, server, session_id: int):
         self.server = server
         self.session_id = session_id
-        self.channel = channel  # serialized writer shared with CDC pumps
-        #: Whether writes serialize on the hosted database's thread-affine
-        #: rw-lock.  The threaded server says yes; the event-loop server
-        #: says no — its write path hops executor threads, which the
-        #: thread-affine lock forbids, so it serializes writers with a
-        #: per-database asyncio lock instead and the session skips the
-        #: rw-lock entirely.
-        self.thread_locks = thread_locks
         self._cursors: Dict[int, Tuple[str, Any]] = {}  # id -> (db, cursor)
         self._cursor_ids = itertools.count(1)
-        self._tx_database: Optional[str] = None  # db holding our write lock
-        # sub id -> (db, subscriber, pump); subscriptions are
-        # session-affine and die with the connection.
-        self._subscriptions: Dict[int, Tuple[str, Any, Any]] = {}
-        self._sub_ids = itertools.count(1)
+        self._tx_database: Optional[str] = None  # db our transaction is on
         self._m_read_lockfree = get_registry().counter("net.read_lockfree")
 
     # -- helpers ----------------------------------------------------------------
@@ -116,15 +108,7 @@ class ServerSession:
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
-        """Connection gone: drop cursors, subscriptions, open transaction."""
-        for db_name, subscriber, pump in list(self._subscriptions.values()):
-            subscriber.close()  # unparks the pump so it can exit
-            try:
-                self.server.router(db_name).unregister(subscriber)
-            except OdeError:
-                pass  # server shutting down; the router is already gone
-            pump.join(timeout=2.0)
-        self._subscriptions.clear()
+        """Connection gone: drop cursors, abort an open transaction."""
         for _db, cursor in self._cursors.values():
             cursor.close()  # releases the cursor's snapshot pin
         self._cursors.clear()
@@ -137,8 +121,6 @@ class ServerSession:
                 # failed commit rolled back); nothing left to abort.
                 get_registry().counter("net.teardown_error").inc()
             finally:
-                if self.thread_locks:
-                    hosted.lock.release_write()
                 self._tx_database = None
 
     # -- dispatch ----------------------------------------------------------------
@@ -157,11 +139,9 @@ class ServerSession:
             # snapshot.
             self._m_read_lockfree.inc()
             return handler(self, payload)
-        if opcode in _REPL_OPCODES or opcode in _CDC_OPCODES:
-            # Replication fetches long-poll; they must not hold an
-            # ambient snapshot pin (it would wedge MVCC pruning for the
-            # whole wait) and set their own epochs.  CDC subscribe
-            # likewise manages its own epoch read ordering.
+        if opcode in _REPL_OPCODES:
+            # No ambient snapshot pin: a snapshot pins its own epoch for
+            # exactly the copy-out, promotion reads none.
             return handler(self, payload)
         hosted = self._hosted(payload)
         if opcode in P.WRITE_OPCODES:
@@ -191,12 +171,12 @@ class ServerSession:
 
     def _dispatch_write(self, opcode: int,
                         payload: Dict[str, Any]) -> Dict[str, Any]:
-        """The threaded write path: prepare under the rw-lock, then wait.
+        """The synchronous write path: prepare, then wait.
 
         ``write_prepare`` covers everything up to (and including) commit
-        staging; the durability wait runs here, after the rw-lock is
-        back down, so concurrent sessions' commits batch on the shared
-        group-commit barrier.
+        staging; the durability wait runs here.  No lock is taken — a
+        caller driving several sessions at once serializes writers
+        itself, as the connection layer does.
         """
         result, staged, hosted = self.write_prepare(opcode, payload)
         if staged is not None:
@@ -209,22 +189,6 @@ class ServerSession:
         # cache learns about its own commits without an extra round trip.
         result.setdefault("epoch", hosted.database.store.epoch)
         return result
-
-    def _writing(self, hosted: HostedDatabase):
-        """The write-serialization guard for ``write_prepare``.
-
-        The event-loop server serializes writers per database with its
-        own asyncio lock *around* the executor hop, so under it this is
-        a no-op — the thread-affine rw-lock cannot span threads.
-        """
-        if self.thread_locks:
-            return hosted.lock.writing()
-        return contextlib.nullcontext()
-
-    def _release_tx(self, hosted: HostedDatabase) -> None:
-        self._tx_database = None
-        if self.thread_locks:
-            hosted.lock.release_write()
 
     def write_prepare(
             self, opcode: int, payload: Dict[str, Any],
@@ -239,9 +203,8 @@ class ServerSession:
         order, so a long fsync never blocks the next session's writes
         and concurrent commits batch into one ``wal.group.sync``.
 
-        This split is exactly what lets the threaded and event-loop
-        servers share one write path: the cheap serialized part (overlay
-        apply + epoch mint) is here, the blocking part is the caller's.
+        The cheap serialized part (overlay apply + epoch mint) is
+        here, the blocking part is the caller's.
         """
         hosted = self._hosted(payload)
         if self.server.is_replica:
@@ -260,49 +223,43 @@ class ServerSession:
                     f"transaction open on {self._tx_database!r}; cannot "
                     f"write {name!r}")
             if opcode == P.OP_COMMIT:
-                # Stage under the held lock, release, wait in the caller:
-                # a long fsync blocks only this session's reply.
+                # Stage here, wait in the caller: a long fsync blocks
+                # only this session's reply.
                 try:
                     staged = objects.commit_stage()
                 finally:
-                    self._release_tx(hosted)
+                    self._tx_database = None
                 result = {}
             elif opcode == P.OP_ABORT:
                 try:
                     objects.abort()
                 finally:
-                    self._release_tx(hosted)
+                    self._tx_database = None
                 result = {}
             else:
-                # Already the writer (reentrant); run under the held lock.
                 result = handler(self, payload)
         elif opcode in (P.OP_COMMIT, P.OP_ABORT):
             raise TransactionError("no transaction open on this session")
         elif opcode in _AUTOCOMMIT_OPCODES:
-            # Pipelined autocommit: the writer guard covers only overlay
-            # apply + epoch mint (handler + commit_stage); the fsync
-            # happens on the shared group-commit barrier after the guard
-            # is released, so concurrent sessions' commits batch.
-            with self._writing(hosted):
-                objects.begin()
-                try:
-                    result = handler(self, payload)
-                except BaseException:
-                    if hosted.database.store.in_transaction:
-                        objects.abort()
-                    raise
-                try:
-                    staged = objects.commit_stage()
-                except BaseException:
-                    if hosted.database.store.in_transaction:
-                        objects.abort()
-                    raise
-        else:
-            with self._writing(hosted):
+            # Pipelined autocommit: only overlay apply + epoch mint
+            # (handler + commit_stage) happen here; the fsync happens on
+            # the shared group-commit barrier in the caller, so
+            # concurrent sessions' commits batch.
+            objects.begin()
+            try:
                 result = handler(self, payload)
-                if self._tx_database is not None and self.thread_locks:
-                    # BEGIN succeeded: keep the write lock until commit/abort.
-                    hosted.lock.acquire_write()
+            except BaseException:
+                if hosted.database.store.in_transaction:
+                    objects.abort()
+                raise
+            try:
+                staged = objects.commit_stage()
+            except BaseException:
+                if hosted.database.store.in_transaction:
+                    objects.abort()
+                raise
+        else:
+            result = handler(self, payload)
         return result, staged, hosted
 
     # -- handshake / catalog ------------------------------------------------------
@@ -580,19 +537,6 @@ class ServerSession:
 
     # -- replication -------------------------------------------------------------------
 
-    def op_repl_fetch(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """Stream committed units to a replica (long-poll)."""
-        hosted = self._hosted(payload)
-        feed = self.server.feed(hosted.database.name)
-        after = payload.get("after", 0)
-        if not isinstance(after, int) or after < 0:
-            raise NetworkError(f"bad replication offset {after!r}")
-        return feed.fetch(
-            after,
-            max_units=int(payload.get("max", 64)),
-            wait_seconds=int(payload.get("wait_ms", 0)) / 1000.0,
-        )
-
     def op_repl_snapshot(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """Full state for replica bootstrap/resync, at one epoch."""
         hosted = self._hosted(payload)
@@ -619,68 +563,6 @@ class ServerSession:
             "indexes": [[class_name, attribute] for class_name, attribute
                         in database.objects.indexes.definitions()],
         }
-
-    # -- change-data-capture -----------------------------------------------------------
-
-    def op_cdc_subscribe(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """Open a push subscription on this connection.
-
-        Ordering is the whole soundness story: the subscriber is
-        registered with the router *before* the ack epoch is read, so
-        every commit after the ack is guaranteed to reach the client.
-        A commit that lands in the gap is delivered too — a duplicate
-        event at or below the ack epoch is a harmless extra eviction,
-        whereas the reverse order would silently lose deltas.
-        """
-        if self.channel is None:
-            raise NetworkError("connection does not support server push")
-        hosted = self._hosted(payload)
-        database = hosted.database
-        clusters = payload.get("clusters")
-        if clusters is not None:
-            clusters = tuple(str(c) for c in clusters)
-            for name in clusters:
-                database.schema.get_class(name)  # raises on unknown class
-        capacity = payload.get("capacity")
-        sub_id = next(self._sub_ids)
-        subscriber = CdcSubscriber(sub_id, database.name, clusters=clusters,
-                                   **({"capacity": capacity}
-                                      if isinstance(capacity, int) else {}))
-        router = self.server.router(database.name)
-        db_name = database.name
-        channel = self.channel
-
-        def send(summary) -> None:
-            channel.send_push(P.OP_CDC_EVENT, {
-                "db": db_name, "sub": sub_id, **summary_to_wire(summary)})
-
-        def on_failure() -> None:
-            # Connection is dead from the push side; the reader thread
-            # will notice on its next read and run close() for real.
-            router.unregister(subscriber)
-
-        pump = SubscriberPump(
-            subscriber, send, on_failure=on_failure,
-            flush_seconds=getattr(self.server, "cdc_flush_seconds", None))
-        router.register(subscriber)
-        epoch = database.store.epoch  # AFTER register: no missed window
-        self._subscriptions[sub_id] = (db_name, subscriber, pump)
-        pump.start()
-        return {"sub": sub_id, "epoch": epoch}
-
-    def op_cdc_unsubscribe(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        sub_id = payload.get("sub")
-        entry = self._subscriptions.pop(sub_id, None)
-        if entry is None:
-            return {"closed": False}
-        db_name, subscriber, pump = entry
-        subscriber.close()
-        try:
-            self.server.router(db_name).unregister(subscriber)
-        except OdeError:
-            pass
-        pump.join(timeout=2.0)
-        return {"closed": True}
 
     # -- maintenance -------------------------------------------------------------------
 
@@ -757,31 +639,24 @@ _UNLOCKED_OPCODES = frozenset({
 })
 
 #: Single-op writes outside an explicit transaction: dispatched as
-#: begin + handler + commit_stage under the write lock, commit_wait on
-#: the shared group-commit barrier after it is released.
+#: begin + handler + commit_stage under the caller's writer lock,
+#: commit_wait on the shared group-commit barrier after it is released.
 _AUTOCOMMIT_OPCODES = frozenset({
     P.OP_NEW_OBJECT, P.OP_UPDATE, P.OP_DELETE,
 })
 
 #: Cursor steps read through the cursor's own pinned snapshot, so they
-#: dispatch lock-free (no "db" payload key, no rw-lock, no ambient pin).
+#: dispatch lock-free (no "db" payload key, no ambient pin).
 _CURSOR_OPCODES = frozenset({
     P.OP_CURSOR_NEXT, P.OP_CURSOR_PREVIOUS, P.OP_CURSOR_RESET,
     P.OP_CURSOR_CURRENT, P.OP_CURSOR_SEEK,
 })
 
-#: Replication ops run lock-free with no ambient snapshot pin: a fetch
-#: may long-poll (a held pin would stall MVCC pruning for the wait) and
-#: a snapshot pins its own epoch for exactly the copy-out.
+#: Replication ops the session serves; they run with no ambient
+#: snapshot pin.  (``OP_REPL_FETCH`` long-polls, so the connection layer
+#: serves it on the loop, as it does the CDC subscription opcodes.)
 _REPL_OPCODES = frozenset({
-    P.OP_REPL_FETCH, P.OP_REPL_SNAPSHOT, P.OP_REPL_PROMOTE,
-})
-
-#: CDC subscription management: lock-free and session-affine.  These
-#: are deliberately not read opcodes — a transparent client retry on a
-#: new connection would fake delta continuity the server cannot honor.
-_CDC_OPCODES = frozenset({
-    P.OP_CDC_SUBSCRIBE, P.OP_CDC_UNSUBSCRIBE,
+    P.OP_REPL_SNAPSHOT, P.OP_REPL_PROMOTE,
 })
 
 _HANDLERS = {
@@ -816,9 +691,6 @@ _HANDLERS = {
     P.OP_CURSOR_CLOSE: ServerSession.op_cursor_close,
     P.OP_STATS: ServerSession.op_stats,
     P.OP_VACUUM: ServerSession.op_vacuum,
-    P.OP_REPL_FETCH: ServerSession.op_repl_fetch,
     P.OP_REPL_SNAPSHOT: ServerSession.op_repl_snapshot,
     P.OP_REPL_PROMOTE: ServerSession.op_repl_promote,
-    P.OP_CDC_SUBSCRIBE: ServerSession.op_cdc_subscribe,
-    P.OP_CDC_UNSUBSCRIBE: ServerSession.op_cdc_unsubscribe,
 }

@@ -7,7 +7,7 @@ controlled
     the admin points ``python -m repro promote`` (or any client issuing
     ``OP_REPL_PROMOTE``) at a *running replica server*; the server stops
     its appliers, flips to primary, and mints the next fenced term in
-    every database's WAL (:meth:`~repro.net.server.ServerCore.promote`).
+    every database's WAL (:meth:`~repro.net.server.OdeServer.promote`).
     The old primary is assumed cleanly demoted or already drained.
 
 crash-forced

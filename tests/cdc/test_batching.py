@@ -1,4 +1,4 @@
-"""Server-side CDC batching: merge_summaries and the flush-tick pumps.
+"""Server-side CDC batching: merge_summaries and the flush-tick pump.
 
 The soundness claim under test: batching may *coalesce* commits into
 one frame but must never *skip* one — every changed object of every
@@ -9,18 +9,23 @@ at the newest epoch subsumes its members.
 
 from __future__ import annotations
 
+import asyncio
 import time
 
 import pytest
 
 from repro.cdc import (
     CdcSubscriber,
+    ChangeRouter,
     ChangeSummary,
-    SubscriberPump,
     merge_summaries,
+    summary_from_wire,
 )
 from repro.data.labdb import make_lab_database
 from repro.net import protocol as P
+from repro.net.aserver import _AsyncConnection, _AsyncSubscription
+from repro.obs import get_registry
+from repro.ode.store import ObjectStore
 from repro.net.remote import RemoteDatabase
 from repro.net.server import OdeServer
 
@@ -71,38 +76,84 @@ class TestMergeSummaries:
         assert not merged.changes
 
 
-class TestBatchingPump:
+class _PumpHost:
+    """What the connection's pump needs of its server, and no more."""
+
+    def __init__(self, router=None, flush_seconds=None):
+        self.cdc_flush_seconds = flush_seconds
+        self._router = router
+        self._m_bytes_out = get_registry().counter("net.server.bytes_out")
+
+    def router(self, _name):
+        return self._router
+
+
+def _run_pump(subscriber, send, host):
+    """Run the server's loop-native pump over *subscriber* to its exit.
+
+    The burst is queued before the pump starts, so the drain after the
+    flush tick deterministically sees all of it.  ``send`` stands in
+    for the connection's frame writer.
+    """
+    async def main():
+        connection = _AsyncConnection(host, None, None, 1)
+        connection._send = send
+        wake = asyncio.Event()
+        wake.set()
+        await asyncio.wait_for(connection._pump(_AsyncSubscription(
+            subscriber.sub_id, subscriber.db_name, subscriber, wake)), 5.0)
+
+    asyncio.run(main())
+
+
+def _queued(*epochs):
+    subscriber = CdcSubscriber(1, "db")
+    for epoch in epochs:
+        subscriber.offer(ChangeSummary(
+            epoch=epoch, changes={"emp": (f"db:emp:{epoch}",)}))
+    return subscriber
+
+
+class TestLoopPump:
+    """The two pump behaviours no end-to-end test pins down (one frame
+    per commit with the tick off is ``test_push_e2e``'s ack-floor test)."""
+
     def test_burst_ships_as_one_merged_frame(self):
-        subscriber = CdcSubscriber(1, "db")
+        subscriber = _queued(1, 2, 3)
         shipped = []
-        # The burst is queued before the pump starts, so the drain after
-        # the flush tick deterministically sees all three.
-        for epoch in (1, 2, 3):
-            subscriber.offer(ChangeSummary(
-                epoch=epoch, changes={"emp": (f"db:emp:{epoch}",)}))
-        pump = SubscriberPump(subscriber, shipped.append,
-                              flush_seconds=0.05)
-        pump.start()
-        _wait_until(lambda: shipped)
-        subscriber.close()
-        pump.join(timeout=5.0)
+
+        async def send(request_id, opcode, payload):
+            assert (request_id, opcode) == (0, P.OP_CDC_EVENT)
+            shipped.append(summary_from_wire(payload))
+            subscriber.close()  # the pump's exit signal
+            return 1
+
+        _run_pump(subscriber, send, _PumpHost(flush_seconds=0.05))
         assert len(shipped) == 1
         merged = shipped[0]
         assert merged.epoch == 3  # no epoch beyond the delivered one
         assert merged.changes["emp"] == ("db:emp:1", "db:emp:2", "db:emp:3")
 
-    def test_no_flush_tick_means_one_frame_per_commit(self):
-        subscriber = CdcSubscriber(1, "db")
-        shipped = []
-        for epoch in (1, 2):
-            subscriber.offer(ChangeSummary(
-                epoch=epoch, changes={"emp": (f"db:emp:{epoch}",)}))
-        pump = SubscriberPump(subscriber, shipped.append)  # flush off
-        pump.start()
-        _wait_until(lambda: len(shipped) == 2)
-        subscriber.close()
-        pump.join(timeout=5.0)
-        assert [s.epoch for s in shipped] == [1, 2]
+    def test_send_failure_closes_and_unregisters_the_subscriber(
+            self, tmp_path):
+        store = ObjectStore(tmp_path)
+        router = ChangeRouter("db", store)
+        try:
+            subscriber = _queued(1)
+            router.register(subscriber)
+            errors = get_registry().counter("cdc.send_errors")
+            before = errors.value
+
+            async def send(_request_id, _opcode, _payload):
+                raise ConnectionError("peer is gone")
+
+            _run_pump(subscriber, send, _PumpHost(router))
+            assert subscriber.closed
+            assert router.subscriber_count == 0
+            assert errors.value == before + 1
+        finally:
+            router.close()
+            store.close()
 
 
 @pytest.fixture

@@ -8,9 +8,7 @@ advancing, and a dead one is just garbage, not backpressure.
 
 from __future__ import annotations
 
-import threading
-
-from repro.cdc import CdcSubscriber, ChangeRouter, ChangeSummary, SubscriberPump
+from repro.cdc import CdcSubscriber, ChangeRouter, ChangeSummary
 from repro.ode.codec import encode_object
 from repro.ode.oid import Oid
 from repro.ode.store import ObjectStore
@@ -22,17 +20,17 @@ def _summary(epoch, cluster="employee", oid=None):
 
 
 class TestSubscriberQueue:
-    def test_offer_take_round_trip(self):
+    def test_offer_drain_round_trip(self):
         sub = CdcSubscriber(1, "lab")
         assert sub.offer(_summary(5))
-        assert sub.take(timeout=0) == _summary(5)
-        assert sub.take(timeout=0) is None
+        assert sub.drain() == [_summary(5)]
+        assert sub.drain() == []
 
     def test_cluster_filter_drops_unwanted_summaries(self):
         sub = CdcSubscriber(1, "lab", clusters=["department"])
         assert not sub.offer(_summary(5, cluster="employee"))
         assert sub.offer(_summary(6, cluster="department"))
-        taken = sub.take(timeout=0)
+        (taken,) = sub.drain()
         assert set(taken.changes) == {"department"}
 
     def test_overflow_coalesces_into_one_resync(self):
@@ -41,9 +39,9 @@ class TestSubscriberQueue:
             assert sub.offer(_summary(epoch))
         # capacity 2: epochs 1-2 queued, 3 overflowed (clearing them),
         # 4-5 folded into the marker.  One event, newest epoch, resync.
-        event = sub.take(timeout=0)
+        (event,) = sub.drain()
         assert event.resync and event.epoch == 5
-        assert sub.take(timeout=0) is None
+        assert sub.drain() == []
         assert sub.coalesced == 1
 
     def test_marker_outranks_queued_summaries(self):
@@ -51,14 +49,14 @@ class TestSubscriberQueue:
         sub.offer(_summary(1))
         sub.offer(_summary(2))   # overflow: clears, marker at 2
         sub.offer(_summary(3))   # folds into marker
-        event = sub.take(timeout=0)
+        (event,) = sub.drain()
         assert event.resync and event.epoch == 3
 
     def test_closed_subscriber_refuses_offers(self):
         sub = CdcSubscriber(1, "lab")
         sub.close()
         assert not sub.offer(_summary(1))
-        assert sub.take(timeout=0) is None
+        assert sub.drain() == []
 
     def test_backlog_counts_queue_plus_marker(self):
         sub = CdcSubscriber(1, "lab", capacity=1)
@@ -81,9 +79,8 @@ class TestRouter:
             oid = Oid("db", "emp", 1)
             store.put(oid, encode_object(oid, "Rec", {"n": 1}))
             for sub in (first, second):
-                event = sub.take(timeout=2.0)
-                assert event is not None and event.changes == {
-                    "emp": ("db:emp:1",)}
+                (event,) = sub.drain()
+                assert event.changes == {"emp": ("db:emp:1",)}
         finally:
             router.close()
             store.close()
@@ -101,7 +98,7 @@ class TestRouter:
             assert router.subscriber_count == 2
             router.unregister(first)
             assert router.subscriber_count == 1
-            assert second.take(timeout=0) is None and not second.closed
+            assert second.drain() == [] and not second.closed
         finally:
             router.close()
             store.close()
@@ -128,43 +125,6 @@ class TestRouter:
             assert sub.closed
             oid = Oid("db", "emp", 3)
             store.put(oid, encode_object(oid, "Rec", {"n": 3}))
-            assert sub.take(timeout=0) is None
+            assert sub.drain() == []
         finally:
             store.close()
-
-
-class TestPump:
-    def test_pump_ships_summaries_in_order(self):
-        sub = CdcSubscriber(1, "lab")
-        shipped = []
-        done = threading.Event()
-
-        def send(summary):
-            shipped.append(summary.epoch)
-            if len(shipped) == 3:
-                done.set()
-
-        pump = SubscriberPump(sub, send)
-        pump.start()
-        for epoch in (1, 2, 3):
-            sub.offer(_summary(epoch))
-        assert done.wait(5.0)
-        assert shipped == [1, 2, 3]
-        sub.close()
-        pump.join(timeout=5.0)
-        assert not pump.is_alive()
-
-    def test_send_failure_closes_subscriber_and_reports(self):
-        sub = CdcSubscriber(1, "lab")
-        failures = []
-
-        def send(_summary):
-            raise ConnectionError("peer is gone")
-
-        pump = SubscriberPump(sub, send, on_failure=lambda: failures.append(1))
-        pump.start()
-        sub.offer(_summary(1))
-        pump.join(timeout=5.0)
-        assert not pump.is_alive()
-        assert sub.closed
-        assert failures == [1]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import CommandError, OdeViewCli
+from repro.cli import CommandError, OdeViewCli, _parse_serve_args
 
 
 @pytest.fixture
@@ -203,3 +203,44 @@ class TestVacuum:
         cli.execute("vacuum lab")
         out = cli.execute("show text")
         assert "rakesh" in out
+
+
+class TestServeArguments:
+    def test_positionals_and_defaults(self):
+        assert _parse_serve_args(["/data"]) == {
+            "root": "/data", "host": "127.0.0.1", "port": 6455}
+        assert _parse_serve_args(["/data", "0.0.0.0", "7000"]) == {
+            "root": "/data", "host": "0.0.0.0", "port": 7000}
+
+    def test_known_flags_in_any_position(self):
+        assert _parse_serve_args([
+            "--replica-of", "10.0.0.1:6455", "/data",
+            "--replica-peers", "a:1,b:2", "--cdc-flush-ms", "50",
+        ]) == {
+            "root": "/data", "host": "127.0.0.1", "port": 6455,
+            "replica_of": ("10.0.0.1", 6455),
+            "replica_peers": [("a", 1), ("b", 2)],
+            "cdc_flush_seconds": 0.05,
+        }
+
+    @pytest.mark.parametrize("argv, message", [
+        (["/data", "--replica-of", "nocolon"], "--replica-of needs host:port"),
+        (["/data", "--replica-of", "host:http"], "--replica-of needs host:port"),
+        (["/data", "--replica-of"], "--replica-of needs host:port"),
+        (["/data", "--replica-peers", "a:1,b"], "--replica-peers needs"),
+        (["/data", "--cdc-flush-ms", "soon"], "--cdc-flush-ms needs a number"),
+    ])
+    def test_bad_flag_value_names_the_flag(self, argv, message):
+        with pytest.raises(CommandError, match=message):
+            _parse_serve_args(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["--bogus", "x"],
+        ["--io-model", "threaded", "x"],
+        [],
+        ["/data", "host", "port"],
+        ["/data", "host", "1", "extra"],
+    ])
+    def test_anything_else_is_a_usage_error(self, argv):
+        with pytest.raises(CommandError, match="usage: python -m repro serve"):
+            _parse_serve_args(argv)

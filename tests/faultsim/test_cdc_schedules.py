@@ -145,11 +145,8 @@ def test_subscriber_fates_never_block_commits(served_lab, seed):
             assert subscriber.coalesced > 0
             assert subscriber.backlog <= 3  # queue + marker, never more
             events = []
-            while True:
-                event = subscriber.take(timeout=0)
-                if event is None:
-                    break
-                events.append(event)
+            while batch := subscriber.drain():
+                events.extend(batch)
             markers = [event for event in events if event.resync]
             assert len(markers) == 1 and markers[0].epoch >= tip
     finally:
@@ -181,11 +178,8 @@ def test_overflow_marker_is_single_and_newest(served_lab):
         # the backlog never exceeds queue + marker no matter the burst
         assert subscriber.backlog <= 2
         events = []
-        while True:
-            event = subscriber.take(timeout=0)
-            if event is None:
-                break
-            events.append(event)
+        while batch := subscriber.drain():
+            events.extend(batch)
         resyncs = [event for event in events if event.resync]
         assert len(resyncs) == 1           # one marker, not a pile
         assert resyncs[-1].epoch == tip    # folded through the newest

@@ -236,7 +236,7 @@ def test_multi_writer_crash_schedule_model_check(tmp_path, site, occurrence):
     make_lab_database(tmp_path).close()
     directory = tmp_path / "lab.odb"
     gate = SiteCrash(site, occurrence=occurrence, flavor="crash")
-    server = OdeServer(tmp_path, poll_seconds=0.1, fault_gate=gate,
+    server = OdeServer(tmp_path, fault_gate=gate,
                        group_commit_window_ms=4.0)
     shadow: Dict[str, float] = {}
     attempted: Dict[str, float] = {}

@@ -37,7 +37,7 @@ def _seed():
 def torture_lab(tmp_path):
     """Server + truth snapshot + a FaultProxy in front of the server."""
     make_lab_database(tmp_path).close()
-    server = OdeServer(tmp_path, poll_seconds=0.1)
+    server = OdeServer(tmp_path)
     server.start()
     direct = RemoteDatabase.connect("127.0.0.1", server.port, "lab")
     truth = {
@@ -111,7 +111,7 @@ def test_clean_plan_is_transparent(tmp_path):
     """With the hostile weights zeroed the proxy is a plain relay —
     browsing through it must behave exactly like a direct connection."""
     make_lab_database(tmp_path).close()
-    server = OdeServer(tmp_path, poll_seconds=0.1)
+    server = OdeServer(tmp_path)
     server.start()
     try:
         direct = RemoteDatabase.connect("127.0.0.1", server.port, "lab")

@@ -1,12 +1,12 @@
-"""The event-loop server core: selection, serialization, clean drains.
+"""The event-loop server core: serialization, long-polls, clean drains.
 
-``served_lab`` (the shared fixture) already runs the async core — the
-whole suite exercises it — so these tests pin down what is *specific*
-to the event loop: the factory's model selection, writer serialization
-via the per-database asyncio lock, the zero-idle-wakeup contract that
-replaced the recv-poll, and the shutdown paths that must release parked
-waiters (replication long-polls, group-commit barriers) with a typed
-error instead of leaking them past the drain deadline.
+The whole suite runs against the one event-loop core, so these tests pin
+down what is *specific* to the loop: the constructor's single-valued
+``io_model`` keyword, writer serialization via the per-database asyncio
+lock, the zero-idle-wakeup contract, the replication long-poll's
+register-before-fetch ordering, and the shutdown paths that must
+release parked waiters (replication long-polls, group-commit barriers)
+with a typed error instead of leaking them past the drain deadline.
 """
 
 from __future__ import annotations
@@ -20,33 +20,27 @@ import pytest
 from repro.data.labdb import make_lab_database
 from repro.errors import GroupCommitError, NetworkError, OdeError
 from repro.net import protocol as P
-from repro.net.aserver import AsyncOdeServer
 from repro.net.client import OdeClient
-from repro.net.server import OdeServer, ThreadedOdeServer
+from repro.net.server import OdeServer
 from repro.obs import get_registry
 
 
-class TestFactorySelection:
-    def test_default_is_async(self, tmp_path):
+class TestConstructor:
+    def test_io_model_keyword_has_one_legal_value(self, tmp_path, monkeypatch):
+        """The frozen benchmark still passes ``io_model="async"``; any
+        other value names a core that no longer exists, and the
+        environment no longer selects anything."""
         make_lab_database(tmp_path).close()
-        assert isinstance(OdeServer(tmp_path), AsyncOdeServer)
-
-    def test_keyword_selects_threaded(self, tmp_path):
-        make_lab_database(tmp_path).close()
-        assert isinstance(OdeServer(tmp_path, io_model="threaded"),
-                          ThreadedOdeServer)
-
-    def test_environment_selects_model(self, tmp_path, monkeypatch):
-        make_lab_database(tmp_path).close()
+        assert type(OdeServer(tmp_path, io_model="async")) is OdeServer
+        with pytest.raises(NetworkError, match="removed"):
+            OdeServer(tmp_path, io_model="threaded")
         monkeypatch.setenv("ODE_IO_MODEL", "threaded")
-        assert isinstance(OdeServer(tmp_path), ThreadedOdeServer)
-        monkeypatch.setenv("ODE_IO_MODEL", "async")
-        assert isinstance(OdeServer(tmp_path), AsyncOdeServer)
-
-    def test_unknown_model_rejected(self, tmp_path):
-        make_lab_database(tmp_path).close()
-        with pytest.raises(NetworkError, match="io model"):
-            OdeServer(tmp_path, io_model="fibers")
+        with OdeServer(tmp_path) as server:
+            client = OdeClient("127.0.0.1", server.port)
+            try:
+                assert client.call(P.OP_PING, {}) == {}
+            finally:
+                client.close()
 
 
 def _first_employee(client) -> str:
@@ -128,34 +122,17 @@ class TestWriterSerialization:
 
 class TestIdleCost:
     def test_idle_async_connections_cost_zero_wakeups(self, served_lab):
-        """The recv-poll is gone: an idle connection parks on the
-        selector, so the wakeup counter must sit still."""
+        """An idle connection parks on the selector — no recv-poll —
+        so the wakeup counter must sit still."""
         client = OdeClient("127.0.0.1", served_lab.port)
         try:
             client.call(P.OP_PING, {})
             counter = get_registry().counter("net.server.wakeups")
             before = counter.value
-            time.sleep(1.5)  # three recv-poll periods, were there any
+            time.sleep(1.5)
             assert counter.value - before == 0
         finally:
             client.close()
-
-    def test_threaded_baseline_still_polls(self, tmp_path):
-        """Contrast case proving the metric measures what it claims:
-        the threaded core's idle connections wake on the recv timeout."""
-        make_lab_database(tmp_path).close()
-        server = OdeServer(tmp_path, io_model="threaded", poll_seconds=0.1)
-        server.start()
-        client = OdeClient("127.0.0.1", server.port)
-        try:
-            client.call(P.OP_PING, {})
-            counter = get_registry().counter("net.server.wakeups")
-            before = counter.value
-            time.sleep(1.0)
-            assert counter.value - before >= 3
-        finally:
-            client.close()
-            server.shutdown()
 
 
 class TestTornConnections:
@@ -185,6 +162,46 @@ class TestTornConnections:
             assert client.call(P.OP_PING, {}) == {}
         finally:
             client.close()
+
+
+class TestReplicationLongPoll:
+    def test_commit_between_empty_fetch_and_park_wakes_the_poller(
+            self, served_lab):
+        """A commit landing right after the long-poll's empty fetch must
+        wake it: the feed waiter is registered *before* that fetch, so
+        the reply carries the unit at once instead of after ``wait_ms``."""
+        poller = OdeClient("127.0.0.1", served_lab.port)
+        writer = OdeClient("127.0.0.1", served_lab.port)
+        try:
+            oid = _first_employee(writer)
+            epoch = writer.call(
+                P.OP_COUNT, {"db": "lab", "class": "employee"})["epoch"]
+            feed = served_lab.feed("lab")
+            real_fetch = feed.fetch
+            committed = threading.Event()
+
+            def fetch_then_commit(*args, **kwargs):
+                result = real_fetch(*args, **kwargs)
+                if not committed.is_set():
+                    # Exactly the window: the empty result is in hand,
+                    # the poller has not parked yet.
+                    committed.set()
+                    writer.call(P.OP_UPDATE, {
+                        "db": "lab", "oid": oid,
+                        "updates": {"name": "in-the-window"}})
+                return result
+
+            feed.fetch = fetch_then_commit
+            started = time.monotonic()
+            reply = poller.call(P.OP_REPL_FETCH, {
+                "db": "lab", "after": epoch, "wait_ms": 3000})
+            elapsed = time.monotonic() - started
+            assert committed.is_set()
+            assert [unit[0] for unit in reply["units"]] == [epoch + 1]
+            assert elapsed < 1.5, f"poller slept {elapsed:.2f}s with a unit ready"
+        finally:
+            poller.close()
+            writer.close()
 
 
 class TestShutdownReleasesWaiters:

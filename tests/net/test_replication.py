@@ -17,7 +17,6 @@ from repro.errors import ReadOnlyReplicaError, StorageError
 from repro.net import protocol as P
 from repro.net.client import OdeClient
 from repro.net.remote import RemoteDatabase
-from repro.net.rwlock import ReadWriteLock
 from repro.net.server import OdeServer
 from repro.net.session import HostedDatabase
 from repro.obs.metrics import get_registry
@@ -211,7 +210,7 @@ class TestServerHygiene:
 
         server = OdeServer(lab_root)
         server.start()
-        server._hosted["torn"] = HostedDatabase(_Torn(), ReadWriteLock())
+        server._hosted["torn"] = HostedDatabase(_Torn())
         before = _counter("net.teardown_error")
         server.shutdown()
         assert _counter("net.teardown_error") == before + 1
