@@ -72,6 +72,10 @@ class StatisticsCatalog:
         with self._lock:
             if class_name in self._seeded_cardinality:
                 return self._seeded_cardinality[class_name]
+        return self._tracked_cardinality(class_name)
+
+    def _tracked_cardinality(self, class_name: str) -> int:
+        with self._lock:
             if class_name in self._cardinality:
                 return self._cardinality[class_name]
         count = 0
@@ -81,21 +85,18 @@ class StatisticsCatalog:
             except Exception:  # unknown class / closed store: estimate 0
                 count = 0
         with self._lock:
-            self._cardinality.setdefault(class_name, count)
-            return self._cardinality[class_name]
+            return self._cardinality.setdefault(class_name, count)
 
     def adjust_cardinality(self, class_name: str, delta: int) -> None:
         """Incremental maintenance from the commit path."""
+        # First sight of this cluster initializes from the store, whose
+        # membership excludes the commit being applied until its epoch
+        # publishes — so the delta goes on top, as for a tracked one.
+        tracked = self._tracked_cardinality(class_name)
         with self._lock:
             self.commits_observed += 1
-            if class_name in self._cardinality:
-                self._cardinality[class_name] = max(
-                    0, self._cardinality[class_name] + delta)
-                return
-        # First sight of this cluster: initialize from the store (the
-        # commit that triggered us is already applied, so the count is
-        # current — no delta to add on top).
-        self.cardinality(class_name)
+            self._cardinality[class_name] = max(
+                0, self._cardinality.get(class_name, tracked) + delta)
 
     # -- attribute statistics --------------------------------------------------
 
@@ -304,8 +305,9 @@ def gather_statistics(db_session) -> List[Tuple[str, str]]:
         rows.append(("mvcc reads / fallbacks",
                      f"{registry.counter('mvcc.snapshot_reads').value} / "
                      f"{registry.counter('mvcc.read_fallbacks').value}"))
-        rows.append(("mvcc versions pruned",
-                     str(registry.counter("mvcc.pruned").value)))
+        rows.append(("mvcc versions pruned / full sweeps",
+                     f"{registry.counter('mvcc.pruned').value} / "
+                     f"{registry.counter('mvcc.full_sweeps').value}"))
         age = registry.histogram("mvcc.snapshot_age")
         if age.count:
             rows.append(("snapshot age (epochs)",

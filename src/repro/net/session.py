@@ -48,6 +48,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import (
     NetworkError,
+    ObjectNotFoundError,
     OdeError,
     ReadOnlyReplicaError,
     StorageError,
@@ -322,9 +323,9 @@ class ServerSession:
         missing = []
         for text in payload.get("oids", []):
             oid = Oid.parse(text) if isinstance(text, str) else text
-            if objects.exists(oid):
+            try:
                 buffers.append(P.buffer_to_value(objects.get_buffer(oid)))
-            else:
+            except ObjectNotFoundError:
                 missing.append(str(oid))
         return {"buffers": buffers, "missing": missing}
 
@@ -345,13 +346,15 @@ class ServerSession:
         cluster = objects.cluster(class_name)
         if after < 0:
             database.store.prefetch_cluster(class_name)
-        numbers = [n for n in cluster.numbers() if n > after][:limit]
+        # One bounded read, one past the batch: a spare number is what
+        # says another batch follows.
+        numbers = cluster.range(after, limit + 1)
+        done = len(numbers) <= limit
+        del numbers[limit:]
         buffers = [
             P.buffer_to_value(objects.get_buffer(cluster.oid(number)))
             for number in numbers
         ]
-        done = (not numbers
-                or numbers[-1] >= (cluster.numbers() or [-1])[-1])
         return {
             "buffers": buffers,
             "done": done,
@@ -605,6 +608,7 @@ class ServerSession:
                 "versions_live": registry.gauge("mvcc.versions_live").value,
                 "snapshots_open": registry.gauge("mvcc.snapshots_open").value,
                 "pruned": registry.counter("mvcc.pruned").value,
+                "full_sweeps": registry.counter("mvcc.full_sweeps").value,
                 "snapshot_reads": registry.counter("mvcc.snapshot_reads").value,
                 "read_fallbacks": registry.counter("mvcc.read_fallbacks").value,
                 "snapshot_age_p95":

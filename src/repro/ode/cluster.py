@@ -14,7 +14,7 @@ module free of schema knowledge).
 
 from __future__ import annotations
 
-import bisect
+import math
 from typing import Callable, List, Optional, Union
 
 from repro.errors import StorageError
@@ -54,25 +54,28 @@ class Cluster:
     def oids(self) -> List[Oid]:
         return [self.oid(n) for n in self.numbers()]
 
+    def _step(self, number: float, forward: bool) -> Optional[Oid]:
+        found = self._store.cluster_step(self.class_name, number, forward)
+        return None if found is None else self.oid(found)
+
     def first(self) -> Optional[Oid]:
-        numbers = self.numbers()
-        return self.oid(numbers[0]) if numbers else None
+        return self._step(-1, True)
 
     def last(self) -> Optional[Oid]:
-        numbers = self.numbers()
-        return self.oid(numbers[-1]) if numbers else None
+        return self._step(math.inf, False)
 
     def after(self, number: int) -> Optional[Oid]:
         """The next live OID strictly after *number*, if any."""
-        numbers = self.numbers()
-        index = bisect.bisect_right(numbers, number)
-        return self.oid(numbers[index]) if index < len(numbers) else None
+        return self._step(number, True)
 
     def before(self, number: int) -> Optional[Oid]:
         """The previous live OID strictly before *number*, if any."""
-        numbers = self.numbers()
-        index = bisect.bisect_left(numbers, number) - 1
-        return self.oid(numbers[index]) if index >= 0 else None
+        return self._step(number, False)
+
+    def range(self, after: int, limit: int) -> List[int]:
+        """Up to *limit* live OID numbers greater than *after*, ascending
+        (one batch of a scan, without reading the whole membership)."""
+        return self._store.cluster_range(self.class_name, after, limit)
 
 
 class ClusterCursor:

@@ -3,12 +3,13 @@
 Persistent objects live in slotted pages reached through the buffer pool;
 durability comes from the write-ahead log.  The store maps OIDs to page
 locations, splits records larger than a page into fragment chains, and keeps
-per-cluster indexes in OID order — the order the object manager's
+one ordered, epoch-aware membership per cluster
+(:mod:`repro.ode.membership`) — the order the object manager's
 ``next``/``previous`` sequencing walks (paper §3.2).
 
 Because every record is self-describing (it embeds its OID), the object
-table and cluster indexes are rebuilt by scanning the pages at open; there
-is no separately persisted index to corrupt.
+table and cluster memberships are rebuilt by scanning the pages at open;
+there is no separately persisted index to corrupt.
 
 Crash consistency and group commit.  Commit is split in two:
 :meth:`ObjectStore.commit_stage` (under the store lock: validate, mint
@@ -58,20 +59,20 @@ entry at or below its epoch; a chain miss provably means the OID is
 unmodified since the pruning watermark (older than every live
 snapshot), so the read falls back to the current pages under the store
 lock — and caches the committed value as a single-entry chain so repeat
-reads stay lock-free.  Chains are pruned at publish and snapshot
-release: entries superseded by a newer entry at or below the watermark
-(``min`` live snapshot epoch, else the current epoch) are dropped, and
-single-entry current-value chains are kept as a read cache bounded by
-``mvcc_cache_limit``.
+reads stay lock-free.  Entries superseded by a newer entry at or below
+the watermark (``min`` live snapshot epoch, else the current epoch) are
+dropped: each commit prunes the chains it grew, and a snapshot release
+sweeps the other multi-version chains only when it raised the
+watermark.  Single-entry current-value chains are kept as a read cache
+bounded by ``mvcc_cache_limit``.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import threading
 from pathlib import Path
-from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import (
     GroupCommitError,
@@ -84,6 +85,7 @@ from repro.errors import (
 from repro.obs import get_registry
 from repro.ode.bufferpool import BufferPool
 from repro.ode.codec import read_varint, write_varint
+from repro.ode.membership import ClusterMembership
 from repro.ode.oid import Oid, is_version_cluster
 from repro.ode.page import MAX_RECORD_SIZE, PAGE_SIZE
 from repro.ode.pagefile import PageFile
@@ -103,6 +105,10 @@ _FRAGMENT_HEADER_BUDGET = 64
 _FRAGMENT_CHUNK = MAX_RECORD_SIZE - _FRAGMENT_HEADER_BUDGET
 
 Location = List[Tuple[int, int]]  # ordered (page_no, slot) fragments
+Chain = List[Tuple[int, Optional[bytes]]]  # ascending (epoch, payload-or-None)
+
+#: What a read of a cluster the store has never seen goes to.
+_NO_MEMBERS = ClusterMembership("")
 
 
 def _noop() -> None:
@@ -129,7 +135,70 @@ def _decode_fragment(record: bytes) -> Tuple[Oid, int, int, bytes]:
     return oid, index, total, chunk
 
 
-class Snapshot:
+class _MembershipReads:
+    """The cluster-membership reads, written once for both readers: the
+    store answers them for the live view (everything committed so far),
+    a :class:`Snapshot` as of the epoch it pins."""
+
+    def _reading(self) -> Tuple["ObjectStore", Optional[int]]:
+        """The store to read, and the epoch to answer as of (``None``:
+        the live view)."""
+        raise NotImplementedError
+
+    def cluster_names(self, include_shadow: bool = False) -> List[str]:
+        """Names of the non-empty clusters, sorted.  Shadow version
+        clusters (``<name>#v``, an implementation detail of
+        :mod:`repro.ode.versions`) are filtered from the listing unless
+        ``include_shadow`` is set."""
+        store, epoch = self._reading()
+        with store._mvcc_lock:
+            names = sorted(name for name, members in store._members.items()
+                           if members.size(epoch))
+        if include_shadow:
+            return names
+        return [name for name in names if not is_version_cluster(name)]
+
+    def cluster_size(self, cluster: str) -> int:
+        store, epoch = self._reading()
+        with store._mvcc_lock:
+            return store._members.get(cluster, _NO_MEMBERS).size(epoch)
+
+    def cluster_numbers(self, cluster: str) -> List[int]:
+        """OID numbers of a cluster, ascending (sequencing order)."""
+        return self.cluster_range(cluster, -1)
+
+    def cluster_step(self, cluster: str, number: float,
+                     forward: bool) -> Optional[int]:
+        """The member number nearest to *number* strictly after it
+        (*forward*) or before it, ``None`` past either end — one
+        sequencing step, without materialising the cluster."""
+        store, epoch = self._reading()
+        with store._mvcc_lock:
+            return next(store._members.get(cluster, _NO_MEMBERS).walk(
+                epoch, number, forward), None)
+
+    def cluster_range(self, cluster: str, after: float,
+                      limit: Optional[int] = None) -> List[int]:
+        """Up to *limit* member numbers greater than *after*, ascending."""
+        store, epoch = self._reading()
+        with store._mvcc_lock:
+            return list(itertools.islice(
+                store._members.get(cluster, _NO_MEMBERS).walk(epoch, after),
+                limit))
+
+    def oids(self) -> List[Oid]:
+        """Every member OID, in cluster then sequencing order."""
+        store, epoch = self._reading()
+        with store._mvcc_lock:   # numbers only: Oids are built unlocked
+            clusters = [(members.database, cluster,
+                         list(members.walk(epoch, -1)))
+                        for cluster, members in sorted(store._members.items())]
+        return [Oid(database, cluster, number)
+                for database, cluster, numbers in clusters
+                for number in numbers]
+
+
+class Snapshot(_MembershipReads):
     """A consistent read-only view of the store at one commit epoch.
 
     Reads (:meth:`get`, :meth:`exists`, :meth:`cluster_numbers`, …) see
@@ -163,6 +232,10 @@ class Snapshot:
         if self._closed:
             raise StorageError("snapshot is closed")
 
+    def _reading(self) -> Tuple["ObjectStore", int]:
+        self._check_open()
+        return self._store, self._epoch
+
     # -- reads -----------------------------------------------------------------
 
     def get(self, oid: Oid) -> bytes:
@@ -175,22 +248,6 @@ class Snapshot:
     def exists(self, oid: Oid) -> bool:
         self._check_open()
         return self._store._snapshot_lookup(oid, self._epoch) is not None
-
-    def cluster_names(self, include_shadow: bool = False) -> List[str]:
-        self._check_open()
-        return self._store._snapshot_cluster_names(self._epoch, include_shadow)
-
-    def cluster_numbers(self, cluster: str) -> List[int]:
-        self._check_open()
-        return self._store._snapshot_numbers(cluster, self._epoch)
-
-    def cluster_size(self, cluster: str) -> int:
-        self._check_open()
-        return len(self._store._snapshot_numbers(cluster, self._epoch))
-
-    def oids(self) -> Iterator[Oid]:
-        self._check_open()
-        yield from self._store._snapshot_oids(self._epoch)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -231,7 +288,7 @@ class Snapshot:
         return f"Snapshot(epoch={self._epoch}, {state})"
 
 
-class ObjectStore:
+class ObjectStore(_MembershipReads):
     """OID-addressed record storage over pages + buffer pool + WAL."""
 
     DATA_FILE = "data.pages"
@@ -273,17 +330,21 @@ class ObjectStore:
         self._m_snapshot_reads = registry.counter("mvcc.snapshot_reads")
         self._m_read_fallbacks = registry.counter("mvcc.read_fallbacks")
         self._m_pruned = registry.counter("mvcc.pruned")
+        self._m_full_sweeps = registry.counter("mvcc.full_sweeps")
         self._m_versions_live = registry.gauge("mvcc.versions_live")
         self._m_snapshots_open = registry.gauge("mvcc.snapshots_open")
         self._m_snapshot_age = registry.histogram(
             "mvcc.snapshot_age", bounds=[float(2 ** i) for i in range(24)])
         self._table: Dict[Oid, Location] = {}
-        self._clusters: Dict[str, List[int]] = {}
         self._next_number: Dict[str, int] = {}
         # Next-fit allocator state: index into data_page_numbers() where
         # the last insert landed.  Purely a search-start hint — the scan
         # wraps, so any page with space is still found.
         self._insert_hint = 0
+        # ``Page.free_space()`` of every data page, so that scan reads
+        # no page: without it each page a bulk ingest fills costs a
+        # fetch of every page before it.
+        self._free_space: Dict[int, int] = {}
         self._txid: Optional[int] = None
         self._tx_counter = 0
         # MVCC state.  _mvcc_lock is leaf-level: held briefly, never
@@ -291,9 +352,14 @@ class ObjectStore:
         # needed — snapshot reads take it alone, which is what keeps
         # them off the write path's lock.
         self._mvcc_lock = threading.Lock()
-        self._mvcc: Dict[Oid, List[Tuple[int, Optional[bytes]]]] = {}
+        self._mvcc: Dict[Oid, Chain] = {}
+        # The chains holding more than one version: all a watermark
+        # sweep has to visit.
+        self._multi: Dict[Oid, Chain] = {}
         self._pins: Dict[int, int] = {}
-        self._members: Dict[str, Tuple[Oid, ...]] = {}
+        # Committed membership per cluster, for the live view and for
+        # snapshots alike; an emptied cluster keeps its (empty) entry.
+        self._members: Dict[str, ClusterMembership] = {}
         self._mvcc_cache_limit = mvcc_cache_limit
         self._epoch = 0
         # Fenced primary term (see DESIGN.md §Replication).  Recovered
@@ -343,6 +409,7 @@ class ObjectStore:
             record.oid for record in self._wal.committed_operations())
 
     def _rebuild_from_pages(self, purge: FrozenSet[str] = frozenset()) -> None:
+        self._free_space = {}
         partial: Dict[Oid, Dict[int, Tuple[int, int]]] = {}
         totals: Dict[Oid, int] = {}
         for page_no in self._pagefile.data_page_numbers():
@@ -366,6 +433,7 @@ class ObjectStore:
                         page.delete(slot)
                         continue
                     self._install(oid, [(page_no, slot)])
+            self._free_space[page_no] = page.free_space()
         for oid, fragments in partial.items():
             total = totals[oid]
             if len(fragments) != total:
@@ -395,37 +463,32 @@ class ObjectStore:
         self._pool.flush_all()
         self._wal.checkpoint(self._epoch, term=self._term)
 
-    def _rebuild_members(self) -> None:
-        """Publish the committed cluster membership for snapshot readers."""
-        members: Dict[str, List[Oid]] = {}
+    def _rebuild_members(self, epoch: Optional[int] = None) -> None:
+        """Re-derive the MVCC state from the rebuilt object table: the
+        cluster memberships as committed, no version chains, and — for
+        a resync — the installed *epoch*, all in one step for readers."""
+        members: Dict[str, ClusterMembership] = {}
         for oid in self._table:
-            members.setdefault(oid.cluster, []).append(oid)
+            if oid.cluster not in members:
+                members[oid.cluster] = ClusterMembership(oid.database)
+            members[oid.cluster].numbers.append(oid.number)
+        for membership in members.values():
+            membership.numbers.sort()
         with self._mvcc_lock:
-            self._members = {
-                cluster: tuple(sorted(oids, key=lambda o: o.number))
-                for cluster, oids in members.items()
-            }
+            self._mvcc.clear()
+            self._multi.clear()
+            self._m_versions_live.set(0)
+            self._members = members
+            if epoch is not None:
+                self._epoch = epoch
 
     # -- bookkeeping -------------------------------------------------------------
 
     def _install(self, oid: Oid, location: Location) -> None:
         self._table[oid] = location
-        numbers = self._clusters.setdefault(oid.cluster, [])
-        index = bisect.bisect_left(numbers, oid.number)
-        if index >= len(numbers) or numbers[index] != oid.number:
-            numbers.insert(index, oid.number)
         nxt = self._next_number.get(oid.cluster, 0)
         if oid.number >= nxt:
             self._next_number[oid.cluster] = oid.number + 1
-
-    def _uninstall(self, oid: Oid) -> None:
-        del self._table[oid]
-        numbers = self._clusters.get(oid.cluster, [])
-        index = bisect.bisect_left(numbers, oid.number)
-        if index < len(numbers) and numbers[index] == oid.number:
-            numbers.pop(index)
-        if not numbers:
-            self._clusters.pop(oid.cluster, None)
 
     def allocate_oid(self, database: str, cluster: str) -> Oid:
         """Mint the next OID for a cluster (monotonic within the store)."""
@@ -448,15 +511,14 @@ class ObjectStore:
         for index in itertools.chain(range(start, len(pages)),
                                      range(0, start)):
             page_no = pages[index]
-            page = self._pool.fetch(page_no)
-            if page.fits(len(record)):
-                self._insert_hint = index
-                slot = page.insert(record)
-                return page_no, slot
-        page_no = self._pool.new_page()
-        self._insert_hint = len(pages)
+            if len(record) <= self._free_space[page_no]:
+                break
+        else:
+            index, page_no = len(pages), self._pool.new_page()
+        self._insert_hint = index
         page = self._pool.fetch(page_no)
         slot = page.insert(record)
+        self._free_space[page_no] = page.free_space()
         return page_no, slot
 
     def _put_to_pages(self, oid: Oid, data: bytes) -> None:
@@ -477,8 +539,10 @@ class ObjectStore:
 
     def _delete_from_pages(self, oid: Oid) -> None:
         for page_no, slot in self._table[oid]:
-            self._pool.fetch(page_no).delete(slot)
-        self._uninstall(oid)
+            page = self._pool.fetch(page_no)
+            page.delete(slot)
+            self._free_space[page_no] = page.free_space()
+        del self._table[oid]
 
     def _read_from_pages(self, oid: Oid) -> bytes:
         with self._m_read_time.time():
@@ -917,11 +981,7 @@ class ObjectStore:
             for text, payload in records:
                 self._put_to_pages(Oid.parse(text), payload)
             self._pool.flush_all()
-            with self._mvcc_lock:
-                self._mvcc.clear()
-                self._m_versions_live.set(0)
-                self._epoch = epoch
-            self._rebuild_members()
+            self._rebuild_members(epoch)
             self._notify_rebuild()
             # Wholesale replacement: the mint counter tracks the
             # installed epoch exactly, including *down* on a term-raise
@@ -980,16 +1040,13 @@ class ObjectStore:
                 self._pool = BufferPool(self._pagefile, self._pool.capacity,
                                         policy=self._eviction_policy)
                 self._table = {}
-                self._clusters = {}
                 self._rebuild_from_pages(purge=self._redo_oids())
                 self._recover_from_wal()
                 # The chains may describe a commit the recovery replay
-                # resolved the other way; drop them.  Live snapshots
-                # degrade to the recovered state — still a consistent
-                # transaction boundary, never a half-applied commit.
-                with self._mvcc_lock:
-                    self._mvcc.clear()
-                    self._m_versions_live.set(0)
+                # resolved the other way; they go with the old
+                # membership.  Live snapshots degrade to the recovered
+                # state — still a consistent transaction boundary,
+                # never a half-applied commit.
                 self._rebuild_members()
                 self._notify_rebuild()
                 return
@@ -1052,7 +1109,10 @@ class ObjectStore:
         version chains) may discard them.
         """
         with self._mvcc_lock:
-            return min(self._pins) if self._pins else self._epoch
+            return self._watermark_locked()
+
+    def _watermark_locked(self) -> int:
+        return min(self._pins) if self._pins else self._epoch
 
     @property
     def lock(self):
@@ -1075,13 +1135,20 @@ class ObjectStore:
     def _release_snapshot(self, epoch: int) -> None:
         with self._mvcc_lock:
             remaining = self._pins.get(epoch, 0) - 1
-            if remaining <= 0:
-                self._pins.pop(epoch, None)
-            else:
-                self._pins[epoch] = remaining
             self._m_snapshots_open.dec()
             self._m_snapshot_age.observe(float(self._epoch - epoch))
-            self._prune_locked()
+            if remaining > 0:
+                self._pins[epoch] = remaining
+                return
+            self._pins.pop(epoch, None)
+            # Only the last pin of the *oldest* pinned epoch holds the
+            # watermark down; any other release can free nothing.
+            watermark = self._watermark_locked()
+            if watermark > epoch:
+                self._m_full_sweeps.inc()
+                for members in self._members.values():
+                    members.prune(watermark)
+                self._prune_locked(list(self._multi.items()))
 
     def _tx_effects(self) -> Dict[Oid, Optional[bytes]]:
         """Net effect of the open transaction, last write per OID wins
@@ -1122,6 +1189,9 @@ class ObjectStore:
         """
         with self._mvcc_lock:
             touched = []
+            # With no reader pinned (none can appear before the epoch
+            # is set below) nobody will ever need this commit undone.
+            undo_epoch = epoch if self._pins else None
             for oid, payload in effects.items():
                 chain = self._mvcc.get(oid)
                 if chain is None:
@@ -1129,27 +1199,16 @@ class ObjectStore:
                     self._m_versions_live.inc()
                 chain.append((epoch, payload))
                 self._m_versions_live.inc()
-                touched.append(chain)
-                self._member_update_locked(oid, payload is not None)
+                touched.append((oid, chain))
+                members = self._members.get(oid.cluster)
+                if members is None:
+                    members = self._members[oid.cluster] = (
+                        ClusterMembership(oid.database))
+                members.change(oid.number, payload is not None, undo_epoch)
             self._epoch = epoch
             self._prune_locked(touched)
 
-    def _member_update_locked(self, oid: Oid, present: bool) -> None:
-        members = self._members.get(oid.cluster, ())
-        numbers = [m.number for m in members]
-        index = bisect.bisect_left(numbers, oid.number)
-        found = index < len(members) and members[index].number == oid.number
-        if present and not found:
-            self._members[oid.cluster] = (
-                members[:index] + (oid,) + members[index:])
-        elif not present and found:
-            updated = members[:index] + members[index + 1:]
-            if updated:
-                self._members[oid.cluster] = updated
-            else:
-                self._members.pop(oid.cluster, None)
-
-    def _prune_locked(self, chains=None) -> None:
+    def _prune_locked(self, chains: Iterable[Tuple[Oid, Chain]]) -> None:
         """Drop versions no live snapshot can reach (``_mvcc_lock`` held).
 
         Within a chain, everything superseded by a newer entry at or
@@ -1158,19 +1217,15 @@ class ObjectStore:
         — it is kept as a lock-free read cache, evicted only past
         ``mvcc_cache_limit``.
 
-        *chains* limits the sweep to the chains one commit just grew —
-        the per-commit fast path, O(commit size) instead of O(cached
-        OIDs).  A full sweep (``chains=None``) runs when the watermark
-        moves (snapshot release) and also evicts cache overflow; the
-        fast path escalates to a full sweep itself when the cache has
-        outgrown its limit, so a write-only workload (no snapshots ever
-        released) still cannot grow the cache without bound.
+        *chains* are the ones that can have prunable entries: those one
+        commit just grew — O(commit size) — or, when a snapshot release
+        raised the watermark, every multi-version chain.  No caller
+        walks the single-entry cache; overflow is evicted oldest-first
+        and stops at the first ``overflow`` evictable chains.
         """
-        if chains is not None and len(self._mvcc) > self._mvcc_cache_limit:
-            chains = None
-        watermark = min(self._pins) if self._pins else self._epoch
+        watermark = self._watermark_locked()
         pruned = 0
-        for chain in (self._mvcc.values() if chains is None else chains):
+        for oid, chain in chains:
             keep_from = 0
             for index in range(len(chain) - 1, -1, -1):
                 if chain[index][0] <= watermark:
@@ -1179,19 +1234,22 @@ class ObjectStore:
             if keep_from:
                 pruned += keep_from
                 del chain[:keep_from]
-        if chains is None:
-            overflow = len(self._mvcc) - self._mvcc_cache_limit
-            if overflow > 0:
-                evictable = [oid for oid, chain in self._mvcc.items()
-                             if len(chain) == 1 and chain[0][0] <= watermark]
-                for oid in evictable[:overflow]:
-                    pruned += len(self._mvcc.pop(oid))
+            if len(chain) > 1:
+                self._multi[oid] = chain
+            else:
+                self._multi.pop(oid, None)
+        overflow = len(self._mvcc) - self._mvcc_cache_limit
+        if overflow > 0:
+            evictable = (oid for oid, chain in self._mvcc.items()
+                         if len(chain) == 1 and chain[0][0] <= watermark)
+            for oid in list(itertools.islice(evictable, overflow)):
+                pruned += len(self._mvcc.pop(oid))
         if pruned:
             self._m_pruned.inc(pruned)
             self._m_versions_live.dec(pruned)
 
     @staticmethod
-    def _chain_entry_at(chain: List[Tuple[int, Optional[bytes]]],
+    def _chain_entry_at(chain: Chain,
                         epoch: int) -> Optional[Tuple[int, Optional[bytes]]]:
         for index in range(len(chain) - 1, -1, -1):
             if chain[index][0] <= epoch:
@@ -1229,61 +1287,6 @@ class ObjectStore:
                     self._mvcc[oid] = [(0, value)]
                     self._m_versions_live.inc()
             return value
-
-    def _snapshot_numbers_locked(self, cluster: str, epoch: int) -> List[int]:
-        numbers = {member.number for member in self._members.get(cluster, ())}
-        for oid, chain in self._mvcc.items():
-            if oid.cluster != cluster:
-                continue
-            entry = self._chain_entry_at(chain, epoch)
-            if entry is None:
-                continue
-            if entry[1] is not None:
-                numbers.add(oid.number)
-            else:
-                numbers.discard(oid.number)
-        return sorted(numbers)
-
-    def _snapshot_numbers(self, cluster: str, epoch: int) -> List[int]:
-        """Live OID numbers of *cluster* as of *epoch*: the published
-        membership corrected by every chain delta newer than the
-        snapshot (OIDs without a chain are unmodified since the
-        watermark, so current membership is right for them)."""
-        with self._mvcc_lock:
-            return self._snapshot_numbers_locked(cluster, epoch)
-
-    def _snapshot_cluster_names(self, epoch: int,
-                                include_shadow: bool = False) -> List[str]:
-        with self._mvcc_lock:
-            candidates = set(self._members)
-            candidates.update(oid.cluster for oid in self._mvcc)
-            names = [cluster for cluster in sorted(candidates)
-                     if self._snapshot_numbers_locked(cluster, epoch)]
-        if include_shadow:
-            return names
-        return [name for name in names if not is_version_cluster(name)]
-
-    def _snapshot_oids(self, epoch: int) -> List[Oid]:
-        with self._mvcc_lock:
-            candidates = set(self._members)
-            candidates.update(oid.cluster for oid in self._mvcc)
-            result: List[Oid] = []
-            for cluster in sorted(candidates):
-                by_number = {member.number: member
-                             for member in self._members.get(cluster, ())}
-                for oid, chain in self._mvcc.items():
-                    if oid.cluster != cluster:
-                        continue
-                    entry = self._chain_entry_at(chain, epoch)
-                    if entry is None:
-                        continue
-                    if entry[1] is not None:
-                        by_number[oid.number] = oid
-                    else:
-                        by_number.pop(oid.number, None)
-                result.extend(by_number[number]
-                              for number in sorted(by_number))
-        return result
 
     # -- public record API ---------------------------------------------------------------
 
@@ -1346,31 +1349,8 @@ class ObjectStore:
                 return overlay.op == OP_PUT
             return oid in self._table
 
-    # -- cluster iteration ------------------------------------------------------------------
-
-    def cluster_names(self, include_shadow: bool = False) -> List[str]:
-        """Cluster names, sorted.  Shadow version clusters (``<name>#v``,
-        an implementation detail of :mod:`repro.ode.versions`) are
-        filtered from the listing unless ``include_shadow`` is set."""
-        with self._lock:
-            names = sorted(self._clusters)
-        if include_shadow:
-            return names
-        return [name for name in names if not is_version_cluster(name)]
-
-    def cluster_size(self, cluster: str) -> int:
-        with self._lock:
-            return len(self._clusters.get(cluster, ()))
-
-    def cluster_numbers(self, cluster: str) -> List[int]:
-        """Live OID numbers of a cluster, ascending (sequencing order)."""
-        with self._lock:
-            return list(self._clusters.get(cluster, ()))
-
-    def oids(self) -> Iterator[Oid]:
-        with self._lock:
-            ordered = sorted(self._table)
-        yield from ordered
+    def _reading(self) -> Tuple["ObjectStore", None]:
+        return self, None
 
     # -- maintenance ------------------------------------------------------------------------
 
@@ -1430,8 +1410,8 @@ class ObjectStore:
             old_pool = self._pool
             self._pagefile = fresh_file
             self._pool = fresh_pool
+            self._free_space = {}
             self._table = {}
-            self._clusters = {}
             try:
                 for oid, data in records:
                     self._put_to_pages(oid, data)
@@ -1443,7 +1423,6 @@ class ObjectStore:
                 fresh_file.close()
                 fresh_path.unlink(missing_ok=True)
                 self._table = {}
-                self._clusters = {}
                 self._rebuild_from_pages()
                 raise
             fresh_file.close()
@@ -1454,7 +1433,6 @@ class ObjectStore:
             self._pool = BufferPool(self._pagefile, old_pool.capacity,
                                     policy=self._eviction_policy)
             self._table = {}
-            self._clusters = {}
             self._rebuild_from_pages()
             self._wal.checkpoint(self._epoch, term=self._term)
             return pages_before - self._pagefile.page_count

@@ -16,6 +16,7 @@ def test_gather_covers_clusters_and_pool(session):
     assert rows["cluster manager"] == "7 objects"
     assert rows["indexes"] == "(none)"
     assert "pool hits / misses" in rows
+    assert "mvcc versions pruned / full sweeps" in rows
 
 
 def test_gather_lists_indexes(session):
@@ -54,3 +55,21 @@ def test_destroy(app, session):
     stats_window = StatisticsWindow(session)
     stats_window.destroy()
     assert not app.screen.has(stats_window.window_name)
+
+
+def test_cardinality_counts_a_clusters_first_commit_once(tmp_path):
+    """The catalog first meets a cluster inside the commit that fills
+    it (the apply gate, before the epoch publishes): every insert of
+    that commit counts once, none twice."""
+    from repro.data.synthetic import make_synthetic_database
+    from repro.ode.oid import Oid
+
+    database = make_synthetic_database(tmp_path, readings=30, sensors=3)
+    try:
+        catalog = database.objects.statistics
+        assert catalog.cardinality("reading") == 30
+        assert catalog.cardinality("sensor") == 3
+        database.objects.delete(Oid("synthetic", "reading", 7))
+        assert catalog.cardinality("reading") == 29
+    finally:
+        database.close()

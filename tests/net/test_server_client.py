@@ -87,6 +87,43 @@ class TestReads:
         buffers = remote_lab.objects.get_buffers(oids)
         assert [b.oid for b in buffers] == oids
 
+    @pytest.mark.parametrize("limit, sizes", [
+        (11, [11, 11, 11, 11, 11]),     # the last batch exactly fills limit
+        (10, [10, 10, 10, 10, 10, 5]),
+        (55, [55]),
+        (64, [55]),
+    ])
+    def test_scan_batches_end_on_the_last_member(self, remote_lab,
+                                                 limit, sizes):
+        after, seen, replies = -1, [], []
+        while not replies or not replies[-1]["done"]:
+            replies.append(remote_lab.objects._call(P.OP_SCAN_CLUSTER, {
+                "class": "employee", "after": after, "limit": limit}))
+            seen += [P.buffer_from_value(value).oid.number
+                     for value in replies[-1]["buffers"]]
+            after = replies[-1]["after"]
+        assert [len(reply["buffers"]) for reply in replies] == sizes
+        assert seen == list(range(55)) and after == 54
+
+    def test_scan_of_an_empty_cluster_is_done_at_once(self, remote_lab):
+        objects = remote_lab.objects
+        for oid in objects.cluster("department").oids():
+            objects.delete(oid)
+        reply = objects._call(P.OP_SCAN_CLUSTER, {
+            "class": "department", "after": -1, "limit": 8})
+        assert (reply["buffers"], reply["done"], reply["after"]) == (
+            [], True, -1)
+
+    def test_get_objects_reports_a_deleted_oid_mid_batch(self, remote_lab):
+        objects = remote_lab.objects
+        first, gone, last = (Oid("lab", "employee", n) for n in (3, 4, 5))
+        objects.delete(gone)
+        reply = objects._call(
+            P.OP_GET_OBJECTS, {"oids": [str(first), str(gone), str(last)]})
+        assert [P.buffer_from_value(value).oid
+                for value in reply["buffers"]] == [first, last]
+        assert reply["missing"] == [str(gone)]
+
     def test_exists(self, remote_lab):
         assert remote_lab.objects.exists(Oid("lab", "employee", 0))
         assert not remote_lab.objects.exists(Oid("lab", "employee", 9999))
