@@ -1,17 +1,16 @@
-"""GROUP-COMMIT: batched WAL fsync vs per-commit syncing.
+"""GROUP-COMMIT: commit throughput as concurrent writers share fsyncs.
 
-The PR 5 tentpole claim: with many concurrent writers, one leader
-fsyncing a whole batch of COMMIT records amortizes the dominant cost of
-a small transaction — the fsync — across every writer in the batch, so
-commit throughput scales with writer count instead of serializing on
-the disk.  ``group_commit_window_ms=0`` is the escape hatch that
-reproduces per-commit syncing exactly, which makes it the baseline.
+With many concurrent writers, one leader fsyncing a whole batch of
+COMMIT records amortizes the dominant cost of a small transaction — the
+fsync — across every writer in the batch, so commit throughput scales
+with writer count instead of serializing on the disk.  A lone writer
+pays one fsync per commit.
 
-This benchmark measures commit throughput and p95 commit latency at
-1, 4, and 16 writer threads, once per window setting (0 = per-commit
-baseline, tuned = batched).  Writers follow the server's pipelining
-model: stage under a shared writer lock (cheap — overlay apply plus an
-epoch mint), then wait on the commit barrier with the lock released.
+This benchmark measures commit throughput, p95 commit latency and the
+batch sizes reached at 1, 4 and 16 writer threads against a store built
+with its defaults.  Writers follow the server's pipelining model: stage
+under a shared writer lock (cheap — overlay apply plus an epoch mint),
+then wait on the commit barrier with the lock released.
 
 Run directly for the full measurement::
 
@@ -35,7 +34,6 @@ from repro.ode.oid import Oid
 from repro.ode.store import ObjectStore
 
 WRITER_COUNTS = (1, 4, 16)
-WINDOWS_MS = (0.0, 4.0)
 
 
 def _write_workload(store: ObjectStore, stage_lock: threading.Lock,
@@ -68,11 +66,11 @@ def _percentile(values: List[float], percent: float) -> float:
     return ordered[index]
 
 
-def run_level(root: Path, writers: int, window_ms: float,
+def run_level(root: Path, writers: int,
               duration: float) -> Dict[str, float]:
     """One level: *writers* commit loops against one store."""
-    directory = root / f"w{writers}-win{window_ms:g}"
-    store = ObjectStore(directory, group_commit_window_ms=window_ms)
+    directory = root / f"w{writers}"
+    store = ObjectStore(directory)
     try:
         stage_lock = threading.Lock()
         latencies: List[float] = []
@@ -95,7 +93,6 @@ def run_level(root: Path, writers: int, window_ms: float,
         stats = store.group_commit_stats()
         return {
             "writers": writers,
-            "window_ms": window_ms,
             "commits": len(latencies),
             "commits_per_sec": len(latencies) / elapsed if elapsed else 0.0,
             "mean_ms": (sum(latencies) / len(latencies) * 1e3
@@ -110,20 +107,15 @@ def run_level(root: Path, writers: int, window_ms: float,
         store.close()
 
 
-def run_all(root: Path, duration: float,
-            windows=WINDOWS_MS) -> List[Dict[str, float]]:
-    results = []
-    for writers in WRITER_COUNTS:
-        for window_ms in windows:
-            results.append(run_level(root, writers, window_ms, duration))
-    return results
+def run_all(root: Path, duration: float) -> List[Dict[str, float]]:
+    return [run_level(root, writers, duration) for writers in WRITER_COUNTS]
 
 
 def format_results(results: List[Dict[str, float]]) -> str:
-    lines = ["writers  window  commits/s  p95(ms)  syncs  mean batch"]
+    lines = ["writers  commits/s  p95(ms)  syncs  mean batch"]
     for row in results:
         lines.append(
-            f"{row['writers']:>7}  {row['window_ms']:>5.1f}m  "
+            f"{row['writers']:>7}  "
             f"{row['commits_per_sec']:>9.0f}  {row['p95_ms']:>7.2f}  "
             f"{row['syncs']:>5}  {row['batch_size_mean']:>10.1f}")
     return "\n".join(lines)
@@ -145,32 +137,25 @@ def write_artifact(results: List[Dict[str, float]],
 # -- pytest entry point (short smoke duration) ----------------------------------
 
 def test_group_commit_smoke(tmp_path):
-    """Every level commits, and the tuned window actually batches."""
+    """Every level commits, and 16 writers really share fsyncs."""
     results = run_all(tmp_path, duration=0.3)
-    assert len(results) == len(WRITER_COUNTS) * len(WINDOWS_MS)
+    assert [row["writers"] for row in results] == list(WRITER_COUNTS)
     for row in results:
         assert row["commits"] > 0
-        if row["window_ms"] == 0.0:
-            # window 0 is the per-commit baseline: one sync per commit
-            assert row["syncs"] == row["commits"]
-    tuned_16 = next(r for r in results
-                    if r["writers"] == 16 and r["window_ms"] > 0)
-    assert tuned_16["batch_size_max"] > 1  # batches really formed
+    assert results[0]["syncs"] == results[0]["commits"]  # a lone writer
+    assert results[-1]["batch_size_mean"] > 1  # batches really formed
     write_artifact(results, 0.3)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--duration", type=float, default=5.0,
-                        help="seconds per (writers, window) level")
-    parser.add_argument("--windows", type=float, nargs="+",
-                        default=list(WINDOWS_MS),
-                        help="group_commit_window_ms values to compare")
+                        help="seconds per writer-count level")
     args = parser.parse_args()
     import tempfile
 
     root = Path(tempfile.mkdtemp(prefix="odeview-bench-group-commit-"))
-    results = run_all(root, args.duration, windows=tuple(args.windows))
+    results = run_all(root, args.duration)
     print(format_results(results))
     path = write_artifact(results, args.duration)
     print(f"\nwrote {path}")

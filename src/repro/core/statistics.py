@@ -278,7 +278,6 @@ def gather_statistics(db_session) -> List[Tuple[str, str]]:
                      f"{database.store.fragmentation():.0%} of page space dead"))
         pool = database.store.pool
         stats = pool.stats
-        rows.append(("pool policy", pool.policy_name))
         rows.append(("pool hits / misses",
                      f"{stats.hits} / {stats.misses} "
                      f"({stats.hit_rate:.0%} hit rate)"))
@@ -328,9 +327,6 @@ def _group_commit_rows(stats, registry=None) -> List[Tuple[str, str]]:
     rows: List[Tuple[str, str]] = []
     if not stats:
         return rows
-    rows.append(("group commit",
-                 f"window {stats.get('window_ms', 0):g}ms, "
-                 f"max batch {stats.get('max_batch', 0)}"))
     batches = stats.get("batches", 0)
     if batches:
         rows.append(("wal.group batches / commits",
@@ -372,7 +368,6 @@ def _remote_statistics(database) -> List[Tuple[str, str]]:
                  f"{stats.get('fragmentation', 0.0):.0%} of page space dead "
                  f"(server)"))
     pool = stats.get("pool", {})
-    rows.append(("server pool policy", str(pool.get("policy", "?"))))
     rows.append(("server pool hits / misses",
                  f"{pool.get('hits', 0)} / {pool.get('misses', 0)}"))
     rows.append(("server commit epoch", str(stats.get("epoch", "?"))))

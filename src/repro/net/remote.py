@@ -786,8 +786,7 @@ class RemoteDatabase:
         one-fsync-per-batch counters, commit wait latency) — the remote
         face of :meth:`repro.ode.store.ObjectStore.group_commit_stats`.
         Writes from many clients batch on the server's barrier, so this
-        is where a tuning pass reads the effect of
-        ``group_commit_window_ms``."""
+        is where the batch sizes concurrent writers reach show up."""
         return self.server_stats().get("group_commit", {})
 
     def close(self) -> None:

@@ -596,7 +596,6 @@ class ServerSession:
             ],
             "fragmentation": database.store.fragmentation(),
             "pool": {
-                "policy": pool.policy_name,
                 "hits": pool.stats.hits,
                 "misses": pool.stats.misses,
                 "evictions": pool.stats.evictions,

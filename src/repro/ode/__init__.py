@@ -7,13 +7,6 @@ object database (Agrawal & Gehani, SIGMOD 1989) that OdeView sits on.
 from repro.ode.backup import dump_to_file, export_database, import_database, load_from_file
 from repro.ode.bufferpool import BufferPool
 from repro.ode.classdef import Access, Attribute, MemberFunction, OdeClass
-from repro.ode.evictionpolicy import (
-    ClockPolicy,
-    EvictionPolicy,
-    LRUPolicy,
-    TwoQPolicy,
-    make_policy,
-)
 from repro.ode.index import AttributeIndex, IndexManager
 from repro.ode.cluster import Cluster, ClusterCursor
 from repro.ode.constraints import BehaviourRegistry, Constraint, Trigger
@@ -45,13 +38,9 @@ __all__ = [
     "BehaviourRegistry",
     "BoolType",
     "BufferPool",
-    "ClockPolicy",
     "Cluster",
     "ClusterCursor",
     "Constraint",
-    "EvictionPolicy",
-    "LRUPolicy",
-    "TwoQPolicy",
     "Database",
     "DateType",
     "FloatType",
@@ -77,6 +66,5 @@ __all__ = [
     "export_database",
     "import_database",
     "load_from_file",
-    "make_policy",
     "type_from_dict",
 ]

@@ -1,14 +1,14 @@
-"""Policy-driven, instrumented buffer pool over a :class:`~repro.ode.pagefile.PageFile`.
+"""LRU, instrumented buffer pool over a :class:`~repro.ode.pagefile.PageFile`.
 
 The object manager never touches the page file directly: it fetches pages
 through the pool, which caches a bounded number of decoded
 :class:`~repro.ode.page.Page` objects, tracks pins and dirty state, and
 writes dirty pages back on eviction or flush.
 
-Replacement order is delegated to a pluggable
-:class:`~repro.ode.evictionpolicy.EvictionPolicy` (``lru``, ``clock`` or
-``2q`` — see that module); the pool keeps the mechanism (frames, pins,
-dirty bits, writeback), the policy keeps the ordering.
+Replacement is strict least-recently-used: the frames live in one
+``OrderedDict`` keyed by page number, least recent first; a hit moves
+its page to the end and the victim is the first unpinned page.  Why
+LRU and no other policy: EXPERIMENTS.md §ABL-EVICT.
 
 Two kinds of read-ahead feed cluster scans:
 
@@ -18,10 +18,10 @@ Two kinds of read-ahead feed cluster scans:
   bounded read-ahead window (``readahead`` pages), so a raw page sweep
   (e.g. store rebuild at open) streams instead of stuttering.
 
-Prefetched pages are *admitted* (the policy sees ``on_admit``, so under
-2Q they land in probation and cannot pollute the protected set) but are
-counted as ``stats.prefetches``, not misses; a later fetch of a
-prefetched page is an ordinary hit.
+Prefetched pages are admitted at the recent end but counted as
+``stats.prefetches``, not misses; a later fetch of a prefetched page is
+an ordinary hit, and its first one is the page's admission touch, not a
+re-reference (it does not move the page).
 
 Per-pool counters live in :class:`PoolStats` (what the statistics window
 shows per database); the same events also feed the process-wide
@@ -31,13 +31,13 @@ page-fetch latency histogram.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from repro.errors import BufferPoolError
 from repro.obs import Histogram, MetricsRegistry, get_registry
-from repro.ode.evictionpolicy import EvictionPolicy, make_policy
 from repro.ode.page import Page
 from repro.ode.pagefile import PageFile
 
@@ -71,16 +71,13 @@ class _Frame:
 
 
 class BufferPool:
-    """Fixed-capacity page cache with pin counting and pluggable eviction.
+    """Fixed-capacity LRU page cache with pin counting.
 
-    ``policy`` is a policy name (``"lru"``, ``"clock"``, ``"2q"``) or an
-    :class:`EvictionPolicy` instance; ``readahead`` bounds sequential
-    prefetch (0 disables); ``metrics`` overrides the process-wide
-    registry (tests isolate with their own).
+    ``readahead`` bounds sequential prefetch (0 disables); ``metrics``
+    overrides the process-wide registry (tests isolate with their own).
     """
 
     def __init__(self, pagefile: PageFile, capacity: int = 64,
-                 policy: Union[str, EvictionPolicy, None] = None,
                  readahead: int = DEFAULT_READAHEAD,
                  metrics: Optional[MetricsRegistry] = None):
         if capacity < 1:
@@ -89,8 +86,8 @@ class BufferPool:
             raise BufferPoolError(f"readahead must be >= 0, got {readahead}")
         self._pagefile = pagefile
         self._capacity = capacity
-        self._frames: Dict[int, _Frame] = {}
-        self._policy = make_policy(policy, capacity)
+        #: Least recently used first.
+        self._frames: "OrderedDict[int, _Frame]" = OrderedDict()
         self._readahead = readahead
         self._last_miss: Optional[int] = None
         self.stats = PoolStats()
@@ -109,14 +106,6 @@ class BufferPool:
     def capacity(self) -> int:
         return self._capacity
 
-    @property
-    def policy_name(self) -> str:
-        return self._policy.name
-
-    @property
-    def policy(self) -> EvictionPolicy:
-        return self._policy
-
     def __len__(self) -> int:
         return len(self._frames)
 
@@ -134,13 +123,11 @@ class BufferPool:
             self._m_hits.inc()
             if frame.prefetched:
                 # First demand access of a speculatively-read page is its
-                # admission touch — not a re-reference.  Without this, a
-                # prefetched scan page would count two accesses (prefetch
-                # + read) and 2Q would promote the whole sweep into the
-                # protected segment, defeating scan resistance.
+                # admission touch — not a re-reference — so it keeps the
+                # place the prefetch gave it.
                 frame.prefetched = False
             else:
-                self._policy.on_access(page_no)
+                self._frames.move_to_end(page_no)
         else:
             self.stats.misses += 1
             self._m_misses.inc()
@@ -197,7 +184,7 @@ class BufferPool:
             if not 1 <= page_no < self._pagefile.page_count:
                 continue
             if len(self._frames) >= self._capacity:
-                victim = self._policy.choose_victim(self._evictable)
+                victim = self._victim()
                 if victim is None or self._frames[victim].prefetched:
                     break
             self._admit(page_no, Page(self._pagefile.read_page(page_no)),
@@ -217,15 +204,18 @@ class BufferPool:
         self._make_room()
         frame = _Frame(page, prefetched=prefetched)
         self._frames[page_no] = frame
-        self._policy.on_admit(page_no)
         return frame
 
-    def _evictable(self, page_no: int) -> bool:
-        return self._frames[page_no].pins == 0
+    def _victim(self) -> Optional[int]:
+        """The least recently used unpinned page, or ``None``."""
+        for page_no, frame in self._frames.items():
+            if frame.pins == 0:
+                return page_no
+        return None
 
     def _make_room(self) -> None:
         while len(self._frames) >= self._capacity:
-            victim_no = self._policy.choose_victim(self._evictable)
+            victim_no = self._victim()
             if victim_no is None:
                 raise BufferPoolError(
                     f"all {self._capacity} frames pinned; cannot evict"
@@ -234,7 +224,6 @@ class BufferPool:
 
     def _evict(self, page_no: int) -> None:
         frame = self._frames.pop(page_no)
-        self._policy.on_remove(page_no)
         if frame.page.dirty:
             # Even a single write-back must be crash-atomic: the victim
             # page can hold committed records that are no longer in the
@@ -297,7 +286,6 @@ class BufferPool:
             if self._frames[page_no].pins:
                 continue
             del self._frames[page_no]
-            self._policy.on_remove(page_no)
             dropped += 1
         self._last_miss = None
         return dropped

@@ -24,7 +24,7 @@ import datetime
 import struct
 from typing import Any, Dict, Tuple
 
-from repro.errors import CodecError
+from repro.errors import CodecError, OdeError
 from repro.ode.oid import Oid
 
 OBJECT_MAGIC = 0xB0
@@ -148,7 +148,7 @@ def decode_value(data: bytes, offset: int = 0) -> Tuple[Any, int]:
         except UnicodeDecodeError as exc:
             raise CodecError(f"invalid UTF-8 in string payload: {exc}") from exc
         if tag == _TAG_OID:
-            return Oid.parse(text), end
+            return _parse_oid(text), end
         return text, end
     if tag == _TAG_BYTES:
         length, offset = read_varint(data, offset)
@@ -216,4 +216,11 @@ def decode_object(data: bytes) -> Tuple[Oid, str, Dict[str, Any]]:
         raise CodecError("object values must decode to a dict")
     if offset != len(data):
         raise CodecError(f"{len(data) - offset} trailing bytes after object record")
-    return Oid.parse(oid_text), class_name, values
+    return _parse_oid(oid_text), class_name, values
+
+
+def _parse_oid(text: str) -> Oid:
+    try:
+        return Oid.parse(text)
+    except OdeError as exc:
+        raise CodecError(f"malformed OID payload {text!r}") from exc

@@ -58,10 +58,7 @@ class Database:
     """One open Ode database: schema + store + object manager."""
 
     def __init__(self, directory: Union[str, Path], create: bool = False,
-                 pool_capacity: int = 64, eviction_policy: str = "lru",
-                 group_commit_window_ms: float = 0.0,
-                 group_commit_max_batch: int = 64,
-                 fault_gate=None):
+                 pool_capacity: int = 64, fault_gate=None):
         self.directory = Path(directory)
         catalog_path = self.directory / CATALOG_FILE
         if create:
@@ -82,9 +79,6 @@ class Database:
             self.store = ObjectStore(
                 self.directory,
                 pool_capacity=pool_capacity,
-                eviction_policy=eviction_policy,
-                group_commit_window_ms=group_commit_window_ms,
-                group_commit_max_batch=group_commit_max_batch,
                 fault_gate=fault_gate)
             self.objects = ObjectManager(
                 self.store, self.schema, self.name, self.behaviours

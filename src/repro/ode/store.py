@@ -22,7 +22,7 @@ each commit **in epoch order**: re-take the store lock, apply that
 commit's buffered writes to the pages, publish its epoch to snapshot
 readers.  Visibility is therefore granted strictly after durability,
 and the plain :meth:`ObjectStore.commit` is just stage + wait.  The log
-is truncated by a size-triggered checkpoint (``wal_checkpoint_bytes``,
+is truncated by a size-triggered checkpoint (``WAL_CHECKPOINT_BYTES``,
 taken only when no transaction is open and the barrier is idle) and at
 close/vacuum — not per commit.  A crash anywhere recovers at reopen:
 if a COMMIT record is durable the transaction is redone from the log —
@@ -106,6 +106,9 @@ _FRAGMENT_CHUNK = MAX_RECORD_SIZE - _FRAGMENT_HEADER_BUDGET
 
 Location = List[Tuple[int, int]]  # ordered (page_no, slot) fragments
 Chain = List[Tuple[int, Optional[bytes]]]  # ascending (epoch, payload-or-None)
+
+#: Log size past which the next idle moment checkpoints (truncates) it.
+WAL_CHECKPOINT_BYTES = 1 << 20
 
 #: What a read of a cluster the store has never seen goes to.
 _NO_MEMBERS = ClusterMembership("")
@@ -295,15 +298,10 @@ class ObjectStore(_MembershipReads):
     WAL_FILE = "wal.log"
 
     def __init__(self, directory: Union[str, Path], pool_capacity: int = 64,
-                 eviction_policy: str = "lru",
                  fault_gate: Optional[Callable[..., Any]] = None,
-                 mvcc_cache_limit: int = 4096,
-                 group_commit_window_ms: float = 0.0,
-                 group_commit_max_batch: int = 64,
-                 wal_checkpoint_bytes: int = 1 << 20):
+                 mvcc_cache_limit: int = 4096):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._eviction_policy = eviction_policy
         self._fault_gate = fault_gate
         # Reads mutate shared state (buffer-pool frames, LRU order), so a
         # store serving several server sessions needs every entry point
@@ -313,15 +311,10 @@ class ObjectStore(_MembershipReads):
         self._lock = threading.RLock()
         self._pagefile = PageFile(self.directory / self.DATA_FILE,
                                   fault_gate=fault_gate)
-        self._pool = BufferPool(self._pagefile, pool_capacity,
-                                policy=eviction_policy)
+        self._pool = BufferPool(self._pagefile, pool_capacity)
         self._wal = WriteAheadLog(self.directory / self.WAL_FILE,
                                   fault_gate=fault_gate)
-        self._commit_group = GroupCommit(self._wal,
-                                         window_ms=group_commit_window_ms,
-                                         max_batch=group_commit_max_batch,
-                                         finish_lock=self._lock)
-        self._wal_checkpoint_bytes = max(0, int(wal_checkpoint_bytes))
+        self._commit_group = GroupCommit(self._wal, finish_lock=self._lock)
         registry = get_registry()
         self._m_gets = registry.counter("store.gets")
         self._m_puts = registry.counter("store.puts")
@@ -725,11 +718,11 @@ class ObjectStore(_MembershipReads):
         a commit.  Both guards are stable while we hold the store
         lock: staging requires it.
         """
-        if self._wal.size_bytes() < self._wal_checkpoint_bytes:
+        if self._wal.size_bytes() < WAL_CHECKPOINT_BYTES:
             return
         with self._lock:
             if (self._txid is None and self._commit_group.idle()
-                    and self._wal.size_bytes() >= self._wal_checkpoint_bytes):
+                    and self._wal.size_bytes() >= WAL_CHECKPOINT_BYTES):
                 self._pool.flush_all()
                 self._wal.checkpoint(self._epoch, term=self._term)
 
@@ -1037,8 +1030,7 @@ class ObjectStore(_MembershipReads):
         last: Optional[BaseException] = None
         for _attempt in range(5):
             try:
-                self._pool = BufferPool(self._pagefile, self._pool.capacity,
-                                        policy=self._eviction_policy)
+                self._pool = BufferPool(self._pagefile, self._pool.capacity)
                 self._table = {}
                 self._rebuild_from_pages(purge=self._redo_oids())
                 self._recover_from_wal()
@@ -1403,8 +1395,7 @@ class ObjectStore(_MembershipReads):
             fresh_path = self.directory / (self.DATA_FILE + ".vacuum")
             fresh_path.unlink(missing_ok=True)
             fresh_file = PageFile(fresh_path, fault_gate=self._fault_gate)
-            fresh_pool = BufferPool(fresh_file, self._pool.capacity,
-                                    policy=self._eviction_policy)
+            fresh_pool = BufferPool(fresh_file, self._pool.capacity)
 
             old_pagefile = self._pagefile
             old_pool = self._pool
@@ -1430,8 +1421,7 @@ class ObjectStore(_MembershipReads):
             fresh_path.replace(self.directory / self.DATA_FILE)
             self._pagefile = PageFile(self.directory / self.DATA_FILE,
                                       fault_gate=self._fault_gate)
-            self._pool = BufferPool(self._pagefile, old_pool.capacity,
-                                    policy=self._eviction_policy)
+            self._pool = BufferPool(self._pagefile, old_pool.capacity)
             self._table = {}
             self._rebuild_from_pages()
             self._wal.checkpoint(self._epoch, term=self._term)

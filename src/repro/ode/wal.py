@@ -104,10 +104,9 @@ class WalRecord:
         if op not in _KNOWN_OPS:
             raise WalError(f"unknown WAL op {op!r}")
         payload = value.get("payload", b"")
-        if isinstance(payload, str):
-            # logs written before the codec grew a native bytes tag carried
-            # the payload as latin-1 text
-            payload = payload.encode("latin-1")
+        if not isinstance(payload, bytes):
+            raise WalError(
+                f"WAL payload must be bytes, not {type(payload).__name__}")
         return cls(
             op=op,
             txid=int(value.get("txid", 0)),
@@ -433,6 +432,9 @@ class WriteAheadLog:
 #: Batch-size histogram buckets: powers of two up to a generous cap.
 _BATCH_BOUNDS = [float(2 ** i) for i in range(11)]
 
+#: Most queued commits one leader writes as one blob and one fsync.
+MAX_BATCH = 64
+
 
 class GroupCommit:
     """The commit barrier: many writers, one fsync per batch.
@@ -442,19 +444,16 @@ class GroupCommit:
     *wait*.  The frames never touch the log before this point: the store
     buffers them in memory, so the serialized stage path does no file
     I/O at all.  The first waiter to find no leader becomes
-    the leader for everything pending: it optionally dallies up to
-    ``window_ms`` for more committers to arrive (only when at least two
-    are already queued — a lone writer never pays the window), appends
-    every queued transaction's frames as one epoch-ordered blob, issues a single
-    ``wal.group.sync`` fsync, and then runs each commit's ``on_durable``
-    callback **in epoch order** — the store's callback applies the
-    commit's pages and publishes its epoch, so visibility is granted
-    strictly after durability, oldest first.  Followers wake when the
-    durable watermark passes their epoch.
-
-    ``window_ms == 0`` is the escape hatch that reproduces per-commit
-    syncing exactly: each queued commit is flushed and fsynced on its
-    own, one ``wal.group.sync`` per commit.
+    the leader for what is pending, up to :data:`MAX_BATCH` commits: it
+    appends every queued transaction's frames as one epoch-ordered blob,
+    issues a single ``wal.group.sync`` fsync, and then runs each commit's
+    ``on_durable`` callback **in epoch order** — the store's callback
+    applies the commit's pages and publishes its epoch, so visibility is
+    granted strictly after durability, oldest first.  Followers wake
+    when the durable watermark passes their epoch.  The leader never
+    waits for stragglers: commits staged while it fsyncs form the next
+    batch, so batches grow with the number of concurrent writers and a
+    lone writer pays one fsync per commit.
 
     Failure protocol: a *transient* ``Exception`` during a flush fails
     the whole batch **and** everything still pending (the store recovers
@@ -466,27 +465,19 @@ class GroupCommit:
     is attempted.
     """
 
-    def __init__(self, wal: WriteAheadLog, window_ms: float = 0.0,
-                 max_batch: int = 64,
+    def __init__(self, wal: WriteAheadLog,
                  finish_lock: Optional[threading.RLock] = None):
         self._wal = wal
-        self.window_ms = max(0.0, float(window_ms))
-        self.max_batch = max(1, int(max_batch))
         # Held across a whole batch's finish callbacks (the store passes
         # its own lock).  Each callback takes the same lock anyway; one
         # hold per batch instead of one per commit stops the convoy
         # where every release hands the lock to a staging writer and the
         # leader re-queues behind it B times per flush.
         self._finish_lock = finish_lock
-        # Two conditions, one mutex: submitters signal *arrivals* (at
-        # most one waiter — a dallying leader), the leader signals
-        # *_cond* when durability or leadership changes.  Keeping them
-        # separate means staging a commit wakes one thread, not every
-        # parked follower — at 16 writers that stampede was a measurable
-        # slice of the serialized commit path.
-        self._mutex = threading.Lock()
-        self._cond = threading.Condition(self._mutex)
-        self._arrivals = threading.Condition(self._mutex)
+        # Signalled by the leader when durability or leadership changes;
+        # staging a commit signals nobody (a waiter only parks while a
+        # leader is active, and the leader's exit broadcasts).
+        self._cond = threading.Condition(threading.Lock())
         # epoch-ascending (epoch, frames, on_durable) triples; *frames*
         # is one transaction's full record sequence (BEGIN, ops, COMMIT)
         self._pending: List[
@@ -529,10 +520,6 @@ class GroupCommit:
                 raise GroupCommitError(
                     f"commit group cancelled: {self._cancelled}")
             self._pending.append((epoch, frames, on_durable))
-            # Wake a dallying leader, if any.  Followers do not need
-            # this signal: a waiter only parks while a leader is active,
-            # and the leader's exit broadcasts on _cond.
-            self._arrivals.notify()
 
     def subscribe(self, listener: Callable[[int, List[WalRecord]], None]) -> None:
         """Register ``listener(epoch, frames)`` for every finished commit.
@@ -590,7 +577,7 @@ class GroupCommit:
                     continue
                 self._leader = True
             try:
-                self._lead_once(use_window=False)
+                self._lead_once()
             finally:
                 with self._cond:
                     self._leader = False
@@ -637,7 +624,6 @@ class GroupCommit:
                         f"commit epoch {epoch} cancelled: {message}"))
             self._pending.clear()
             self._cond.notify_all()
-            self._arrivals.notify_all()
 
     def idle(self) -> bool:
         """True when nothing is queued and no leader is flushing."""
@@ -652,8 +638,6 @@ class GroupCommit:
             syncs, largest = self._syncs, self._largest_batch
         wait = self._wait_hist
         return {
-            "window_ms": self.window_ms,
-            "max_batch": self.max_batch,
             "batches": batches,
             "commits": commits,
             "syncs": syncs,
@@ -689,7 +673,7 @@ class GroupCommit:
                         f"commit epoch {epoch} was lost by the commit group")
                 self._leader = True
             try:
-                self._lead_once(use_window=True)
+                self._lead_once()
             except Exception:
                 # already recorded per-epoch in _failed; our own epoch
                 # resolves on the next loop iteration
@@ -699,39 +683,14 @@ class GroupCommit:
                     self._leader = False
                     self._cond.notify_all()
 
-    def _lead_once(self, use_window: bool) -> None:
+    def _lead_once(self) -> None:
         with self._cond:
-            if (use_window and self.window_ms > 0.0
-                    and len(self._pending) >= 2):
-                # Dally for stragglers — but only when a batch is already
-                # forming; a solo committer flushes immediately.  The
-                # window is a *ceiling*: the leader waits in short
-                # sixteenth-window slices and flushes on the first quiet
-                # one, so the dally costs roughly one arrival gap, not
-                # the whole window, and batching stays driven by actual
-                # concurrency rather than the timer.
-                deadline = time.monotonic() + self.window_ms / 1e3
-                while 0 < len(self._pending) < self.max_batch:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    before = len(self._pending)
-                    self._arrivals.wait(min(remaining, self.window_ms / 16e3))
-                    if len(self._pending) == before:
-                        break
-                    # woke to new arrivals: keep dallying until deadline/full
-            batch = self._pending[:self.max_batch]
+            batch = self._pending[:MAX_BATCH]
             del self._pending[:len(batch)]
         if not batch:
             return
         try:
-            if self.window_ms > 0.0:
-                self._flush_group(batch)
-            else:
-                # window 0: per-commit append + fsync, the exact
-                # pre-group-commit write path
-                for entry in batch:
-                    self._flush_group([entry])
+            self._flush_group(batch)
         except Exception as exc:
             with self._cond:
                 for failed_epoch, _frames, _cb in (*batch, *self._pending):

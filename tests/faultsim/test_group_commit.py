@@ -47,8 +47,7 @@ def record(oid: Oid, **values) -> bytes:
 
 def _open_and_stage(directory: Path, fault_gate=None):
     """One durable autocommit, then three staged-but-unwaited commits."""
-    store = ObjectStore(directory, group_commit_window_ms=5.0,
-                        fault_gate=fault_gate)
+    store = ObjectStore(directory, fault_gate=fault_gate)
     store.put(DURABLE, record(DURABLE, name="durable"))
     epochs = []
     for oid in VICTIMS:
@@ -236,8 +235,7 @@ def test_multi_writer_crash_schedule_model_check(tmp_path, site, occurrence):
     make_lab_database(tmp_path).close()
     directory = tmp_path / "lab.odb"
     gate = SiteCrash(site, occurrence=occurrence, flavor="crash")
-    server = OdeServer(tmp_path, fault_gate=gate,
-                       group_commit_window_ms=4.0)
+    server = OdeServer(tmp_path, fault_gate=gate)
     shadow: Dict[str, float] = {}
     attempted: Dict[str, float] = {}
     lock = threading.Lock()

@@ -105,6 +105,103 @@ def test_hit_rate(pagefile):
     assert pool.stats.hit_rate == 1.0
 
 
+# -- LRU replacement order -------------------------------------------------------
+
+def _fill_pages(pagefile, count):
+    """Allocate pages directly in the file (no pool involved)."""
+    return [pagefile.allocate_page() for _ in range(count)]
+
+
+def test_pool_hit_miss_eviction_sequence(pagefile):
+    pages = _fill_pages(pagefile, 5)
+    pool = BufferPool(pagefile, capacity=3, readahead=0)
+    for page_no in pages[:3]:
+        pool.fetch(page_no)
+    assert pool.stats.misses == 3 and pool.stats.hits == 0
+    pool.fetch(pages[0])
+    assert pool.stats.hits == 1
+    pool.fetch(pages[3])          # over capacity: someone is evicted
+    pool.fetch(pages[4])
+    assert pool.stats.evictions == 2
+    assert len(pool) == 3
+
+
+def test_pool_all_pinned_exhaustion(pagefile):
+    pages = _fill_pages(pagefile, 3)
+    pool = BufferPool(pagefile, capacity=2, readahead=0)
+    pool.fetch(pages[0], pin=True)
+    pool.fetch(pages[1], pin=True)
+    with pytest.raises(BufferPoolError):
+        pool.fetch(pages[2])
+    # unpinning one frame unblocks the pool
+    pool.unpin(pages[0])
+    pool.fetch(pages[2])
+    assert pages[2] in pool
+
+
+def test_pool_pinned_pages_survive_pressure(pagefile):
+    pages = _fill_pages(pagefile, 6)
+    pool = BufferPool(pagefile, capacity=2, readahead=0)
+    pool.fetch(pages[0], pin=True)
+    for page_no in pages[1:]:
+        pool.fetch(page_no)
+    assert pages[0] in pool
+    pool.unpin(pages[0])
+
+
+def test_lru_victim_is_least_recently_used(pagefile):
+    one, two, three, four, five = _fill_pages(pagefile, 5)
+    pool = BufferPool(pagefile, capacity=3, readahead=0)
+    for page_no in (one, two, three):
+        pool.fetch(page_no)
+    pool.fetch(one)               # order now two, three, one
+    pool.fetch(four)
+    assert two not in pool and all(p in pool for p in (one, three, four))
+    pool.fetch(five)
+    assert three not in pool and all(p in pool for p in (one, four, five))
+
+
+def test_lru_skips_unevictable(pagefile):
+    one, two, three, four = _fill_pages(pagefile, 4)
+    pool = BufferPool(pagefile, capacity=2, readahead=0)
+    pool.fetch(one, pin=True)     # least recent, but pinned
+    pool.fetch(two)
+    pool.fetch(three)             # the victim is two, not one
+    assert one in pool and two not in pool and three in pool
+    pool.fetch(two, pin=True)
+    with pytest.raises(BufferPoolError):
+        pool.fetch(four)          # nothing may go
+
+
+def test_lru_suffers_scan_pollution(pagefile):
+    """Strict LRU loses a re-referenced hot set to a one-pass sweep."""
+    hot = _fill_pages(pagefile, 2)
+    cold = _fill_pages(pagefile, 20)
+    pool = BufferPool(pagefile, capacity=4, readahead=0)
+    for page_no in hot:
+        pool.fetch(page_no)
+        pool.fetch(page_no)
+    for page_no in cold:
+        pool.fetch(page_no)
+    misses_before = pool.stats.misses
+    for page_no in hot:
+        pool.fetch(page_no)
+    assert pool.stats.misses == misses_before + len(hot)  # hot set gone
+
+
+def test_first_read_of_a_prefetched_page_is_not_a_re_reference(pagefile):
+    """A prefetched page keeps its admission place on its first demand
+    read; only a second read moves it to the recent end."""
+    demand, early, late, extra = _fill_pages(pagefile, 4)
+    pool = BufferPool(pagefile, capacity=3, readahead=0)
+    pool.fetch(demand)
+    pool.prefetch([early, late])  # order: demand, early, late
+    pool.fetch(early)             # admission touch: order unchanged
+    pool.fetch(demand)            # re-reference: early, late, demand
+    pool.fetch(extra)
+    assert early not in pool and late in pool and demand in pool
+
+
 # -- invalidate contract (regression) ------------------------------------------
 
 def test_invalidate_keeps_pinned_frames(pagefile):
@@ -242,11 +339,6 @@ def test_fetch_latency_histogram_observes_every_fetch(pagefile):
     pool.fetch(page_no)
     assert pool.fetch_time.count == 2
     assert pool.fetch_time.max > 0
-
-
-def test_pool_reports_policy_name(pagefile):
-    assert BufferPool(pagefile, policy="clock").policy_name == "clock"
-    assert BufferPool(pagefile).policy_name == "lru"
 
 
 def test_pool_feeds_process_registry(pagefile):

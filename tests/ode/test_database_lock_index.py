@@ -31,10 +31,10 @@ class TestLock:
             first.close()
 
     def test_failed_open_releases_lock(self, made):
-        # A bad eviction-policy name aborts __init__ after the lock is
+        # A zero-frame buffer pool aborts __init__ after the lock is
         # taken; the database must stay openable afterwards.
         with pytest.raises(Exception):
-            Database.open(made, eviction_policy="nosuch")
+            Database.open(made, pool_capacity=0)
         second = Database.open(made)
         second.close()
 

@@ -4,9 +4,9 @@ The tentpole contract: ``commit()`` splits into ``commit_stage()``
 (mint an epoch, queue the COMMIT record — cheap, under the store lock)
 and ``commit_wait()`` (block on the shared barrier until a leader has
 fsynced the batch and published the epochs in order).  These tests pin
-the batching arithmetic (K staged commits, one fsync), the window-0
-escape hatch (per-commit syncing, bit-for-bit the old write path), the
-publish-after-durable ordering, and the failure protocol — a transient
+the batching arithmetic (K staged commits, one fsync; at most
+``MAX_BATCH`` commits per fsync), the publish-after-durable ordering,
+and the failure protocol — a transient
 flush error fails the batch and the store recovers itself; a dead
 coordinator is sticky.
 """
@@ -22,6 +22,7 @@ from repro.faultsim import SimulatedCrash, crash_store
 from repro.ode.codec import encode_object
 from repro.ode.oid import Oid
 from repro.ode.store import ObjectStore
+from repro.ode.wal import MAX_BATCH
 
 
 def record(oid: Oid, **values) -> bytes:
@@ -51,7 +52,7 @@ class TestBatching:
 
     def test_k_staged_commits_one_fsync(self, tmp_path):
         """Four commits queued before any waiter: one batch, one sync."""
-        store = ObjectStore(tmp_path, group_commit_window_ms=5.0)
+        store = ObjectStore(tmp_path)
         epochs = [_stage(store, n, f"v{n}") for n in range(4)]
         for epoch in epochs:
             store.commit_wait(epoch)
@@ -63,34 +64,22 @@ class TestBatching:
         assert store.epoch == epochs[-1]
         store.close()
 
-    def test_window_zero_syncs_per_commit(self, tmp_path):
-        """window 0 reproduces the per-commit write path: N syncs for N."""
-        store = ObjectStore(tmp_path, group_commit_window_ms=0.0)
-        epochs = [_stage(store, n, f"v{n}") for n in range(4)]
-        for epoch in epochs:
-            store.commit_wait(epoch)
-        stats = store.group_commit_stats()
-        assert stats["commits"] == 4
-        assert stats["syncs"] == 4
-        assert stats["batch_size_max"] == 1
-        store.close()
-
     def test_max_batch_caps_the_batch(self, tmp_path):
-        store = ObjectStore(tmp_path, group_commit_window_ms=5.0,
-                            group_commit_max_batch=2)
-        epochs = [_stage(store, n, f"v{n}") for n in range(5)]
+        """One commit past the cap: a full batch, then a batch of one."""
+        store = ObjectStore(tmp_path)
+        epochs = [_stage(store, n, f"v{n}") for n in range(MAX_BATCH + 1)]
         for epoch in epochs:
             store.commit_wait(epoch)
         stats = store.group_commit_stats()
-        assert stats["commits"] == 5
-        assert stats["batch_size_max"] <= 2
-        assert stats["batches"] >= 3
+        assert stats["commits"] == MAX_BATCH + 1
+        assert stats["syncs"] == 2
+        assert stats["batch_size_max"] == MAX_BATCH
         store.close()
 
     def test_first_waiter_publishes_the_whole_batch_in_order(self, tmp_path):
         """The leader finishes every queued commit oldest-first, so one
         wait on the *first* epoch leaves all of them visible."""
-        store = ObjectStore(tmp_path, group_commit_window_ms=5.0)
+        store = ObjectStore(tmp_path)
         epochs = [_stage(store, n, f"v{n}") for n in range(3)]
         store.commit_wait(epochs[0])
         assert store.epoch == epochs[-1]
@@ -100,13 +89,12 @@ class TestBatching:
         store.close()
 
     def test_stats_shape(self, tmp_path):
-        store = ObjectStore(tmp_path, group_commit_window_ms=2.0,
-                            group_commit_max_batch=32)
+        store = ObjectStore(tmp_path)
         stats = store.group_commit_stats()
-        assert stats["window_ms"] == 2.0
-        assert stats["max_batch"] == 32
-        for key in ("batches", "commits", "syncs", "batch_size_mean",
-                    "batch_size_max", "wait_count", "wait_mean_ms",
+        # the keys odebench's layer metrics read, then the rest the
+        # statistics window shows
+        for key in ("commits", "syncs", "wait_count", "wait_mean_ms",
+                    "batches", "batch_size_mean", "batch_size_max",
                     "wait_p95_ms"):
             assert key in stats
         store.commit_wait(_stage(store, 0, "x"))
@@ -124,7 +112,7 @@ class TestMultiWriter:
         every acked write and the published epoch must equal the number
         of commits (contiguous epochs, none lost or duplicated).
         """
-        store = ObjectStore(tmp_path, group_commit_window_ms=4.0)
+        store = ObjectStore(tmp_path)
         writer_lock = threading.Lock()
         shadow = {}
         shadow_lock = threading.Lock()

@@ -219,12 +219,13 @@ class TestNativeBytesPayloads:
         assert record.to_value()["payload"] == b"\x00\xff\x80"
         assert isinstance(record.to_value()["payload"], bytes)
 
-    def test_legacy_latin1_payload_accepted(self):
-        """Logs written before the bytes tag decoded payloads as str."""
-        legacy = {"op": OP_PUT, "txid": 1, "oid": "db:c:0",
-                  "payload": b"\x00\xff\x80".decode("latin-1")}
-        record = WalRecord.from_value(legacy)
-        assert record.payload == b"\x00\xff\x80"
+    def test_text_payload_refused(self):
+        """A record read from disk whose payload is text, not bytes, is
+        refused with a typed error (no log writes text payloads)."""
+        text = {"op": OP_PUT, "txid": 1, "oid": "db:c:0",
+                "payload": b"\x00\xff\x80".decode("latin-1")}
+        with pytest.raises(WalError, match="bytes"):
+            WalRecord.from_value(text)
 
     def test_non_utf8_payload_on_disk(self, tmp_path):
         """A payload that is invalid UTF-8 survives the disk round trip."""
