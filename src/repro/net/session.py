@@ -338,14 +338,11 @@ class ServerSession:
         changes between batches.
         """
         hosted = self._hosted(payload)
-        database = hosted.database
         class_name = payload.get("class", "")
         after = int(payload.get("after", -1))
         limit = max(1, min(int(payload.get("limit", 64)), MAX_SCAN_BATCH))
-        objects = database.objects
+        objects = hosted.database.objects
         cluster = objects.cluster(class_name)
-        if after < 0:
-            database.store.prefetch_cluster(class_name)
         # One bounded read, one past the batch: a spare number is what
         # says another batch follows.
         numbers = cluster.range(after, limit + 1)

@@ -10,13 +10,10 @@ Replacement is strict least-recently-used: the frames live in one
 its page to the end and the victim is the first unpinned page.  Why
 LRU and no other policy: EXPERIMENTS.md §ABL-EVICT.
 
-Two kinds of read-ahead feed cluster scans:
-
-* **explicit hints** — :meth:`prefetch` takes page numbers the store
-  already knows a scan will touch (it has the OID → page map);
-* **sequential detection** — consecutive miss page numbers trigger a
-  bounded read-ahead window (``readahead`` pages), so a raw page sweep
-  (e.g. store rebuild at open) streams instead of stuttering.
+Sequential read-ahead: consecutive miss page numbers trigger a bounded
+read-ahead window (``readahead`` pages, read by :meth:`prefetch`), so a
+page sweep (the store rebuild at open, a scan of a cluster laid out in
+OID order) streams instead of stuttering.
 
 Prefetched pages are admitted at the recent end but counted as
 ``stats.prefetches``, not misses; a later fetch of a prefetched page is

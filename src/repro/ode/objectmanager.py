@@ -370,11 +370,7 @@ class ObjectManager:
         """All (matching) buffers of a cluster, in sequencing order, all
         from one snapshot — a select never observes half a concurrent
         commit.
-
-        The whole cluster will be touched, so the scan's page footprint
-        is hinted to the buffer pool up front (sequential prefetch).
         """
-        self._store.prefetch_cluster(class_name)
         ambient = self._current_snapshot()
         if ambient is not None:
             yield from self._select_from(ambient, class_name, predicate)

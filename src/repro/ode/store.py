@@ -58,13 +58,13 @@ overwrites the OID.  A snapshot read walks the chain for the newest
 entry at or below its epoch; a chain miss provably means the OID is
 unmodified since the pruning watermark (older than every live
 snapshot), so the read falls back to the current pages under the store
-lock — and caches the committed value as a single-entry chain so repeat
-reads stay lock-free.  Entries superseded by a newer entry at or below
-the watermark (``min`` live snapshot epoch, else the current epoch) are
-dropped: each commit prunes the chains it grew, and a snapshot release
-sweeps the other multi-version chains only when it raised the
-watermark.  Single-entry current-value chains are kept as a read cache
-bounded by ``mvcc_cache_limit``.
+lock.  The buffer pool is the store's only read cache.  Entries
+superseded by a newer entry at or below the watermark (``min`` live
+snapshot epoch, else the current epoch) are dropped, and a chain left
+with one entry at or below the watermark is dropped whole — the pages
+hold that value — so with no snapshot open no chain outlives its
+commit.  Each commit prunes the chains it grew, and a snapshot release
+sweeps every chain only when it raised the watermark.
 """
 
 from __future__ import annotations
@@ -298,8 +298,7 @@ class ObjectStore(_MembershipReads):
     WAL_FILE = "wal.log"
 
     def __init__(self, directory: Union[str, Path], pool_capacity: int = 64,
-                 fault_gate: Optional[Callable[..., Any]] = None,
-                 mvcc_cache_limit: int = 4096):
+                 fault_gate: Optional[Callable[..., Any]] = None):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._fault_gate = fault_gate
@@ -319,7 +318,6 @@ class ObjectStore(_MembershipReads):
         self._m_gets = registry.counter("store.gets")
         self._m_puts = registry.counter("store.puts")
         self._m_deletes = registry.counter("store.deletes")
-        self._m_read_time = registry.histogram("store.read_seconds")
         self._m_snapshot_reads = registry.counter("mvcc.snapshot_reads")
         self._m_read_fallbacks = registry.counter("mvcc.read_fallbacks")
         self._m_pruned = registry.counter("mvcc.pruned")
@@ -345,15 +343,13 @@ class ObjectStore(_MembershipReads):
         # needed — snapshot reads take it alone, which is what keeps
         # them off the write path's lock.
         self._mvcc_lock = threading.Lock()
+        # Only the chains some pinned reader may still need: all a
+        # watermark sweep has to visit.
         self._mvcc: Dict[Oid, Chain] = {}
-        # The chains holding more than one version: all a watermark
-        # sweep has to visit.
-        self._multi: Dict[Oid, Chain] = {}
         self._pins: Dict[int, int] = {}
         # Committed membership per cluster, for the live view and for
         # snapshots alike; an emptied cluster keeps its (empty) entry.
         self._members: Dict[str, ClusterMembership] = {}
-        self._mvcc_cache_limit = mvcc_cache_limit
         self._epoch = 0
         # Fenced primary term (see DESIGN.md §Replication).  Recovered
         # from the WAL below; a fresh store — and any log written before
@@ -469,7 +465,6 @@ class ObjectStore(_MembershipReads):
             membership.numbers.sort()
         with self._mvcc_lock:
             self._mvcc.clear()
-            self._multi.clear()
             self._m_versions_live.set(0)
             self._members = members
             if epoch is not None:
@@ -538,52 +533,18 @@ class ObjectStore(_MembershipReads):
         del self._table[oid]
 
     def _read_from_pages(self, oid: Oid) -> bytes:
-        with self._m_read_time.time():
-            location = self._table[oid]
-            if len(location) == 1:
-                page_no, slot = location[0]
-                record = self._pool.fetch(page_no).read(slot)
-                if record and record[0] != _FRAGMENT_MAGIC:
-                    return record
-            else:
-                # A fragment chain's pages are known up front: hint them
-                # to the pool as one batch before walking the chain.
-                self._pool.prefetch(page_no for page_no, _slot in location)
-            parts = []
-            for page_no, slot in location:
-                record = self._pool.fetch(page_no).read(slot)
-                _oid, _index, _total, chunk = _decode_fragment(record)
-                parts.append(chunk)
-            return b"".join(parts)
-
-    # -- prefetch hints ---------------------------------------------------------
-
-    def cluster_pages(self, cluster: str) -> List[int]:
-        """Distinct page numbers holding a cluster's records, in the OID
-        order a sequencing scan will touch them."""
-        locations = sorted(
-            (oid.number, location)
-            for oid, location in self._table.items()
-            if oid.cluster == cluster
-        )
-        pages: List[int] = []
-        seen = set()
-        for _number, location in locations:
-            for page_no, _slot in location:
-                if page_no not in seen:
-                    seen.add(page_no)
-                    pages.append(page_no)
-        return pages
-
-    def prefetch_cluster(self, cluster: str) -> int:
-        """Hint an upcoming cluster scan to the buffer pool.
-
-        The object manager calls this before sequencing/selecting over a
-        cluster; the pool reads ahead as far as capacity (and pins)
-        allow.  Returns the number of pages actually prefetched.
-        """
-        with self._lock:
-            return self._pool.prefetch(self.cluster_pages(cluster))
+        location = self._table[oid]
+        if len(location) == 1:
+            page_no, slot = location[0]
+            record = self._pool.fetch(page_no).read(slot)
+            if record and record[0] != _FRAGMENT_MAGIC:
+                return record
+        parts = []
+        for page_no, slot in location:
+            record = self._pool.fetch(page_no).read(slot)
+            _oid, _index, _total, chunk = _decode_fragment(record)
+            parts.append(chunk)
+        return b"".join(parts)
 
     # -- transactions ------------------------------------------------------------------
 
@@ -1140,7 +1101,7 @@ class ObjectStore(_MembershipReads):
                 self._m_full_sweeps.inc()
                 for members in self._members.values():
                     members.prune(watermark)
-                self._prune_locked(list(self._multi.items()))
+                self._prune_locked(list(self._mvcc.items()))
 
     def _tx_effects(self) -> Dict[Oid, Optional[bytes]]:
         """Net effect of the open transaction, last write per OID wins
@@ -1156,18 +1117,17 @@ class ObjectStore(_MembershipReads):
     ) -> Dict[Oid, Optional[bytes]]:
         """Committed values of the OIDs this commit overwrites.
 
-        Captured for every written OID that has no version chain yet,
-        *before* the pages are touched: the pre-image becomes the
-        chain's base entry (stamped epoch 0), so snapshots older than
-        this commit keep reading the overwritten value.  Unconditional —
-        gating on live pins would race a snapshot opened between the
-        check and publish.
+        Captured *before* the pages are touched: where a written OID has
+        no version chain at publish, the pre-image becomes the chain's
+        base entry (stamped epoch 0), so snapshots older than this
+        commit keep reading the overwritten value.  Captured for every
+        written OID, chain or not: a snapshot release (``_mvcc_lock``
+        only) can prune a chain away between here and the publish, and
+        gating on live pins would race a snapshot opened in between.
         """
-        with self._mvcc_lock:
-            missing = [oid for oid in effects if oid not in self._mvcc]
         return {
             oid: self._read_from_pages(oid) if oid in self._table else None
-            for oid in missing
+            for oid in effects
         }
 
     def _publish_epoch(self, epoch: int,
@@ -1187,7 +1147,7 @@ class ObjectStore(_MembershipReads):
             for oid, payload in effects.items():
                 chain = self._mvcc.get(oid)
                 if chain is None:
-                    chain = self._mvcc[oid] = [(0, preimages.get(oid))]
+                    chain = self._mvcc[oid] = [(0, preimages[oid])]
                     self._m_versions_live.inc()
                 chain.append((epoch, payload))
                 self._m_versions_live.inc()
@@ -1204,38 +1164,26 @@ class ObjectStore(_MembershipReads):
         """Drop versions no live snapshot can reach (``_mvcc_lock`` held).
 
         Within a chain, everything superseded by a newer entry at or
-        below the watermark goes.  A chain pruned down to one entry at
-        or below the watermark holds the OID's *current* committed value
-        — it is kept as a lock-free read cache, evicted only past
-        ``mvcc_cache_limit``.
+        below the watermark goes.  A chain whose newest entry is at or
+        below the watermark goes whole: that entry is the OID's current
+        committed value, which every reader sees and the pages hold.
 
         *chains* are the ones that can have prunable entries: those one
         commit just grew — O(commit size) — or, when a snapshot release
-        raised the watermark, every multi-version chain.  No caller
-        walks the single-entry cache; overflow is evicted oldest-first
-        and stops at the first ``overflow`` evictable chains.
+        raised the watermark, every chain.
         """
         watermark = self._watermark_locked()
         pruned = 0
         for oid, chain in chains:
-            keep_from = 0
-            for index in range(len(chain) - 1, -1, -1):
+            if chain[-1][0] <= watermark:
+                del self._mvcc[oid]
+                pruned += len(chain)
+                continue
+            for index in range(len(chain) - 2, 0, -1):
                 if chain[index][0] <= watermark:
-                    keep_from = index
+                    del chain[:index]
+                    pruned += index
                     break
-            if keep_from:
-                pruned += keep_from
-                del chain[:keep_from]
-            if len(chain) > 1:
-                self._multi[oid] = chain
-            else:
-                self._multi.pop(oid, None)
-        overflow = len(self._mvcc) - self._mvcc_cache_limit
-        if overflow > 0:
-            evictable = (oid for oid, chain in self._mvcc.items()
-                         if len(chain) == 1 and chain[0][0] <= watermark)
-            for oid in list(itertools.islice(evictable, overflow)):
-                pruned += len(self._mvcc.pop(oid))
         if pruned:
             self._m_pruned.inc(pruned)
             self._m_versions_live.dec(pruned)
@@ -1255,8 +1203,7 @@ class ObjectStore(_MembershipReads):
         means the OID is unmodified since the watermark (every
         modification creates a chain; pruning only removes what no live
         snapshot needs), so the current pages hold the right answer —
-        read them under the store lock, then cache the value as a
-        single-entry chain so the next reader stays lock-free.
+        read them, through the buffer pool, under the store lock.
         """
         self._m_snapshot_reads.inc()
         with self._mvcc_lock:
@@ -1265,20 +1212,15 @@ class ObjectStore(_MembershipReads):
                 return entry[1]
         self._m_read_fallbacks.inc()
         with self._lock:
-            # Re-check under the store lock: a commit may have published
-            # a chain (with the pre-image we need) while we waited.
+            # Re-check under the store lock: the commit leader applies
+            # the pages and publishes the chain (with the pre-image we
+            # need) under it, so a commit that overwrote this OID while
+            # we waited has its chain in place by now.
             with self._mvcc_lock:
                 entry = self._chain_entry_at(self._mvcc.get(oid, ()), epoch)
                 if entry is not None:
                     return entry[1]
-            value = (self._read_from_pages(oid)
-                     if oid in self._table else None)
-            with self._mvcc_lock:
-                if (oid not in self._mvcc
-                        and len(self._mvcc) < self._mvcc_cache_limit):
-                    self._mvcc[oid] = [(0, value)]
-                    self._m_versions_live.inc()
-            return value
+            return self._read_from_pages(oid) if oid in self._table else None
 
     # -- public record API ---------------------------------------------------------------
 

@@ -1,14 +1,17 @@
-"""Snapshot membership against a plain model, across interleavings.
+"""Snapshot membership and values against a plain model, across
+interleavings.
 
 A hypothesis rule-based state machine drives one :class:`ObjectStore`
 through inserts (out of order, and re-inserts of deleted numbers),
 deletes, updates, multi-operation transactions that commit or abort,
 snapshots that open, refresh and close at any point, ``vacuum`` and
-close-and-reopen.  The model is a dict of committed members per epoch.
-After every step the live view and every open snapshot must answer
-every membership read — the whole list, size, first/last, each
-``after``/``before`` step, a bounded range, cluster names, all OIDs —
-exactly as the model of their epoch does.
+close-and-reopen.  The model is, per epoch, the ``x`` last committed for
+each member.  After every step the live view and every open snapshot
+must answer every membership read — the whole list, size, first/last,
+each ``after``/``before`` step, a bounded range, cluster names, all
+OIDs — and every ``get`` exactly as the model of their epoch does.  With
+no snapshot open the store must hold no version chain: the pages hold
+every value, and the buffer pool is the only read cache.
 
 ``MEMBERSHIP_EXAMPLES`` raises the example budget (CI's tier-2 job);
 ``--hypothesis-seed`` replays a run.
@@ -29,7 +32,7 @@ from hypothesis.stateful import (
 )
 
 from repro.ode.cluster import Cluster
-from repro.ode.codec import encode_object
+from repro.ode.codec import decode_object, encode_object
 from repro.ode.oid import Oid
 from repro.ode.store import ObjectStore
 
@@ -42,19 +45,21 @@ class MembershipMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.directory = Path(tempfile.mkdtemp(prefix="membership-prop-"))
-        self.store = ObjectStore(self.directory / "db", mvcc_cache_limit=6)
-        self.live = {name: set() for name in CLUSTERS}
+        self.store = ObjectStore(self.directory / "db")
+        # cluster -> {number: x}, as committed
+        self.live = {name: {} for name in CLUSTERS}
         self.at_epoch = {self.store.epoch: self._frozen()}
         self.snapshots = []
         self.writes = 0
 
     def _frozen(self):
-        return {name: frozenset(members)
-                for name, members in self.live.items()}
+        return {name: dict(members) for name, members in self.live.items()}
 
-    def _record(self, oid):
+    def _write(self, oid, members):
+        """Put a fresh ``x`` for *oid* and note it in *members*."""
         self.writes += 1
-        return encode_object(oid, oid.cluster, {"x": self.writes})
+        self.store.put(oid, encode_object(oid, oid.cluster, {"x": self.writes}))
+        members[oid.number] = self.writes
 
     def _committed(self):
         self.at_epoch[self.store.epoch] = self._frozen()
@@ -64,15 +69,14 @@ class MembershipMachine(RuleBasedStateMachine):
     @rule(oid=OIDS)
     def put(self, oid):
         """Insert (any order, re-inserts included) or update."""
-        self.store.put(oid, self._record(oid))
-        self.live[oid.cluster].add(oid.number)
+        self._write(oid, self.live[oid.cluster])
         self._committed()
 
     @rule(oid=OIDS)
     def delete(self, oid):
         if oid.number in self.live[oid.cluster]:
             self.store.delete(oid)
-            self.live[oid.cluster].discard(oid.number)
+            del self.live[oid.cluster][oid.number]
             self._committed()
 
     @rule(cluster=st.sampled_from(CLUSTERS))
@@ -89,15 +93,14 @@ class MembershipMachine(RuleBasedStateMachine):
     @rule(ops=st.lists(st.tuples(OIDS, st.booleans()), min_size=1, max_size=8),
           commit=st.booleans())
     def transaction(self, ops, commit):
-        staged = {name: set(members) for name, members in self.live.items()}
+        staged = self._frozen()
         self.store.begin()
         for oid, present in ops:
             if present:
-                self.store.put(oid, self._record(oid))
-                staged[oid.cluster].add(oid.number)
+                self._write(oid, staged[oid.cluster])
             elif oid.number in staged[oid.cluster]:
                 self.store.delete(oid)
-                staged[oid.cluster].discard(oid.number)
+                del staged[oid.cluster][oid.number]
         if commit:
             self.store.commit()
             self.live = staged
@@ -135,15 +138,18 @@ class MembershipMachine(RuleBasedStateMachine):
             snapshot.close()
         self.snapshots = []
         self.store.close()
-        self.store = ObjectStore(self.directory / "db", mvcc_cache_limit=6)
+        self.store = ObjectStore(self.directory / "db")
 
-    # -- the invariant -----------------------------------------------------------
+    # -- the invariants ----------------------------------------------------------
+
+    def _views(self):
+        views = [(self.store, self.live)]
+        views += [(snap, self.at_epoch[snap.epoch]) for snap in self.snapshots]
+        return views
 
     @invariant()
     def every_view_matches_its_epoch(self):
-        views = [(self.store, self.live)]
-        views += [(snap, self.at_epoch[snap.epoch]) for snap in self.snapshots]
-        for reader, expected in views:
+        for reader, expected in self._views():
             for name in CLUSTERS:
                 members = sorted(expected[name])
                 cluster = Cluster(reader, "db", name)
@@ -166,6 +172,23 @@ class MembershipMachine(RuleBasedStateMachine):
             assert list(reader.oids()) == [
                 Oid("db", name, number)
                 for name in names for number in sorted(expected[name])]
+
+    @invariant()
+    def every_view_reads_its_epochs_values(self):
+        for reader, expected in self._views():
+            for name in CLUSTERS:
+                for number in range(12):
+                    oid = Oid("db", name, number)
+                    x = expected[name].get(number)
+                    assert reader.exists(oid) == (x is not None), (reader, oid)
+                    if x is not None:
+                        _oid, _cls, values = decode_object(reader.get(oid))
+                        assert values["x"] == x, (reader, oid)
+
+    @invariant()
+    def no_chain_without_a_pin(self):
+        if not self.snapshots:
+            assert not self.store._mvcc
 
     def teardown(self):
         for snapshot in self.snapshots:

@@ -168,33 +168,47 @@ class TestVersionChainsAndPruning:
         oid = Oid("db", "c", 0)
         for x in range(50):
             store.put(oid, record(oid, x=x))
-        chain = store._mvcc.get(oid)
-        assert chain is not None and len(chain) == 1  # current value only
+        assert not store._mvcc   # no pin open: the pages hold every value
 
-    def test_cache_limit_bounds_chain_count(self, tmp_path):
-        with ObjectStore(tmp_path / "db", mvcc_cache_limit=8) as store:
-            for n in range(64):
-                oid = Oid("db", "c", n)
-                store.put(oid, record(oid, x=n))
-            with store.snapshot() as snap:
-                for n in range(64):
-                    snap.get(Oid("db", "c", n))  # fallback reads populate cache
-            assert len(store._mvcc) <= 8
+    def test_release_between_apply_and_publish_keeps_preimage(self, tmp_path):
+        """A release prunes under the MVCC lock alone, so it can drop a
+        written OID's chain while the commit sits between page apply and
+        publish; a snapshot pinned just then must still read the
+        overwritten value."""
+        oid = Oid("db", "c", 0)
+        hook = {}
+
+        def gate(site, data, default):
+            if site == "store.commit.index" and "old" in hook:
+                hook.pop("old").close()   # drops the chain: x=2 is current
+                hook["new"] = store.snapshot()   # pins x=2
+            return default() if data is None else default(data)
+
+        with ObjectStore(tmp_path / "db", fault_gate=gate) as store:
+            store.put(oid, record(oid, x=1))
+            old = store.snapshot()
+            store.put(oid, record(oid, x=2))   # chained for the old pin
+            hook["old"] = old
+            store.put(oid, record(oid, x=3))
+            with hook["new"] as snap:
+                assert snap.get(oid) == record(oid, x=2)
 
     def test_fallback_read_is_snapshot_correct_and_cached(self, tmp_path):
         oid = Oid("db", "c", 0)
         with ObjectStore(tmp_path / "db") as store:
             store.put(oid, record(oid, x=1))
-        # a fresh open has no version chains: the first snapshot read is
-        # a page fallback, which then seeds the lock-free cache
+        # no chain survives without a pin: both snapshot reads are page
+        # reads, and the buffer pool serves the second
         with ObjectStore(tmp_path / "db") as store:
             reads = store._m_snapshot_reads.value
             fallbacks = store._m_read_fallbacks.value
             with store.snapshot() as snap:
-                assert snap.get(oid) == record(oid, x=1)   # miss -> fallback
-                assert snap.get(oid) == record(oid, x=1)   # now chain-served
+                assert snap.get(oid) == record(oid, x=1)
+                misses = store.pool.stats.misses
+                assert snap.get(oid) == record(oid, x=1)
+                assert store.pool.stats.misses == misses
             assert store._m_snapshot_reads.value == reads + 2
-            assert store._m_read_fallbacks.value == fallbacks + 1
+            assert store._m_read_fallbacks.value == fallbacks + 2
 
     def test_concurrent_readers_see_atomic_pairs(self, store):
         """Torture: paired objects must always match inside one snapshot."""
