@@ -72,12 +72,12 @@ def _browse_workload(port: int, duration: float, worker: int,
                 choice = rng.random()
                 if choice < 0.6:
                     # point fetch; cache cleared so it hits the wire
-                    objects.cache.clear()
+                    objects.cache.purge()
                     objects.get_buffer(cluster.oid(rng.randrange(55)))
                 elif choice < 0.9:
                     objects.count("employee")
                 else:
-                    objects.cache.clear()
+                    objects.cache.purge()
                     objects.scan("employee")
                 latencies.append(time.perf_counter() - started)
         finally:

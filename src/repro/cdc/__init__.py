@@ -15,27 +15,25 @@ change.
 """
 
 from repro.cdc.router import (
-    DEFAULT_QUEUE_CAPACITY,
+    QUEUE_CAPACITY,
     CdcSubscriber,
     ChangeRouter,
 )
 from repro.cdc.subscription import ChangeEvent, Subscription
 from repro.cdc.summary import (
     ChangeSummary,
-    merge_summaries,
     summarize_unit,
     summary_from_wire,
     summary_to_wire,
 )
 
 __all__ = [
-    "DEFAULT_QUEUE_CAPACITY",
+    "QUEUE_CAPACITY",
     "CdcSubscriber",
     "ChangeEvent",
     "ChangeRouter",
     "ChangeSummary",
     "Subscription",
-    "merge_summaries",
     "summarize_unit",
     "summary_from_wire",
     "summary_to_wire",

@@ -14,12 +14,12 @@ path:
   I/O, no waiting.  A subscriber's pump task on the server's event
   loop does the actual frame writes.
 * Every subscriber's queue is **bounded**.  When a slow consumer falls
-  ``capacity`` summaries behind, the queue collapses into one pending
-  *resync* marker ("delta detail lost; wholesale-invalidate from epoch
-  E") instead of blocking the committer or growing without bound — and
-  later commits keep folding into that marker until the consumer
-  drains it.  Degradation is graceful and explicit, never a silent
-  drop: the consumer always learns *that* it missed changes.
+  :data:`QUEUE_CAPACITY` summaries behind, the queue collapses into one
+  pending *resync* marker ("delta detail lost; wholesale-invalidate from
+  epoch E") instead of blocking the committer or growing without
+  bound — and later commits keep folding into that marker until the
+  consumer drains it.  Degradation is graceful and explicit, never a
+  silent drop: the consumer always learns *that* it missed changes.
 * A dead subscriber (send failed, connection closed) is unregistered;
   its queue is garbage, not backpressure.
 """
@@ -34,11 +34,9 @@ from repro.obs import get_registry
 from repro.cdc.summary import ChangeSummary, summarize_unit
 
 #: Summaries a subscriber may fall behind before its queue coalesces
-#: into a single resync event.
-DEFAULT_QUEUE_CAPACITY = 128
-
-#: Server-side ceiling on what a subscriber may ask for.
-MAX_QUEUE_CAPACITY = 4096
+#: into a single resync event.  Server-side and fixed: no client sizes
+#: the memory the server holds for it.
+QUEUE_CAPACITY = 128
 
 
 class CdcSubscriber:
@@ -52,12 +50,11 @@ class CdcSubscriber:
     """
 
     def __init__(self, sub_id: int, db_name: str,
-                 clusters: Optional[Sequence[str]] = None,
-                 capacity: int = DEFAULT_QUEUE_CAPACITY):
+                 clusters: Optional[Sequence[str]] = None):
         self.sub_id = sub_id
         self.db_name = db_name
         self.clusters = frozenset(clusters) if clusters is not None else None
-        self.capacity = max(1, min(int(capacity), MAX_QUEUE_CAPACITY))
+        self.capacity = QUEUE_CAPACITY
         self._lock = threading.Lock()
         self._queue: deque = deque()
         self._resync_from: Optional[int] = None

@@ -52,8 +52,7 @@ class Subscription:
     def __init__(self, client, sub_id: int, db: str,
                  clusters: Optional[Sequence[str]] = None,
                  epoch: int = 0,
-                 on_event: Optional[Callable[[ChangeEvent], None]] = None,
-                 capacity: int = LOCAL_QUEUE_CAPACITY):
+                 on_event: Optional[Callable[[ChangeEvent], None]] = None):
         self._client = client
         self.sub_id = sub_id
         self.db = db
@@ -62,7 +61,7 @@ class Subscription:
         #: contiguous from here, so it is the cache's starting floor.
         self.epoch = epoch
         self._on_event = on_event
-        self._capacity = max(1, capacity)
+        self._capacity = LOCAL_QUEUE_CAPACITY
         self._cond = threading.Condition()
         self._queue: deque = deque()
         self._pending_resync: Optional[int] = None

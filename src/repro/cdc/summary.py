@@ -82,42 +82,6 @@ def summarize_unit(epoch: int, frames: List[WalRecord]) -> ChangeSummary:
     )
 
 
-def merge_summaries(summaries: List[ChangeSummary]) -> ChangeSummary:
-    """Coalesce a burst of summaries into one event (server-side batching).
-
-    Under a hot write rate a subscriber's queue holds several commits by
-    the time its pump gets to the socket; shipping their union as one
-    frame is sound because a summary is an *invalidation*, not a delta:
-    the consumer purges the named objects and refetches at its next
-    read, so "changed at epoch 3" subsumes "changed at epochs 1 and 2".
-    The merged epoch is therefore the newest.  Any resync in the batch
-    poisons the merge — detail from the other summaries is worthless
-    once the consumer must invalidate wholesale — and the order of first
-    touch is preserved within each cluster, like :func:`summarize_unit`.
-    """
-    if not summaries:
-        raise ValueError("nothing to merge")
-    if len(summaries) == 1:
-        return summaries[0]
-    epoch = max(summary.epoch for summary in summaries)
-    if any(summary.resync for summary in summaries):
-        return ChangeSummary(epoch=epoch, resync=True)
-    changes: Dict[str, List[str]] = {}
-    seen: Dict[str, set] = {}
-    for summary in summaries:
-        for cluster, oids in summary.changes.items():
-            bucket = changes.setdefault(cluster, [])
-            marks = seen.setdefault(cluster, set())
-            for oid in oids:
-                if oid not in marks:
-                    marks.add(oid)
-                    bucket.append(oid)
-    return ChangeSummary(
-        epoch=epoch,
-        changes={name: tuple(oids) for name, oids in changes.items()},
-    )
-
-
 def summary_to_wire(summary: ChangeSummary) -> Dict[str, Any]:
     """The codec-dict form an ``OP_CDC_EVENT`` frame carries."""
     return {

@@ -40,7 +40,6 @@ Besides the REPL, two network entry points::
       [--replica-of host:port]                  ... as a read replica
       [--replica-peers host:port,...]           failover candidates the
                                                 applier may re-home to
-      [--cdc-flush-ms N]                        batch CDC pushes per tick
   python -m repro connect <host> <port> <db>    browse a served database
   python -m repro connect <host> <port> <db> --follow [cluster,...]
                                                 tail the change feed (CDC)
@@ -377,8 +376,7 @@ class OdeViewCli:
 
 
 _SERVE_USAGE = ("usage: python -m repro serve <root> [host] [port] "
-                "[--replica-of host:port] [--replica-peers host:port,...] "
-                "[--cdc-flush-ms N]")
+                "[--replica-of host:port] [--replica-peers host:port,...]")
 
 
 def _host_port(text: str) -> Tuple[str, int]:
@@ -393,8 +391,6 @@ _SERVE_FLAGS = {
         "replica_peers",
         lambda text: [_host_port(peer) for peer in text.split(",")],
         "host:port[,host:port...]"),
-    "--cdc-flush-ms": (
-        "cdc_flush_seconds", lambda text: float(text) / 1000.0, "a number"),
 }
 
 

@@ -20,12 +20,12 @@ writes
 CDC push
     loop-native pump tasks.  The subscriber's wakeup notifier posts to
     the loop (``call_soon_threadsafe``), the pump drains the bounded
-    queue and writes frames through the connection's serialized writer
-    — an idle subscription parks on an event and costs zero wakeups.
+    queue and writes one frame per commit through the connection's
+    serialized writer — an idle subscription parks on an event and
+    costs zero wakeups.
 replication long-poll
     loop-native too: an ``OP_REPL_FETCH`` with nothing to stream parks
-    an ``asyncio.Event`` registered as a feed waiter instead of a
-    thread in the feed's condition variable.
+    an ``asyncio.Event`` registered as a feed waiter; no thread waits.
 
 Backpressure is the transport's: replies and pushes go through
 ``StreamWriter.drain()``, so a peer that stops reading suspends only
@@ -40,7 +40,7 @@ import functools
 import itertools
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from repro.cdc import CdcSubscriber, merge_summaries, summary_to_wire
+from repro.cdc import CdcSubscriber, summary_to_wire
 from repro.errors import NetworkError, OdeError
 from repro.net import protocol as P
 from repro.net.session import ServerSession
@@ -259,8 +259,7 @@ class _AsyncConnection:
             max(int(payload.get("wait_ms", 0)) / 1000.0, 0.0),
             MAX_WAIT_SECONDS)
         loop = asyncio.get_running_loop()
-        fetch = functools.partial(feed.fetch, after, max_units=max_units,
-                                  wait_seconds=0.0)
+        fetch = functools.partial(feed.fetch, after, max_units=max_units)
         # The waiter fires on the committer's thread (and on feed
         # close), so it only posts the event back to the loop.
         wake = asyncio.Event()
@@ -303,11 +302,8 @@ class _AsyncConnection:
             clusters = tuple(str(c) for c in clusters)
             for name in clusters:
                 database.schema.get_class(name)  # raises on unknown class
-        capacity = payload.get("capacity")
         sub_id = next(self._sub_ids)
-        subscriber = CdcSubscriber(sub_id, database.name, clusters=clusters,
-                                   **({"capacity": capacity}
-                                      if isinstance(capacity, int) else {}))
+        subscriber = CdcSubscriber(sub_id, database.name, clusters=clusters)
         loop = asyncio.get_running_loop()
         wake = asyncio.Event()
 
@@ -351,35 +347,21 @@ class _AsyncConnection:
     async def _pump(self, sub: _AsyncSubscription) -> None:
         """Drain one subscriber's queue onto the connection.
 
-        Parks on the subscription's wake event — zero idle wakeups.
-        With the server's CDC flush tick set, a burst is merged into one
-        frame per tick (:func:`~repro.cdc.summary.merge_summaries`);
-        otherwise delivery is exactly one frame per commit.
+        Parks on the subscription's wake event — zero idle wakeups — and
+        ships one frame per drained summary, so every commit reaches the
+        consumer at its own epoch.
         """
-        registry = get_registry()
-        m_events = registry.counter("cdc.batch.events_in")
-        m_frames = registry.counter("cdc.batch.frames_out")
-        m_merged = registry.counter("cdc.batch.merged")
-        m_send_errors = registry.counter("cdc.send_errors")
-        flush = self._server.cdc_flush_seconds
+        m_send_errors = get_registry().counter("cdc.send_errors")
         subscriber = sub.subscriber
         while True:
             await sub.wake.wait()
             sub.wake.clear()
-            if flush is not None and flush > 0.0 and not subscriber.closed:
-                await asyncio.sleep(flush)  # let the burst land
             while True:
                 batch = subscriber.drain()
                 if not batch:
                     break
-                if flush is None:
-                    summaries = batch
-                else:
-                    summaries = [merge_summaries(batch)]
-                    if len(batch) > 1:
-                        m_merged.inc(len(batch) - 1)
                 try:
-                    for summary in summaries:
+                    for summary in batch:
                         sent = await self._send(0, P.OP_CDC_EVENT, {
                             "db": sub.db_name, "sub": sub.sub_id,
                             **summary_to_wire(summary)})
@@ -395,7 +377,5 @@ class _AsyncConnection:
                     except OdeError:
                         pass
                     return
-                m_events.inc(len(batch))
-                m_frames.inc(len(summaries))
             if subscriber.closed:
                 return

@@ -88,6 +88,9 @@ ROUTED_OPCODES = frozenset({
     P.OP_CLUSTER_NUMBERS, P.OP_COUNT, P.OP_EXISTS, P.OP_VERSION_HISTORY,
 })
 
+#: First delay before a read retry; doubles per attempt.
+RETRY_BACKOFF_SECONDS = 0.05
+
 #: How long a replica sits out after a connection failure.
 REPLICA_COOLDOWN_SECONDS = 1.0
 
@@ -136,13 +139,12 @@ class OdeClient:
     """A connection to an :class:`~repro.net.server.OdeServer`."""
 
     def __init__(self, host: str, port: int, timeout: float = 10.0,
-                 retries: int = 3, backoff: float = 0.05,
+                 retries: int = 3,
                  replicas: Optional[Sequence[Tuple[str, int]]] = None):
         self.host = host
         self.port = port
         self.timeout = timeout
         self.retries = max(0, retries)
-        self.backoff = backoff
         self._sock: Optional[socket.socket] = None
         # itertools.count, NOT iter(range(...)): a long-lived client
         # must never exhaust its id space mid-session (StopIteration
@@ -500,7 +502,7 @@ class OdeClient:
             if reply is not None:
                 return reply
         attempts = 1 + (self.retries if opcode in P.READ_OPCODES else 0)
-        delay = self.backoff
+        delay = RETRY_BACKOFF_SECONDS
         failed_over = False
         with self._m_request_seconds.time():
             with self._lock:
@@ -607,8 +609,7 @@ class OdeClient:
 
     def subscribe(self, db: str,
                   clusters: Optional[Sequence[str]] = None,
-                  on_event=None,
-                  capacity: Optional[int] = None) -> Subscription:
+                  on_event=None) -> Subscription:
         """Open a push subscription: change events for *db* arrive on
         this connection as unsolicited frames instead of being polled.
 
@@ -626,8 +627,6 @@ class OdeClient:
         payload: Dict[str, Any] = {"db": db}
         if clusters is not None:
             payload["clusters"] = [str(name) for name in clusters]
-        if capacity is not None:
-            payload["capacity"] = int(capacity)
         reply = self.call(P.OP_CDC_SUBSCRIBE, payload)
         sub_id = int(reply["sub"])
         subscription = Subscription(

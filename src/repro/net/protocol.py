@@ -31,7 +31,7 @@ import socket
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.errors import NetworkError, ProtocolError
 from repro.ode.codec import decode_value, encode_value
@@ -201,25 +201,6 @@ def encode_frame(request_id: int, opcode: int,
     header = _HEADER.pack(len(body), request_id & 0xFFFFFFFF, opcode,
                           zlib.crc32(body))
     return header + body
-
-
-def decode_frame(data: bytes) -> Tuple[Frame, int]:
-    """Decode one frame at the front of *data*; returns (frame, consumed)."""
-    if len(data) < _HEADER.size:
-        raise ProtocolError("truncated frame header")
-    length, request_id, opcode, crc = _HEADER.unpack_from(data)
-    if length > MAX_PAYLOAD:
-        raise ProtocolError(f"frame claims {length} payload bytes")
-    end = _HEADER.size + length
-    if len(data) < end:
-        raise ProtocolError("truncated frame payload")
-    body = data[_HEADER.size:end]
-    if zlib.crc32(body) != crc:
-        raise ProtocolError("frame CRC mismatch")
-    payload, consumed = decode_value(body, 0)
-    if consumed != length or not isinstance(payload, dict):
-        raise ProtocolError("frame payload is not a single codec dict")
-    return Frame(request_id, opcode, payload), end
 
 
 class FrameReassembler:

@@ -96,8 +96,8 @@ class BufferCache:
     a network thread while the application reads it.
     """
 
-    def __init__(self, capacity: int = CACHE_CAPACITY):
-        self.capacity = capacity
+    def __init__(self):
+        self.capacity = CACHE_CAPACITY
         self._lock = threading.RLock()
         self._entries: "OrderedDict[Oid, Tuple[int, Any]]" = OrderedDict()
         self.hits = 0
@@ -162,9 +162,6 @@ class BufferCache:
             if self._entries:
                 self.invalidations += 1
             self._entries.clear()
-
-    #: Back-compat alias: external callers asking for a hard clear get one.
-    clear = purge
 
     # -- CDC precise invalidation -------------------------------------------------
 
@@ -722,8 +719,7 @@ class RemoteDatabase:
 
     @classmethod
     def connect(cls, host: str, port: int, name: str,
-                timeout: float = 10.0, replicas=None,
-                **client_kwargs) -> "RemoteDatabase":
+                timeout: float = 10.0, replicas=None) -> "RemoteDatabase":
         """Connect to *name* served at ``host:port`` (the primary).
 
         ``replicas=[(host, port), ...]`` names read replicas the
@@ -732,8 +728,7 @@ class RemoteDatabase:
         the session still reads its own writes and never steps
         backwards in time (see client docs).
         """
-        client = OdeClient(host, port, timeout=timeout,
-                           replicas=replicas, **client_kwargs)
+        client = OdeClient(host, port, timeout=timeout, replicas=replicas)
         client.connect()
         try:
             return cls(client, name)

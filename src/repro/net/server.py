@@ -70,8 +70,7 @@ class OdeServer:
                  port: int = 0, io_model: str = "async",
                  replica_of: Optional[Tuple[str, int]] = None,
                  replica_peers: Optional[List[Tuple[str, int]]] = None,
-                 cdc_flush_seconds: Optional[float] = None,
-                 **database_kwargs):
+                 fault_gate=None):
         # Not an option: the frozen benchmark (benchmarks/odebench) still
         # passes io_model="async" from when a threaded core existed, so
         # the keyword survives with that one legal value.
@@ -82,10 +81,6 @@ class OdeServer:
         self.root = Path(root)
         self.host = host
         self._requested_port = port
-        #: CDC flush tick: with a value set, each subscriber's pump
-        #: batches a burst of commits into one merged OP_CDC_EVENT per
-        #: tick.  None (the default) ships one frame per commit.
-        self.cdc_flush_seconds = cdc_flush_seconds
         #: ``(host, port)`` of the primary when serving as a read
         #: replica: databases are cloned from there at start, kept
         #: current by one applier thread each, and writes are refused.
@@ -94,7 +89,8 @@ class OdeServer:
         #: Appliers probe these after losing the upstream to discover a
         #: promoted, higher-term primary and re-target themselves.
         self.replica_peers = list(replica_peers or [])
-        self._database_kwargs = database_kwargs
+        #: The faultsim test seam, handed to every hosted database.
+        self._fault_gate = fault_gate
         self._hosted: Dict[str, HostedDatabase] = {}
         self._feeds: Dict[str, ReplicationFeed] = {}
         self._routers: Dict[str, ChangeRouter] = {}
@@ -150,7 +146,7 @@ class OdeServer:
         if not candidates:
             raise StorageError(f"no databases found under {self.root}")
         for path in candidates:
-            database = Database.open(path, **self._database_kwargs)
+            database = Database.open(path, fault_gate=self._fault_gate)
             self._hosted[database.name] = HostedDatabase(database)
             # Every hosted database gets a feed, whatever the role: on
             # a primary it serves replicas; on a replica it makes the

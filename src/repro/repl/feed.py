@@ -7,8 +7,7 @@ is durable and visible.  The feed keeps the most recent units in a ring
 so fetchers normally never touch the log, and answers three regimes:
 
 ring
-    ``after_epoch`` at or past the ring floor: serve buffered units,
-    long-polling when the fetcher is already caught up.
+    ``after_epoch`` at or past the ring floor: serve buffered units.
 log tail
     ``after_epoch`` below the ring floor but at or past the WAL's head
     checkpoint: re-read whole committed units from the log
@@ -21,6 +20,10 @@ The ring floor only ever rises (eviction, checkpoint), so a fetcher
 that was streamable can become resync-only but never the reverse —
 which is what makes "units are a contiguous extension of your epoch"
 a safe reply contract.
+
+``fetch`` never waits.  The long poll lives in the server's event loop
+(:meth:`repro.net.aserver._AsyncConnection._repl_fetch`), which parks
+on a waiter registered with :meth:`ReplicationFeed.add_waiter`.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import threading
 from collections import deque
 from typing import Any, Callable, Dict, List, Tuple
 
-from repro.errors import NetworkError
+from repro.errors import NetworkError, ReplicationError
 from repro.obs import get_registry
 from repro.ode.store import ObjectStore
 from repro.ode.wal import WalRecord
@@ -37,8 +40,12 @@ from repro.ode.wal import WalRecord
 Unit = Tuple[int, List[WalRecord]]
 
 #: Long-poll waits are capped server-side so a dead fetcher cannot park
-#: a session thread forever.
+#: a request forever.
 MAX_WAIT_SECONDS = 2.0
+
+#: Committed units buffered per database before fetchers fall back to
+#: the WAL tail.
+RING_CAPACITY = 256
 
 
 def units_to_wire(units: List[Unit]) -> List[List[Any]]:
@@ -53,17 +60,27 @@ def units_to_wire(units: List[Unit]) -> List[List[Any]]:
 def units_from_wire(wire: List[List[Any]]) -> List[Unit]:
     """Inverse of :func:`units_to_wire`.
 
-    Accepts the pre-term 5-element frame shape too (term defaults to 0,
-    which the store treats as term 1), so a new replica can follow an
-    old primary mid-upgrade.
+    A unit of any other shape raises
+    :class:`~repro.errors.ReplicationError` naming it, so an applier
+    records the error and stops instead of dying on an ``IndexError``.
     """
-    return [
-        (epoch, [WalRecord(op=frame[0], txid=frame[1], oid=frame[2],
-                           payload=frame[3], epoch=frame[4],
-                           term=frame[5] if len(frame) > 5 else 0)
-                 for frame in frames])
-        for epoch, frames in wire
-    ]
+    units = []
+    for index, unit in enumerate(wire):
+        try:
+            epoch, frames = unit
+            records = [
+                WalRecord(op=op, txid=txid, oid=oid, payload=payload,
+                          epoch=frame_epoch, term=term)
+                for op, txid, oid, payload, frame_epoch, term in frames]
+        except (TypeError, ValueError) as exc:
+            raise ReplicationError(
+                f"malformed replication unit #{index} "
+                f"{repr(unit)[:80]}: {exc}") from None
+        if not isinstance(epoch, int):
+            raise ReplicationError(
+                f"malformed replication unit #{index}: epoch {epoch!r}")
+        units.append((epoch, records))
+    return units
 
 
 class ReplicationFeed:
@@ -72,14 +89,13 @@ class ReplicationFeed:
     Subscribes to every published commit — local writers via the
     group-commit barrier and (on a chained replica) replicated applies —
     so the ring is filled on both paths.  All state lives behind one
-    condition variable; `fetch` is safe from any number of session
-    threads.
+    lock; `fetch` is safe from any number of threads.
     """
 
-    def __init__(self, store: ObjectStore, capacity: int = 256):
+    def __init__(self, store: ObjectStore):
         self._store = store
-        self._capacity = capacity
-        self._cond = threading.Condition()
+        self._capacity = RING_CAPACITY
+        self._lock = threading.Lock()
         self._ring: deque = deque()
         self._closed = False
         self._waiters: List[Callable[[], None]] = []
@@ -97,40 +113,40 @@ class ReplicationFeed:
     @property
     def floor(self) -> int:
         """Oldest epoch the ring can extend from."""
-        with self._cond:
+        with self._lock:
             return self._floor
 
     def _on_commit(self, epoch: int, frames: List[WalRecord]) -> None:
-        with self._cond:
+        with self._lock:
             self._ring.append((epoch, frames))
             while len(self._ring) > self._capacity:
                 evicted_epoch, _frames = self._ring.popleft()
                 self._floor = evicted_epoch
-            self._cond.notify_all()
         self._fire_waiters()
 
     # -- loop-native wakeups -----------------------------------------------------
 
     def add_waiter(self, notify: Callable[[], None]) -> None:
-        """Register a one-shot-style wakeup hook for loop-native fetchers.
+        """Register a wakeup hook for a long-polling fetcher.
 
         The callback fires (on the committer's thread) after every new
         unit and when the feed closes; exceptions are swallowed so a
-        broken waiter never stalls a commit.  The event-loop server uses
-        this instead of parking a thread in the long poll.
+        broken waiter never stalls a commit.  A fetcher registers
+        *before* its fetch, so a commit landing between an empty fetch
+        and the park still wakes it.
         """
-        with self._cond:
+        with self._lock:
             self._waiters.append(notify)
 
     def remove_waiter(self, notify: Callable[[], None]) -> None:
-        with self._cond:
+        with self._lock:
             try:
                 self._waiters.remove(notify)
             except ValueError:
                 pass
 
     def _fire_waiters(self) -> None:
-        with self._cond:
+        with self._lock:
             waiters = list(self._waiters)
         for notify in waiters:
             try:
@@ -141,8 +157,8 @@ class ReplicationFeed:
     def close(self) -> None:
         """Shut the feed down: detach from the store and wake everyone.
 
-        Long-pollers parked in :meth:`fetch` are released immediately
-        and observe the closed flag — they get a clean
+        Parked long-pollers are woken through their waiters and their
+        next :meth:`fetch` raises a clean
         :class:`~repro.errors.NetworkError`, not a silent park past the
         server's drain deadline.
         """
@@ -152,19 +168,17 @@ class ReplicationFeed:
                 unsubscribe(self._listener)
             except Exception:
                 pass
-        with self._cond:
+        with self._lock:
             self._closed = True
-            self._cond.notify_all()
         self._fire_waiters()
 
     @property
     def closed(self) -> bool:
-        with self._cond:
+        with self._lock:
             return self._closed
 
-    def fetch(self, after_epoch: int, max_units: int = 64,
-              wait_seconds: float = 0.0) -> Dict[str, Any]:
-        """Units extending ``after_epoch``, or a resync order.
+    def fetch(self, after_epoch: int, max_units: int = 64) -> Dict[str, Any]:
+        """Units extending ``after_epoch``, or a resync order; never waits.
 
         Returns ``{"units": [...], "epoch": <primary epoch>,
         "term": <primary term>, "resync": bool}``.  When ``resync`` is
@@ -172,29 +186,17 @@ class ReplicationFeed:
         stream and it must install a snapshot.  ``term`` lets a fetcher
         detect a superseded upstream (term below its own) or a term
         raise it must resync under — streaming across a promotion could
-        silently skip same-epoch divergence.  ``units`` (wire form) are guaranteed to be *every*
-        committed epoch in ``(after_epoch, last unit]``, in order — the
-        contiguity the replica's apply path insists on.
-
-        No missed-wakeup window in the long poll: the emptiness check
-        and the ``wait`` both run under ``self._cond``, and
-        ``_on_commit`` appends and notifies under the same condition —
-        a commit therefore either lands before the check (and is seen)
-        or blocks on the lock until the waiter is parked (and wakes
-        it).  ``tests/repl/test_feed_wakeup.py`` pins this down.
+        silently skip same-epoch divergence.  ``units`` (wire form) are
+        guaranteed to be *every* committed epoch in
+        ``(after_epoch, last unit]``, in order — the contiguity the
+        replica's apply path insists on.
         """
         self._m_fetches.inc()
-        wait_seconds = min(max(wait_seconds, 0.0), MAX_WAIT_SECONDS)
-        with self._cond:
+        with self._lock:
             if self._closed:
                 raise NetworkError("replication feed closed")
             if after_epoch >= self._floor:
                 units = [u for u in self._ring if u[0] > after_epoch]
-                if not units and wait_seconds > 0.0:
-                    self._cond.wait(wait_seconds)
-                    if self._closed:
-                        raise NetworkError("replication feed closed")
-                    units = [u for u in self._ring if u[0] > after_epoch]
                 return {
                     "units": units_to_wire(units[:max_units]),
                     "epoch": self._store.epoch,
@@ -217,7 +219,7 @@ class ReplicationFeed:
                 "term": self._store.term, "resync": True}
 
     def stats(self) -> Dict[str, Any]:
-        with self._cond:
+        with self._lock:
             return {
                 "floor": self._floor,
                 "buffered": len(self._ring),

@@ -38,7 +38,7 @@ from repro.ode.database import (
 from repro.repl.feed import units_from_wire
 
 #: How long one fetch parks on the primary waiting for fresh commits.
-DEFAULT_POLL_SECONDS = 0.5
+POLL_SECONDS = 0.5
 
 #: Units requested per fetch; bounds the size of one apply batch.
 FETCH_BATCH = 64
@@ -101,12 +101,10 @@ class ReplicaApplier:
 
     def __init__(self, database: Database, primary_host: str,
                  primary_port: int,
-                 poll_seconds: float = DEFAULT_POLL_SECONDS,
                  peers: Optional[Sequence[Tuple[str, int]]] = None):
         self.database = database
         self.primary_host = primary_host
         self.primary_port = primary_port
-        self.poll_seconds = poll_seconds
         #: Other replica-set members, probed after the upstream is lost
         #: or fenced: whichever now serves as primary at the highest
         #: term (at least this replica's own) becomes the new upstream.
@@ -255,7 +253,7 @@ class ReplicaApplier:
             "db": self.database.name,
             "after": store.epoch,
             "max": FETCH_BATCH,
-            "wait_ms": int(self.poll_seconds * 1000),
+            "wait_ms": int(POLL_SECONDS * 1000),
         })
         self._primary_epoch = reply.get("epoch", store.epoch)
         upstream_term = reply.get("term")

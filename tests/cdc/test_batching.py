@@ -1,10 +1,10 @@
-"""Server-side CDC batching: merge_summaries and the flush-tick pump.
+"""The server's loop-native CDC pump: one frame per commit, never merged.
 
-The soundness claim under test: batching may *coalesce* commits into
-one frame but must never *skip* one — every changed object of every
-epoch in a burst appears in some delivered event whose epoch is at
-least that commit's, because a summary is an invalidation and the union
-at the newest epoch subsumes its members.
+The soundness claim under test: the pump ships every drained summary as
+its own ``OP_CDC_EVENT``, so every commit reaches a subscriber at its
+own epoch — nothing coalesced away, nothing skipped — and a failed send
+closes and unregisters the subscriber instead of wedging the commit
+path.
 """
 
 from __future__ import annotations
@@ -12,22 +12,17 @@ from __future__ import annotations
 import asyncio
 import time
 
-import pytest
-
 from repro.cdc import (
     CdcSubscriber,
     ChangeRouter,
     ChangeSummary,
-    merge_summaries,
     summary_from_wire,
 )
-from repro.data.labdb import make_lab_database
 from repro.net import protocol as P
 from repro.net.aserver import _AsyncConnection, _AsyncSubscription
 from repro.obs import get_registry
 from repro.ode.store import ObjectStore
 from repro.net.remote import RemoteDatabase
-from repro.net.server import OdeServer
 
 
 def _server_epoch(database: RemoteDatabase) -> int:
@@ -35,52 +30,10 @@ def _server_epoch(database: RemoteDatabase) -> int:
         P.OP_COUNT, {"db": "lab", "class": "employee"})["epoch"]
 
 
-def _wait_until(predicate, timeout: float = 10.0, interval: float = 0.02):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return
-        time.sleep(interval)
-    raise AssertionError("condition never became true")
-
-
-class TestMergeSummaries:
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            merge_summaries([])
-
-    def test_single_summary_passes_through(self):
-        summary = ChangeSummary(epoch=4, changes={"emp": ("db:emp:1",)})
-        assert merge_summaries([summary]) is summary
-
-    def test_union_at_newest_epoch_preserving_first_touch(self):
-        merged = merge_summaries([
-            ChangeSummary(epoch=1, changes={"emp": ("db:emp:1", "db:emp:2")}),
-            ChangeSummary(epoch=2, changes={"emp": ("db:emp:2", "db:emp:3"),
-                                            "dept": ("db:dept:0",)}),
-            ChangeSummary(epoch=3, changes={"emp": ("db:emp:1",)}),
-        ])
-        assert merged.epoch == 3
-        assert not merged.resync
-        assert merged.changes["emp"] == ("db:emp:1", "db:emp:2", "db:emp:3")
-        assert merged.changes["dept"] == ("db:dept:0",)
-
-    def test_resync_poisons_the_merge(self):
-        merged = merge_summaries([
-            ChangeSummary(epoch=5, changes={"emp": ("db:emp:1",)}),
-            ChangeSummary(epoch=9, resync=True),
-            ChangeSummary(epoch=7, changes={"emp": ("db:emp:2",)}),
-        ])
-        assert merged.epoch == 9
-        assert merged.resync
-        assert not merged.changes
-
-
 class _PumpHost:
     """What the connection's pump needs of its server, and no more."""
 
-    def __init__(self, router=None, flush_seconds=None):
-        self.cdc_flush_seconds = flush_seconds
+    def __init__(self, router=None):
         self._router = router
         self._m_bytes_out = get_registry().counter("net.server.bytes_out")
 
@@ -91,9 +44,9 @@ class _PumpHost:
 def _run_pump(subscriber, send, host):
     """Run the server's loop-native pump over *subscriber* to its exit.
 
-    The burst is queued before the pump starts, so the drain after the
-    flush tick deterministically sees all of it.  ``send`` stands in
-    for the connection's frame writer.
+    The burst is queued before the pump starts, so its first drain
+    deterministically sees all of it.  ``send`` stands in for the
+    connection's frame writer.
     """
     async def main():
         connection = _AsyncConnection(host, None, None, 1)
@@ -115,24 +68,23 @@ def _queued(*epochs):
 
 
 class TestLoopPump:
-    """The two pump behaviours no end-to-end test pins down (one frame
-    per commit with the tick off is ``test_push_e2e``'s ack-floor test)."""
+    """The two pump behaviours no end-to-end test pins down."""
 
-    def test_burst_ships_as_one_merged_frame(self):
+    def test_burst_ships_one_frame_per_summary(self):
         subscriber = _queued(1, 2, 3)
         shipped = []
 
         async def send(request_id, opcode, payload):
             assert (request_id, opcode) == (0, P.OP_CDC_EVENT)
             shipped.append(summary_from_wire(payload))
-            subscriber.close()  # the pump's exit signal
+            if len(shipped) == 3:
+                subscriber.close()  # the pump's exit signal
             return 1
 
-        _run_pump(subscriber, send, _PumpHost(flush_seconds=0.05))
-        assert len(shipped) == 1
-        merged = shipped[0]
-        assert merged.epoch == 3  # no epoch beyond the delivered one
-        assert merged.changes["emp"] == ("db:emp:1", "db:emp:2", "db:emp:3")
+        _run_pump(subscriber, send, _PumpHost())
+        assert [summary.epoch for summary in shipped] == [1, 2, 3]
+        assert [summary.changes["emp"] for summary in shipped] == [
+            ("db:emp:1",), ("db:emp:2",), ("db:emp:3",)]
 
     def test_send_failure_closes_and_unregisters_the_subscriber(
             self, tmp_path):
@@ -156,23 +108,13 @@ class TestLoopPump:
             store.close()
 
 
-@pytest.fixture
-def batching_lab(tmp_path):
-    """A served lab database with the CDC flush tick enabled."""
-    make_lab_database(tmp_path).close()
-    server = OdeServer(tmp_path, cdc_flush_seconds=0.05)
-    server.start()
-    yield server
-    server.shutdown()
-
-
 class TestEndToEndNoEpochSkipped:
-    def test_burst_of_commits_is_fully_covered(self, batching_lab):
-        """Fire a write burst through the batching server and prove the
-        subscriber learns about every commit: each touched object shows
-        up, and the newest delivered epoch reaches the final commit."""
-        reader = RemoteDatabase.connect("127.0.0.1", batching_lab.port, "lab")
-        writer = RemoteDatabase.connect("127.0.0.1", batching_lab.port, "lab")
+    def test_burst_of_commits_is_fully_covered(self, served_lab):
+        """Fire a write burst and prove the subscriber learns about every
+        commit: each touched object shows up, and the newest delivered
+        epoch reaches the final commit."""
+        reader = RemoteDatabase.connect("127.0.0.1", served_lab.port, "lab")
+        writer = RemoteDatabase.connect("127.0.0.1", served_lab.port, "lab")
         try:
             numbers = writer.objects.cluster("employee").numbers()[:8]
             oids = []
@@ -197,41 +139,9 @@ class TestEndToEndNoEpochSkipped:
                     assert not event.resync  # burst fits the queue
                     top_epoch = max(top_epoch, event.epoch)
                     seen_oids.update(event.oids())
-                # Coalesced or not: nothing skipped, nothing beyond.
+                # Nothing skipped, nothing beyond.
                 assert seen_oids == set(oids)
                 assert top_epoch == final_epoch
         finally:
             reader.close()
             writer.close()
-
-    def test_batch_metrics_account_for_merges(self, batching_lab):
-        from repro.obs import get_registry
-
-        registry = get_registry()
-        events_before = registry.counter("cdc.batch.events_in").value
-        frames_before = registry.counter("cdc.batch.frames_out").value
-        reader = RemoteDatabase.connect("127.0.0.1", batching_lab.port, "lab")
-        writer = RemoteDatabase.connect("127.0.0.1", batching_lab.port, "lab")
-        try:
-            with reader.subscribe() as sub:
-                oid = writer.objects.cluster("employee").first()
-                for _ in range(6):
-                    buffer = writer.objects.get_buffer(oid)
-                    writer.objects.update(
-                        oid, {"name": buffer.value("name")})
-                final_epoch = _server_epoch(writer)
-                _wait_until(lambda: _drained(sub, final_epoch))
-            events = registry.counter("cdc.batch.events_in").value \
-                - events_before
-            frames = registry.counter("cdc.batch.frames_out").value \
-                - frames_before
-            assert events >= 6  # every commit entered a batch
-            assert 1 <= frames <= events  # batching never inflates frames
-        finally:
-            reader.close()
-            writer.close()
-
-
-def _drained(sub, final_epoch):
-    event = sub.get(timeout=0.1)
-    return event is not None and event.epoch >= final_epoch

@@ -71,7 +71,7 @@ class _Model:
 @given(st.lists(_op(), max_size=60))
 def test_cache_is_fresh_and_precise_under_any_interleaving(ops):
     model = _Model()
-    cache = BufferCache(capacity=64)
+    cache = BufferCache()
     cache.observe_epoch(model.epoch)
     cache.begin_deltas(model.epoch)  # subscription acked at the current tip
 
@@ -125,7 +125,7 @@ def test_contiguous_delivery_converges_to_ground_truth(writes):
     """Deliver every delta in order: afterwards any warm read through
     the cache returns the current value for every object."""
     model = _Model()
-    cache = BufferCache(capacity=64)
+    cache = BufferCache()
     cache.observe_epoch(model.epoch)
     cache.begin_deltas(model.epoch)
     for oid in _OIDS:  # warm at the basis

@@ -12,6 +12,8 @@ import time
 
 import pytest
 
+from repro.cdc import QUEUE_CAPACITY
+from repro.cdc import router as router_module
 from repro.errors import OdeError
 from repro.net import protocol as P
 from repro.net.client import OdeClient
@@ -119,6 +121,18 @@ class TestPushDelivery:
             stats = remote_lab.server_stats()
             assert stats["cdc"]["subscribers"] == 1
 
+    def test_client_cannot_size_the_server_queue(self, served_lab):
+        """A subscribe asking for a 4096-summary queue gets the fixed
+        server-side bound: no client sizes the memory held for it."""
+        client = OdeClient("127.0.0.1", served_lab.port).connect()
+        try:
+            client.call(P.OP_CDC_SUBSCRIBE, {"db": "lab", "capacity": 4096})
+            router = served_lab.router("lab")
+            (subscriber,) = router._subscribers.values()
+            assert subscriber.capacity == QUEUE_CAPACITY
+        finally:
+            client.close()
+
 
 class TestCommitPathIsolation:
     def test_dead_subscriber_never_stalls_commits(self, served_lab,
@@ -137,12 +151,14 @@ class TestCommitPathIsolation:
             "subscribers"] == 0)
 
     def test_wedged_subscriber_coalesces_not_blocks(self, served_lab,
-                                                    writer_lab):
+                                                    writer_lab, monkeypatch):
         """A subscriber that never reads: its server queue overflows
         into one resync marker; commit latency stays flat."""
+        # A tiny bound, read when the server builds the subscriber, so
+        # the overflow path runs within a short burst.
+        monkeypatch.setattr(router_module, "QUEUE_CAPACITY", 2)
         wedged = OdeClient("127.0.0.1", served_lab.port).connect()
-        reply = wedged.call(P.OP_CDC_SUBSCRIBE,
-                            {"db": "lab", "capacity": 2})
+        reply = wedged.call(P.OP_CDC_SUBSCRIBE, {"db": "lab"})
         assert reply["sub"] >= 1
         # Never read from the socket again; pump sends what fits into
         # the kernel buffer, the rest coalesces server-side.

@@ -9,9 +9,16 @@ advancing, and a dead one is just garbage, not backpressure.
 from __future__ import annotations
 
 from repro.cdc import CdcSubscriber, ChangeRouter, ChangeSummary
+from repro.cdc import router as router_module
 from repro.ode.codec import encode_object
 from repro.ode.oid import Oid
 from repro.ode.store import ObjectStore
+
+
+def _small_subscriber(monkeypatch, capacity):
+    """A subscriber built while the fixed queue bound is shrunk."""
+    monkeypatch.setattr(router_module, "QUEUE_CAPACITY", capacity)
+    return CdcSubscriber(1, "lab")
 
 
 def _summary(epoch, cluster="employee", oid=None):
@@ -33,8 +40,8 @@ class TestSubscriberQueue:
         (taken,) = sub.drain()
         assert set(taken.changes) == {"department"}
 
-    def test_overflow_coalesces_into_one_resync(self):
-        sub = CdcSubscriber(1, "lab", capacity=2)
+    def test_overflow_coalesces_into_one_resync(self, monkeypatch):
+        sub = _small_subscriber(monkeypatch, 2)
         for epoch in (1, 2, 3, 4, 5):
             assert sub.offer(_summary(epoch))
         # capacity 2: epochs 1-2 queued, 3 overflowed (clearing them),
@@ -44,8 +51,8 @@ class TestSubscriberQueue:
         assert sub.drain() == []
         assert sub.coalesced == 1
 
-    def test_marker_outranks_queued_summaries(self):
-        sub = CdcSubscriber(1, "lab", capacity=1)
+    def test_marker_outranks_queued_summaries(self, monkeypatch):
+        sub = _small_subscriber(monkeypatch, 1)
         sub.offer(_summary(1))
         sub.offer(_summary(2))   # overflow: clears, marker at 2
         sub.offer(_summary(3))   # folds into marker
@@ -58,8 +65,8 @@ class TestSubscriberQueue:
         assert not sub.offer(_summary(1))
         assert sub.drain() == []
 
-    def test_backlog_counts_queue_plus_marker(self):
-        sub = CdcSubscriber(1, "lab", capacity=1)
+    def test_backlog_counts_queue_plus_marker(self, monkeypatch):
+        sub = _small_subscriber(monkeypatch, 1)
         assert sub.backlog == 0
         sub.offer(_summary(1))
         assert sub.backlog == 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.cdc import ChangeEvent, Subscription
+from repro.cdc import subscription as subscription_module
 
 
 class _StubClient:
@@ -46,8 +47,9 @@ def test_callback_errors_are_contained():
     assert sub.get(timeout=0).epoch == 1
 
 
-def test_local_overflow_coalesces_to_resync():
-    sub = Subscription(_StubClient(), 1, "lab", capacity=2)
+def test_local_overflow_coalesces_to_resync(monkeypatch):
+    monkeypatch.setattr(subscription_module, "LOCAL_QUEUE_CAPACITY", 2)
+    sub = Subscription(_StubClient(), 1, "lab")
     for epoch in (1, 2, 3, 4):
         sub.deliver(_event(epoch))
     event = sub.get(timeout=0)

@@ -26,6 +26,7 @@ import time
 import pytest
 
 from repro.cdc import CdcSubscriber
+from repro.cdc import router as router_module
 from repro.data.labdb import make_lab_database
 from repro.net.client import OdeClient
 from repro.net.remote import RemoteDatabase
@@ -48,6 +49,14 @@ def _seeds():
     return seeds
 
 
+def _tiny_subscriber(monkeypatch, sub_id: int, capacity: int) -> CdcSubscriber:
+    """A subscriber built while the fixed queue bound is shrunk; the
+    server's own subscribers keep the real bound."""
+    with monkeypatch.context() as patch:
+        patch.setattr(router_module, "QUEUE_CAPACITY", capacity)
+        return CdcSubscriber(sub_id, "lab")
+
+
 def _wait_until(predicate, timeout: float = 15.0, interval: float = 0.02):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -67,7 +76,7 @@ def served_lab(tmp_path):
 
 
 @pytest.mark.parametrize("seed", _seeds())
-def test_subscriber_fates_never_block_commits(served_lab, seed):
+def test_subscriber_fates_never_block_commits(served_lab, seed, monkeypatch):
     rng = random.Random(seed)
     fates = [rng.choice(["healthy", "killed", "wedged", "unsubscribed"])
              for _ in range(FLEET)]
@@ -95,8 +104,7 @@ def test_subscriber_fates_never_block_commits(served_lab, seed):
             # ever drains (a pump stuck in a dead-peer sendall looks
             # exactly like this to the router).  Tiny capacity so the
             # overflow-to-marker degradation must fire.
-            subscriber = CdcSubscriber(900 + len(wedged), "lab",
-                                       capacity=2)
+            subscriber = _tiny_subscriber(monkeypatch, 900 + len(wedged), 2)
             router.register(subscriber)
             wedged.append(subscriber)
 
@@ -162,11 +170,11 @@ def test_subscriber_fates_never_block_commits(served_lab, seed):
                 pass
 
 
-def test_overflow_marker_is_single_and_newest(served_lab):
+def test_overflow_marker_is_single_and_newest(served_lab, monkeypatch):
     """A never-drained subscriber's queue degrades to exactly one resync
     at the newest folded epoch, however large the burst."""
     router = served_lab.router("lab")
-    subscriber = CdcSubscriber(1, "lab", capacity=1)
+    subscriber = _tiny_subscriber(monkeypatch, 1, 1)
     router.register(subscriber)
     writer = RemoteDatabase.connect("127.0.0.1", served_lab.port, "lab")
     try:

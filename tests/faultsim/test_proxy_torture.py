@@ -59,8 +59,7 @@ def _snapshot(buffers):
 
 def _connect(proxy):
     return RemoteDatabase.connect(
-        "127.0.0.1", proxy.port, "lab",
-        timeout=1.0, retries=2, backoff=0.01)
+        "127.0.0.1", proxy.port, "lab", timeout=1.0)
 
 
 def test_browsing_returns_truth_or_typed_error(torture_lab):

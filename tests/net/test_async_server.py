@@ -23,6 +23,7 @@ from repro.net import protocol as P
 from repro.net.client import OdeClient
 from repro.net.server import OdeServer
 from repro.obs import get_registry
+from repro.repl.feed import MAX_WAIT_SECONDS
 
 
 class TestConstructor:
@@ -199,9 +200,88 @@ class TestReplicationLongPoll:
             assert committed.is_set()
             assert [unit[0] for unit in reply["units"]] == [epoch + 1]
             assert elapsed < 1.5, f"poller slept {elapsed:.2f}s with a unit ready"
+            # The other arm: a unit already committed before the fetch
+            # is returned without parking at all.
+            started = time.monotonic()
+            again = poller.call(P.OP_REPL_FETCH, {
+                "db": "lab", "after": epoch, "wait_ms": 3000})
+            assert [unit[0] for unit in again["units"]] == [epoch + 1]
+            assert time.monotonic() - started < 1.5
         finally:
             poller.close()
             writer.close()
+
+    def test_quiet_poll_times_out_empty_not_resync(self, served_lab):
+        poller = OdeClient("127.0.0.1", served_lab.port)
+        try:
+            epoch = poller.call(
+                P.OP_COUNT, {"db": "lab", "class": "employee"})["epoch"]
+            started = time.monotonic()
+            reply = poller.call(P.OP_REPL_FETCH, {
+                "db": "lab", "after": epoch, "wait_ms": 200})
+            elapsed = time.monotonic() - started
+            assert reply["units"] == [] and not reply["resync"]
+            assert 0.15 <= elapsed < MAX_WAIT_SECONDS
+        finally:
+            poller.close()
+
+    def test_wait_is_clamped_to_the_server_cap(self, served_lab):
+        poller = OdeClient("127.0.0.1", served_lab.port)
+        try:
+            epoch = poller.call(
+                P.OP_COUNT, {"db": "lab", "class": "employee"})["epoch"]
+            started = time.monotonic()
+            reply = poller.call(P.OP_REPL_FETCH, {
+                "db": "lab", "after": epoch, "wait_ms": 3_600_000})
+            elapsed = time.monotonic() - started
+            assert reply["units"] == []
+            assert elapsed < MAX_WAIT_SECONDS + 1.0  # capped, not an hour
+        finally:
+            poller.close()
+
+    def test_every_parked_poller_wakes_on_one_commit(self, served_lab):
+        """Four concurrent long-polls on one feed all return the one
+        commit that lands while they are parked."""
+        writer = OdeClient("127.0.0.1", served_lab.port)
+        pollers = [OdeClient("127.0.0.1", served_lab.port) for _ in range(4)]
+        replies = []
+        replies_lock = threading.Lock()
+        try:
+            oid = _first_employee(writer)
+            epoch = writer.call(
+                P.OP_COUNT, {"db": "lab", "class": "employee"})["epoch"]
+
+            def poll(client):
+                started = time.monotonic()
+                reply = client.call(P.OP_REPL_FETCH, {
+                    "db": "lab", "after": epoch, "wait_ms": 3000})
+                with replies_lock:
+                    replies.append((reply, time.monotonic() - started))
+
+            threads = [threading.Thread(target=poll, args=(client,),
+                                        daemon=True) for client in pollers]
+            for thread in threads:
+                thread.start()
+            # Every poller's waiter is registered before its first
+            # fetch, so once all four are in, one commit must wake all.
+            feed = served_lab.feed("lab")
+            deadline = time.monotonic() + 5.0
+            while len(feed._waiters) < len(pollers):
+                assert time.monotonic() < deadline, "pollers never parked"
+                time.sleep(0.01)
+            writer.call(P.OP_UPDATE, {"db": "lab", "oid": oid,
+                                      "updates": {"name": "wake-all"}})
+            for thread in threads:
+                thread.join(timeout=5.0)
+                assert not thread.is_alive()
+            assert len(replies) == len(pollers)
+            for reply, elapsed in replies:
+                assert [unit[0] for unit in reply["units"]] == [epoch + 1]
+                assert elapsed < MAX_WAIT_SECONDS  # woken, not timed out
+        finally:
+            writer.close()
+            for client in pollers:
+                client.close()
 
 
 class TestShutdownReleasesWaiters:

@@ -3,6 +3,7 @@
 from types import SimpleNamespace
 
 from repro.net import protocol as P
+from repro.net import remote as remote_module
 from repro.net.remote import BufferCache, RemoteDatabase
 from repro.obs import get_registry
 from repro.ode.oid import Oid
@@ -62,8 +63,9 @@ class TestBufferCacheEpochs:
         cache.observe_epoch(None)       # reply without an epoch
         assert cache.latest == 9
 
-    def test_lru_capacity_still_bounds_entries(self):
-        cache = BufferCache(capacity=4)
+    def test_lru_capacity_still_bounds_entries(self, monkeypatch):
+        monkeypatch.setattr(remote_module, "CACHE_CAPACITY", 4)
+        cache = BufferCache()
         for n in range(10):
             cache.put(_buffer(n))
         assert len(cache) == 4

@@ -1,5 +1,7 @@
 """Tests for the wire protocol: framing, CRC, marshalling."""
 
+import socket
+
 import pytest
 
 from repro.errors import ProtocolError
@@ -8,17 +10,30 @@ from repro.ode.objectmanager import ObjectBuffer
 from repro.ode.oid import Oid
 
 
+def _decode(data: bytes) -> P.Frame:
+    """Read one frame off a socket that carries exactly *data*, then EOF
+    — the client's blocking read path."""
+    sender, receiver = socket.socketpair()
+    try:
+        sender.sendall(data)
+        sender.close()
+        receiver.settimeout(1.0)
+        return P.read_frame(receiver)
+    finally:
+        receiver.close()
+
+
 class TestFrames:
     def test_roundtrip(self):
         data = P.encode_frame(7, P.OP_GET_OBJECT, {"oid": "lab:employee:3"})
-        frame, consumed = P.decode_frame(data)
-        assert consumed == len(data)
+        frame = _decode(data)
+        assert frame.wire_size == len(data)
         assert frame.request_id == 7
         assert frame.opcode == P.OP_GET_OBJECT
         assert frame.payload == {"oid": "lab:employee:3"}
 
     def test_empty_payload_defaults_to_dict(self):
-        frame, _ = P.decode_frame(P.encode_frame(1, P.OP_PING))
+        frame = _decode(P.encode_frame(1, P.OP_PING))
         assert frame.payload == {}
 
     def test_payload_carries_codec_types(self):
@@ -30,38 +45,37 @@ class TestFrames:
             "when": datetime.date(1990, 5, 23),
             "nested": {"list": [1, 2.5, None, True]},
         }
-        frame, _ = P.decode_frame(P.encode_frame(2, P.OP_REPLY, payload))
+        frame = _decode(P.encode_frame(2, P.OP_REPLY, payload))
         assert frame.payload == payload
 
     def test_crc_corruption_detected(self):
         data = bytearray(P.encode_frame(3, P.OP_PING, {"x": 1}))
         data[-1] ^= 0xFF
         with pytest.raises(ProtocolError, match="CRC"):
-            P.decode_frame(bytes(data))
+            _decode(bytes(data))
 
     def test_truncated_header(self):
-        with pytest.raises(ProtocolError, match="header"):
-            P.decode_frame(b"\x00\x01")
+        with pytest.raises(ProtocolError, match="mid-frame"):
+            _decode(b"\x00\x01")
 
     def test_truncated_payload(self):
         data = P.encode_frame(4, P.OP_PING, {"x": 1})
-        with pytest.raises(ProtocolError, match="payload"):
-            P.decode_frame(data[:-2])
+        with pytest.raises(ProtocolError, match="mid-frame"):
+            _decode(data[:-2])
 
     def test_oversized_frame_rejected(self):
         header = P._HEADER.pack(P.MAX_PAYLOAD + 1, 1, P.OP_PING, 0)
         with pytest.raises(ProtocolError, match="claims"):
-            P.decode_frame(header + b"\x00" * 16)
+            _decode(header + b"\x00" * 16)
 
     def test_non_dict_payload_rejected(self):
         from repro.ode.codec import encode_value
-        import struct
         import zlib
 
         body = encode_value([1, 2, 3])
         header = P._HEADER.pack(len(body), 1, P.OP_PING, zlib.crc32(body))
         with pytest.raises(ProtocolError, match="dict"):
-            P.decode_frame(header + body)
+            _decode(header + body)
 
     def test_opcode_names(self):
         assert P.opcode_name(P.OP_SCAN_CLUSTER) == "scan_cluster"
@@ -93,7 +107,7 @@ class TestBufferMarshalling:
 
     def test_roundtrip_over_the_wire(self):
         original = self._buffer()
-        frame, _ = P.decode_frame(
+        frame = _decode(
             P.encode_frame(5, P.OP_REPLY, {"buffer": P.buffer_to_value(original)}))
         restored = P.buffer_from_value(frame.payload["buffer"])
         assert restored.value("name") == "kk"
@@ -105,8 +119,6 @@ class TestStreamTimeouts:
 
     @staticmethod
     def _pair(timeout=0.05):
-        import socket
-
         a, b = socket.socketpair()
         b.settimeout(timeout)
         return a, b

@@ -259,7 +259,7 @@ class TestPipelining:
 
 class TestResilience:
     def test_read_retries_after_connection_drop(self, remote_lab):
-        remote_lab.objects.cache.clear()
+        remote_lab.objects.cache.purge()
         # sabotage the socket; the next read must reconnect and succeed
         remote_lab.client._sock.close()
         assert remote_lab.objects.count("employee") == 55

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import threading
 
+import pytest
+
+from repro.errors import ReplicationError
 from repro.ode.codec import encode_object
 from repro.ode.oid import Oid
 from repro.ode.store import ObjectStore
 from repro.ode.wal import OP_BEGIN, OP_COMMIT, OP_PUT, WalRecord
-from repro.repl.feed import ReplicationFeed, units_from_wire, units_to_wire
+from repro.repl import feed as feed_module
+from repro.repl.feed import (
+    MAX_WAIT_SECONDS, ReplicationFeed, units_from_wire, units_to_wire)
 
 
 def _put(store: ObjectStore, index: int) -> Oid:
@@ -25,6 +30,18 @@ def test_wire_round_trip():
              WalRecord(op=OP_COMMIT, txid=9, epoch=3)]),
     ]
     assert units_from_wire(units_to_wire(units)) == units
+
+
+@pytest.mark.parametrize("wire", [
+    [[3, [["put", 9, "db:emp:1", b"x", 0]]]],   # pre-term 5-element frame
+    [[3, [["put", 9]]]],                          # short frame
+    [[3, [None]]],                                # frame of no shape at all
+    [[3]],                                        # unit without frames
+    [["3", []]],                                  # epoch that is not a number
+])
+def test_malformed_unit_is_a_replication_error(wire):
+    with pytest.raises(ReplicationError, match="malformed replication unit #0"):
+        units_from_wire(wire)
 
 
 def test_ring_serves_incremental_fetches(tmp_path):
@@ -62,25 +79,36 @@ def test_max_units_bounds_a_batch(tmp_path):
 
 
 def test_long_poll_wakes_on_commit(tmp_path):
+    """The loop's long poll: register a waiter, fetch, park, refetch."""
     store = ObjectStore(tmp_path)
     feed = ReplicationFeed(store)
+    wake = threading.Event()
+    notify = wake.set
+    feed.add_waiter(notify)
     replies = []
     try:
-        poller = threading.Thread(
-            target=lambda: replies.append(feed.fetch(0, wait_seconds=5.0)))
+        def poll():
+            if not feed.fetch(0)["units"]:
+                wake.wait(MAX_WAIT_SECONDS)
+            replies.append(feed.fetch(0))
+
+        poller = threading.Thread(target=poll)
         poller.start()
         _put(store, 0)
         poller.join(timeout=5.0)
         assert not poller.is_alive(), "long poll never woke"
+        assert wake.is_set(), "the commit fired no waiter"
         assert [epoch for epoch, _f in units_from_wire(replies[0]["units"])] \
             == [1]
     finally:
+        feed.remove_waiter(notify)
         store.close()
 
 
-def test_eviction_falls_back_to_the_log(tmp_path):
+def test_eviction_falls_back_to_the_log(tmp_path, monkeypatch):
+    monkeypatch.setattr(feed_module, "RING_CAPACITY", 2)
     store = ObjectStore(tmp_path)
-    feed = ReplicationFeed(store, capacity=2)
+    feed = ReplicationFeed(store)
     for index in range(4):
         _put(store, index)
     try:

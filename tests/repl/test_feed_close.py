@@ -27,15 +27,21 @@ def test_close_unparks_a_long_poll_with_a_clean_error(tmp_path):
     try:
         def poller():
             started = time.monotonic()
+            wake = threading.Event()
+            feed.add_waiter(wake.set)
             try:
-                feed.fetch(store.epoch, wait_seconds=2.0)
+                if not feed.fetch(store.epoch)["units"]:
+                    wake.wait(2.0)
+                feed.fetch(store.epoch)
                 outcomes.append(("reply", time.monotonic() - started))
             except NetworkError:
                 outcomes.append(("NetworkError", time.monotonic() - started))
+            finally:
+                feed.remove_waiter(wake.set)
 
         thread = threading.Thread(target=poller, daemon=True)
         thread.start()
-        time.sleep(0.2)  # let the poll park on the condition
+        time.sleep(0.2)  # let the poll park on its waiter
         feed.close()
         thread.join(timeout=5.0)
         assert outcomes == [("NetworkError", pytest.approx(0.2, abs=1.0))]

@@ -1,13 +1,13 @@
 """ReplicationFeed long poll: no missed-wakeup window, deterministically.
 
-The claimed invariant (see the ``fetch`` docstring): the emptiness check
-and the ``Condition.wait`` run under the feed lock, and ``_on_commit``
-appends + notifies under the same lock, so a racing commit either lands
-before the check (and is returned without waiting) or blocks on the
-lock until the waiter is parked (and then wakes it).  These tests pin
-both arms down by instrumenting the condition so the commit thread can
-be *held* until the fetcher is provably parked inside ``wait`` — the
-exact interleaving a missed-wakeup bug would need.
+The long poll is the event loop's
+(:meth:`repro.net.aserver._AsyncConnection._repl_fetch`): register a
+waiter, fetch, park on the waiter if the fetch came back empty, fetch
+again.  ``_LongPoll`` runs that protocol on a thread and reports when it
+has parked, so a commit can be *held* until the poller is provably
+parked — the exact interleaving a missed-wakeup bug would need.  The
+commit landing between the empty fetch and the park is pinned on the
+wire in ``tests/net/test_async_server.py::TestReplicationLongPoll``.
 """
 
 from __future__ import annotations
@@ -27,48 +27,46 @@ def _put(store: ObjectStore, index: int) -> Oid:
     return oid
 
 
-class _ParkSignallingCondition(threading.Condition):
-    """A Condition that reports when a waiter has actually parked.
+class _LongPoll:
+    """The loop's long-poll protocol on a thread, with a park signal."""
 
-    ``wait`` holds the lock right up to the park, so by the time
-    ``parked`` is set, any thread stuck in ``_on_commit`` is blocked on
-    this lock — the adversarial schedule is now forced, not hoped for.
-    """
-
-    def __init__(self):
-        super().__init__()
+    def __init__(self, feed: ReplicationFeed):
+        self._feed = feed
+        self._wake = threading.Event()
         self.parked = threading.Event()
 
-    def wait(self, timeout=None):
-        self.parked.set()
-        return super().wait(timeout)
-
-
-def _instrument(feed: ReplicationFeed) -> _ParkSignallingCondition:
-    """Swap the feed's condition while it is quiescent."""
-    cond = _ParkSignallingCondition()
-    feed._cond = cond
-    return cond
+    def __call__(self, after_epoch: int):
+        notify = self._wake.set
+        self._feed.add_waiter(notify)
+        try:
+            reply = self._feed.fetch(after_epoch)
+            if reply["units"]:
+                return reply
+            self.parked.set()
+            self._wake.wait(MAX_WAIT_SECONDS)
+        finally:
+            self._feed.remove_waiter(notify)
+        return self._feed.fetch(after_epoch)
 
 
 def test_commit_wakes_a_parked_long_poll(tmp_path):
     store = ObjectStore(tmp_path)
     feed = ReplicationFeed(store)
-    cond = _instrument(feed)
+    poll = _LongPoll(feed)
     result = {}
     try:
         tail = store.epoch
 
         def fetch():
             started = time.monotonic()
-            result["reply"] = feed.fetch(tail, wait_seconds=MAX_WAIT_SECONDS)
+            result["reply"] = poll(tail)
             result["elapsed"] = time.monotonic() - started
 
         fetcher = threading.Thread(target=fetch, daemon=True)
         fetcher.start()
-        # Only commit once the fetcher is provably inside wait(): the
-        # window a missed-wakeup bug would need is now wide open.
-        assert cond.parked.wait(5.0)
+        # Only commit once the fetcher is provably parked: the window a
+        # missed-wakeup bug would need is now wide open.
+        assert poll.parked.wait(5.0)
         _put(store, 1)
         fetcher.join(timeout=5.0)
         assert not fetcher.is_alive()
@@ -76,7 +74,7 @@ def test_commit_wakes_a_parked_long_poll(tmp_path):
         assert not reply["resync"]
         epochs = [epoch for epoch, _f in units_from_wire(reply["units"])]
         assert epochs == [tail + 1]
-        # woken by the notify, not the timeout
+        # woken by the waiter, not the timeout
         assert result["elapsed"] < MAX_WAIT_SECONDS
     finally:
         store.close()
@@ -85,80 +83,48 @@ def test_commit_wakes_a_parked_long_poll(tmp_path):
 def test_commit_before_the_check_returns_without_parking(tmp_path):
     store = ObjectStore(tmp_path)
     feed = ReplicationFeed(store)
-    cond = _instrument(feed)
+    poll = _LongPoll(feed)
     try:
         tail = store.epoch
-        _put(store, 1)  # lands before fetch even takes the lock
-        reply = feed.fetch(tail, wait_seconds=MAX_WAIT_SECONDS)
+        _put(store, 1)  # lands before the poll even registers
+        reply = poll(tail)
         epochs = [epoch for epoch, _f in units_from_wire(reply["units"])]
         assert epochs == [tail + 1]
-        assert not cond.parked.is_set()  # the other arm: no wait at all
-    finally:
-        store.close()
-
-
-def test_quiet_feed_times_out_empty_not_resync(tmp_path):
-    store = ObjectStore(tmp_path)
-    feed = ReplicationFeed(store)
-    try:
-        started = time.monotonic()
-        reply = feed.fetch(store.epoch, wait_seconds=0.2)
-        elapsed = time.monotonic() - started
-        assert reply["units"] == [] and not reply["resync"]
-        assert 0.15 <= elapsed < MAX_WAIT_SECONDS
-    finally:
-        store.close()
-
-
-def test_wait_is_clamped_to_the_server_cap(tmp_path):
-    store = ObjectStore(tmp_path)
-    feed = ReplicationFeed(store)
-    try:
-        started = time.monotonic()
-        reply = feed.fetch(store.epoch, wait_seconds=3600.0)
-        elapsed = time.monotonic() - started
-        assert reply["units"] == []
-        assert elapsed < MAX_WAIT_SECONDS + 1.0  # capped, not an hour
+        assert not poll.parked.is_set()  # the other arm: no wait at all
     finally:
         store.close()
 
 
 def test_every_parked_waiter_wakes_on_one_commit(tmp_path):
-    """notify_all: N concurrent long-pollers all see the same commit."""
+    """N concurrent long-pollers all see the same commit."""
     store = ObjectStore(tmp_path)
     feed = ReplicationFeed(store)
-    cond = _instrument(feed)
+    polls = [_LongPoll(feed) for _ in range(4)]
     replies = []
     replies_lock = threading.Lock()
     try:
         tail = store.epoch
 
-        def fetch():
-            reply = feed.fetch(tail, wait_seconds=MAX_WAIT_SECONDS)
+        def fetch(poll):
+            started = time.monotonic()
+            reply = poll(tail)
             with replies_lock:
-                replies.append(reply)
+                replies.append((reply, time.monotonic() - started))
 
-        fetchers = [threading.Thread(target=fetch, daemon=True)
-                    for _ in range(4)]
+        fetchers = [threading.Thread(target=fetch, args=(poll,), daemon=True)
+                    for poll in polls]
         for fetcher in fetchers:
             fetcher.start()
-        # parked signals at least one waiter; give the rest a beat to
-        # pile onto the same condition, then commit once.
-        assert cond.parked.wait(5.0)
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            with cond:
-                waiting = len(cond._waiters)  # CPython internal; test-only
-            if waiting == len(fetchers):
-                break
-            time.sleep(0.01)
+        for poll in polls:
+            assert poll.parked.wait(5.0)
         _put(store, 1)
         for fetcher in fetchers:
             fetcher.join(timeout=5.0)
             assert not fetcher.is_alive()
         assert len(replies) == 4
-        for reply in replies:
+        for reply, elapsed in replies:
             epochs = [epoch for epoch, _f in units_from_wire(reply["units"])]
             assert epochs == [tail + 1]
+            assert elapsed < MAX_WAIT_SECONDS  # woken, not timed out
     finally:
         store.close()

@@ -5,7 +5,8 @@ A replica outliving a primary restart must not hammer the dead address
 primary is back (one successful fetch resets the delay to the floor).
 Exercised with the loop run inline — ``step`` stubbed, ``_stop.wait``
 recorded — so the exact delay sequence is asserted, not just "it
-slept".
+slept".  A malformed unit from upstream is not a network blip: the
+loop records it in ``last_error`` and stops, as it does on divergence.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import NetworkError
+from repro.net import protocol as P
 from repro.ode.database import Database
 from repro.repl.replica import (
     MAX_RECONNECT_BACKOFF_SECONDS,
@@ -26,7 +28,7 @@ def applier(tmp_path):
     database = Database(tmp_path / "solo.odb", create=True)
     # No peers: a lost connection cannot retarget, so every disconnect
     # takes the backoff path.
-    built = ReplicaApplier(database, "127.0.0.1", 1, poll_seconds=0.01)
+    built = ReplicaApplier(database, "127.0.0.1", 1)
     yield built
     built._client.close()
     database.close()
@@ -79,3 +81,30 @@ def test_disconnects_are_counted(applier):
     _Script(applier, [NetworkError("down")] * 3)
     applier._run()
     assert applier.stats()["disconnects"] == before + 3
+
+
+class _MalformedUpstream:
+    """An upstream whose fetch replies carry a two-field frame."""
+
+    def __init__(self):
+        self.calls = []
+
+    def call(self, opcode, payload):
+        self.calls.append(opcode)
+        return {"epoch": 1, "term": 1, "resync": False,
+                "units": [[1, [["put", 9]]]]}
+
+    def close(self):
+        pass
+
+
+def test_malformed_unit_stops_the_applier_with_last_error(applier):
+    applier._client.close()
+    applier._client = upstream = _MalformedUpstream()
+    applier.start()
+    applier._thread.join(timeout=5.0)
+    assert not applier._thread.is_alive()
+    assert upstream.calls == [P.OP_REPL_FETCH]  # stopped, did not retry
+    error = applier.stats()["last_error"]
+    assert error.startswith("ReplicationError: malformed replication unit")
+    assert applier.applied_epoch == 0
