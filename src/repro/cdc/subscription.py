@@ -11,7 +11,7 @@ re-entrant request would deadlock).  Cache invalidation — pure local
 bookkeeping — is exactly the kind of work that belongs there; anything
 heavier should consume the queue from its own thread via :meth:`get`.
 
-Like the server's queue, the local queue is bounded and coalescing: a
+Like the server's cursor, the local queue is bounded and coalescing: a
 consumer that never drains it gets one synthetic resync event instead
 of unbounded growth, so the degradation story is end-to-end.
 """
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 #: Events buffered locally before the queue coalesces into a resync.
-LOCAL_QUEUE_CAPACITY = 256
+EVENT_CAPACITY = 256
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class Subscription:
         #: contiguous from here, so it is the cache's starting floor.
         self.epoch = epoch
         self._on_event = on_event
-        self._capacity = LOCAL_QUEUE_CAPACITY
+        self._capacity = EVENT_CAPACITY
         self._cond = threading.Condition()
         self._queue: deque = deque()
         self._pending_resync: Optional[int] = None

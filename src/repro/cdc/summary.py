@@ -4,23 +4,30 @@ A committed transaction's WAL unit names every object it touched; a
 front end refreshing a window tree does not need the payloads — only
 *which* objects changed and at which epoch, grouped by cluster (the
 class extent a window sequences over).  :func:`summarize_unit` boils a
-unit down to that ``(epoch, {cluster: oids})`` shape, and the router
-fans the summary out to subscribers instead of the unit itself, so a
-thousand idle browsers cost a thousand small frames, not a thousand
-copies of the commit.
+unit down to that ``(epoch, {cluster: oids})`` shape, and the server
+pushes the summary instead of the unit itself, so a thousand idle
+browsers cost a thousand small frames, not a thousand copies of the
+commit.
+
+A subscriber's only server-side state is a :class:`ChangeCursor`: an
+``(after_epoch, clusters)`` position in the store's
+:class:`~repro.ode.store.ChangeLog`.  Each log entry is summarized
+once, by the first cursor to read it, and the summary is cached on the
+entry for every other cursor.
 
 A summary with ``resync=True`` carries no per-object detail: it is the
-overflow escape hatch — "your delta stream broke at epoch ``epoch``;
-invalidate wholesale and start over from there" (see
-:class:`~repro.cdc.router.CdcSubscriber`).
+escape hatch for a cursor the log's floor overtook — "your delta stream
+broke; invalidate wholesale and treat epoch ``epoch`` as your floor".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.obs import get_registry
 from repro.ode.oid import Oid
+from repro.ode.store import ChangeLog
 from repro.ode.wal import OP_DELETE, OP_PUT, WalRecord
 
 
@@ -32,8 +39,9 @@ class ChangeSummary:
     #: cluster name -> OID strings touched in that cluster (puts and
     #: deletes alike; the consumer purges either way).
     changes: Mapping[str, Tuple[str, ...]] = field(default_factory=dict)
-    #: True when delta detail was lost (queue overflow): the consumer
-    #: must invalidate wholesale and treat ``epoch`` as its new floor.
+    #: True when delta detail was lost (the reader fell below the change
+    #: log's floor): the consumer must invalidate wholesale and treat
+    #: ``epoch`` as its new floor.
     resync: bool = False
 
     @property
@@ -102,3 +110,37 @@ def summary_from_wire(value: Mapping[str, Any]) -> ChangeSummary:
         },
         resync=bool(value.get("resync", False)),
     )
+
+
+class ChangeCursor:
+    """One subscription's position in a store's change log.
+
+    ``read`` returns the summaries of every unit past the cursor that
+    touches its clusters, and advances it.  A cursor the log's floor
+    has overtaken gets one resync marker at the log's newest epoch and
+    continues from there: however far behind, one event, never a pile.
+    """
+
+    __slots__ = ("after", "clusters")
+
+    def __init__(self, after: int, clusters: Optional[Sequence[str]] = None):
+        self.after = after
+        self.clusters = frozenset(clusters) if clusters is not None else None
+
+    def read(self, log: ChangeLog) -> List[ChangeSummary]:
+        entries = log.read(self.after)
+        if entries is None:
+            self.after = log.tail
+            get_registry().counter("cdc.coalesced").inc()
+            return [ChangeSummary(epoch=self.after, resync=True)]
+        summaries = []
+        for entry in entries:
+            if entry.summary is None:
+                entry.summary = summarize_unit(entry.epoch, entry.frames)
+                get_registry().counter("cdc.events").inc()
+            narrowed = entry.summary.restrict(self.clusters)
+            if narrowed.changes:
+                summaries.append(narrowed)
+        if entries:
+            self.after = entries[-1].epoch
+        return summaries

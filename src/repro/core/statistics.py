@@ -386,10 +386,8 @@ def _remote_statistics(database) -> List[Tuple[str, str]]:
     cdc = stats.get("cdc", {})
     if cdc:
         rows.append(("server cdc subscribers", str(cdc.get("subscribers", 0))))
-        rows.append(("server cdc events / delivered",
-                     f"{cdc.get('events', 0)} / {cdc.get('delivered', 0)}"))
-        rows.append(("server cdc coalesced / backlog",
-                     f"{cdc.get('coalesced', 0)} / {cdc.get('backlog', 0)}"))
+        rows.append(("server cdc events / coalesced",
+                     f"{cdc.get('events', 0)} / {cdc.get('coalesced', 0)}"))
     cache = database.objects.cache
     rows.append(("object cache",
                  f"{len(cache)} buffers, {cache.hits} hits / "

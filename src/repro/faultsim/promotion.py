@@ -71,7 +71,7 @@ from repro.ode.codec import encode_object
 from repro.ode.oid import Oid
 from repro.ode.store import ObjectStore
 from repro.ode.wal import OP_TERM, WriteAheadLog
-from repro.repl.feed import ReplicationFeed, units_from_wire
+from repro.repl.feed import Unit, fetch, units_from_wire
 from repro.repl.promote import promote_store
 
 #: Probability that a mid-reign catch-up streams across the promotion
@@ -140,6 +140,15 @@ def _minted_terms(wal_path: Path) -> List[int]:
         wal.close()
 
 
+def _log_units(store: ObjectStore, after_epoch: int) -> Optional[List[Unit]]:
+    """The units in *store*'s change log past *after_epoch*; ``None``
+    when the log's floor has passed it."""
+    entries = store.change_log.read(after_epoch)
+    if entries is None:
+        return None
+    return [(entry.epoch, entry.frames) for entry in entries]
+
+
 def run_promotion_crash(directory: Union[str, Path], seed: int,
                         crash_at: int, transactions: int = 4,
                         resurrect: bool = False) -> PromotionCrashOutcome:
@@ -155,7 +164,7 @@ def run_promotion_crash(directory: Union[str, Path], seed: int,
     workload = TortureWorkload(seed, transactions)
     rng = random.Random(derive_seed(seed, "promotion"))
 
-    feed: Optional[ReplicationFeed] = None
+    primary: Optional[ObjectStore] = None
     replicas: Dict[str, ObjectStore] = {
         name: ObjectStore(directory / name,
                           pool_capacity=TORTURE_POOL_CAPACITY)
@@ -179,9 +188,9 @@ def run_promotion_crash(directory: Union[str, Path], seed: int,
 
     def catch_up(name: str) -> None:
         store = replicas[name]
-        reply = feed.fetch(store.epoch, max_units=transactions * 4)
+        reply = fetch(primary, store.epoch, max_units=transactions * 4)
         if reply["resync"]:
-            return  # bounded ring outran us; a later sync covers it
+            return  # the log's floor passed us; a later sync covers it
         units = units_from_wire(reply["units"])
         if units:
             store.apply_replicated(units)
@@ -192,25 +201,25 @@ def run_promotion_crash(directory: Union[str, Path], seed: int,
             if rng.random() < APPLY_PROBABILITY:
                 catch_up(name)
 
-    def publish_feed(created: ReplicationFeed) -> None:
-        nonlocal feed
-        feed = created
+    def publish_primary(opened: ObjectStore) -> None:
+        nonlocal primary
+        primary = opened
 
     crashed = _run_gated_primary(
-        primary_dir, schedule, workload, on_commit, publish_feed)
+        primary_dir, schedule, workload, on_commit, publish_primary)
 
     def sync_full(upstream: ObjectStore, name: str) -> None:
         """Bring ``replicas[name]`` exactly level with *upstream*.
 
-        Streams when the upstream's WAL window still covers the node
+        Streams when the upstream's change log still covers the node
         (adopting any higher terms carried on the units), then falls
         back to a snapshot install whenever streaming alone cannot
         land it on the upstream's exact (term, epoch) — e.g. the term
         was minted after the last commit, so no unit carries it yet.
         """
         store = replicas[name]
-        units, floor = upstream.replication_units(store.epoch)
-        if floor is not None and store.epoch >= floor and units:
+        units = _log_units(upstream, store.epoch)
+        if units:
             store.apply_replicated(units)
         if (store.epoch, store.term) != (upstream.epoch, upstream.term):
             with upstream.snapshot() as snap:
@@ -266,7 +275,7 @@ def run_promotion_crash(directory: Union[str, Path], seed: int,
 
         # The stale unit extends the promoted node's epochs contiguously
         # — only the term check can reject it.
-        stale_units, _floor = old.replication_units(target.epoch)
+        stale_units = _log_units(old, target.epoch) or []
         if not stale_units:
             fenced_ok = False
             notes.append(f"expected a split-brain unit past epoch "
@@ -317,10 +326,8 @@ def run_promotion_crash(directory: Union[str, Path], seed: int,
             if name == target_name or rng.random() >= APPLY_PROBABILITY:
                 continue
             store = replicas[name]
-            units, floor = target.replication_units(store.epoch)
-            can_stream = (floor is not None and store.epoch >= floor
-                          and units)
-            if can_stream and (target.term == store.term
+            units = _log_units(target, store.epoch)
+            if units and (target.term == store.term
                                or rng.random() < STREAM_PROBABILITY):
                 store.apply_replicated(units)
             else:

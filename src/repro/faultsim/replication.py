@@ -1,11 +1,12 @@
 """Crash-recovery torture for WAL-shipping replication.
 
 Extends the single-store torture harness with a replica: the seeded
-workload runs against a gated primary while a replica — fed through a
-real :class:`~repro.repl.feed.ReplicationFeed` — applies committed
-units at seeded, deliberately-laggy points between transactions.  The
-schedule can also kill the replica mid-run (same ``kill -9`` model as
-the primary) and, at ``crash_at``, kills the primary itself.  After the
+workload runs against a gated primary while a replica — fed by the
+server's own :func:`~repro.repl.feed.fetch` from the primary's change
+log — applies committed units at seeded, deliberately-laggy points
+between transactions.  The schedule can also kill the replica mid-run
+(same ``kill -9`` model as the primary) and, at ``crash_at``, kills the
+primary itself.  After the
 dust settles both stores are reopened, the replica catches up, and the
 harness model-checks the full replication contract:
 
@@ -37,7 +38,7 @@ from repro.faultsim.harness import (
 from repro.faultsim.plan import CrashSchedule, SimulatedCrash, derive_seed
 from repro.ode.store import ObjectStore
 from repro.ode.wal import OP_CHECKPOINT, OP_COMMIT, WriteAheadLog
-from repro.repl.feed import ReplicationFeed, units_from_wire
+from repro.repl.feed import fetch, units_from_wire
 
 #: Probability that a post-commit quiescent point ships-and-applies.
 APPLY_PROBABILITY = 0.6
@@ -88,8 +89,8 @@ def _state(store: ObjectStore) -> Dict[str, bytes]:
 
 def _run_gated_primary(primary_dir: Path, schedule: CrashSchedule,
                        workload: TortureWorkload, on_commit,
-                       publish_feed) -> bool:
-    """Open the gated primary, wire the feed, run the workload.
+                       publish_primary) -> bool:
+    """Open the gated primary, publish it to the caller, run the workload.
 
     Returns whether the schedule killed the primary.  Isolated in its
     own frame on purpose: :func:`crash_store` scavenges file handles
@@ -104,7 +105,7 @@ def _run_gated_primary(primary_dir: Path, schedule: CrashSchedule,
         primary = ObjectStore(primary_dir,
                               pool_capacity=TORTURE_POOL_CAPACITY,
                               fault_gate=schedule)
-        publish_feed(ReplicationFeed(primary))
+        publish_primary(primary)
         workload.run(primary, on_commit=on_commit)
         primary.close()
         return False
@@ -130,14 +131,14 @@ def run_replicated_crash(directory: Union[str, Path], seed: int,
     workload = TortureWorkload(seed, transactions)
     rng = random.Random(derive_seed(seed, "replication"))
 
-    feed: Optional[ReplicationFeed] = None
+    primary: Optional[ObjectStore] = None
     replica = ObjectStore(replica_dir, pool_capacity=TORTURE_POOL_CAPACITY)
 
     #: Every epoch the replica *published* by streaming, in publish
     #: order, across replica kills (the post-kill reopen must resume
-    #: exactly where the durable WAL left it).
+    #: exactly where the durable WAL left it), as its own change log
+    #: recorded them for its downstream readers.
     streamed: List[int] = []
-    replica.subscribe_commits(lambda epoch, _frames: streamed.append(epoch))
     epoch_high = replica.epoch
     epochs_monotonic = True
     replica_kills = 0
@@ -152,12 +153,15 @@ def run_replicated_crash(directory: Union[str, Path], seed: int,
         epoch_high = max(epoch_high, current)
 
     def catch_up() -> None:
-        reply = feed.fetch(replica.epoch, max_units=transactions * 4)
+        before = replica.epoch
+        reply = fetch(primary, before, max_units=transactions * 4)
         if reply["resync"]:
-            return  # bounded ring outran us; the final catch-up resyncs
+            return  # the log's floor passed us; the final catch-up resyncs
         units = units_from_wire(reply["units"])
         if units:
             replica.apply_replicated(units)
+            streamed.extend(
+                entry.epoch for entry in replica.change_log.read(before))
         observe(replica.epoch, "apply")
 
     def on_commit() -> None:
@@ -168,18 +172,16 @@ def run_replicated_crash(directory: Union[str, Path], seed: int,
             crash_store(replica)
             replica = ObjectStore(replica_dir,
                                   pool_capacity=TORTURE_POOL_CAPACITY)
-            replica.subscribe_commits(
-                lambda epoch, _frames: streamed.append(epoch))
             observe(replica.epoch, f"replica reopen (was {before})")
         if rng.random() < APPLY_PROBABILITY:
             catch_up()
 
-    def publish_feed(created: ReplicationFeed) -> None:
-        nonlocal feed
-        feed = created
+    def publish_primary(opened: ObjectStore) -> None:
+        nonlocal primary
+        primary = opened
 
     crashed = _run_gated_primary(
-        primary_dir, schedule, workload, on_commit, publish_feed)
+        primary_dir, schedule, workload, on_commit, publish_primary)
 
     # The primary's WAL still holds every committed unit of the final
     # window — read the committed epoch sequence out *before* reopening
@@ -206,12 +208,13 @@ def run_replicated_crash(directory: Union[str, Path], seed: int,
         notes.append(f"survivors {sorted(survivors)} match no acceptable "
                      f"state (committed={sorted(acceptable[0])})")
 
-    # Final catch-up: stream if the primary's post-restart WAL window
+    # Final catch-up: stream if the primary's post-restart change log
     # still covers the replica, else install a snapshot.  Either way
     # the replica must land exactly on the primary.
     resynced = False
-    units, floor = reopened.replication_units(replica.epoch)
-    if floor is not None and replica.epoch >= floor:
+    reply = fetch(reopened, replica.epoch)
+    if not reply["resync"]:
+        units = units_from_wire(reply["units"])
         if units:
             replica.apply_replicated(units)
     else:

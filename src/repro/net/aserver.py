@@ -17,15 +17,18 @@ writes
     ``commit_stage`` — under the lock, then ``commit_wait`` with the
     lock *released*, so the loop never blocks on an fsync and
     concurrent sessions' commits batch into one ``wal.group.sync``.
-CDC push
-    loop-native pump tasks.  The subscriber's wakeup notifier posts to
-    the loop (``call_soon_threadsafe``), the pump drains the bounded
-    queue and writes one frame per commit through the connection's
-    serialized writer — an idle subscription parks on an event and
-    costs zero wakeups.
-replication long-poll
-    loop-native too: an ``OP_REPL_FETCH`` with nothing to stream parks
-    an ``asyncio.Event`` registered as a feed waiter; no thread waits.
+change-log readers
+    a CDC subscription and a replication long-poll are both a cursor
+    over the database's change log (:class:`~repro.ode.store.ChangeLog`)
+    read inline on the loop.  A commit appends once and posts one
+    ``call_soon_threadsafe`` per database; on the loop that sets the
+    database's ``changed`` event, which every parked reader of it awaits.
+    A reader takes the current event *before* it reads the log, so an
+    append landing after the read still wakes it.  A subscription's pump
+    task pushes one ``OP_CDC_EVENT`` per commit through the connection's
+    serialized writer; an ``OP_REPL_FETCH`` with nothing to stream parks
+    until the next append or its wait runs out.  An idle reader costs
+    zero wakeups.
 
 Backpressure is the transport's: replies and pushes go through
 ``StreamWriter.drain()``, so a peer that stops reading suspends only
@@ -36,16 +39,15 @@ commit path and every other connection keep moving.
 from __future__ import annotations
 
 import asyncio
-import functools
 import itertools
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from repro.cdc import CdcSubscriber, summary_to_wire
-from repro.errors import NetworkError, OdeError
+from repro.cdc import ChangeCursor, summary_to_wire
+from repro.errors import NetworkError
 from repro.net import protocol as P
-from repro.net.session import ServerSession
+from repro.net.session import HostedDatabase, ServerSession
 from repro.obs import get_registry
-from repro.repl.feed import MAX_WAIT_SECONDS
+from repro.repl.feed import MAX_WAIT_SECONDS, fetch
 
 if TYPE_CHECKING:  # the server imports this module
     from repro.net.server import OdeServer
@@ -56,17 +58,29 @@ if TYPE_CHECKING:  # the server imports this module
 _READ_CHUNK = 64 * 1024
 
 
+def _fetch_field(payload: Dict[str, Any], key: str, default: int,
+                 minimum: int) -> int:
+    """An integer ``OP_REPL_FETCH`` field, or a NetworkError naming it."""
+    if key not in payload:
+        return default
+    value = payload[key]
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or value < minimum:
+        raise NetworkError(f"OP_REPL_FETCH {key!r} must be an integer "
+                           f">= {minimum}, not {value!r}")
+    return value
+
+
 class _AsyncSubscription:
-    """One CDC subscription's loop-side state (queue + pump task)."""
+    """One CDC subscription's loop-side state (cursor + pump task)."""
 
-    __slots__ = ("sub_id", "db_name", "subscriber", "wake", "task")
+    __slots__ = ("sub_id", "hosted", "cursor", "task")
 
-    def __init__(self, sub_id: int, db_name: str,
-                 subscriber: CdcSubscriber, wake: asyncio.Event):
+    def __init__(self, sub_id: int, hosted: HostedDatabase,
+                 cursor: ChangeCursor):
         self.sub_id = sub_id
-        self.db_name = db_name
-        self.subscriber = subscriber
-        self.wake = wake
+        self.hosted = hosted
+        self.cursor = cursor
         self.task: Optional[asyncio.Task] = None
 
 
@@ -137,15 +151,10 @@ class _AsyncConnection:
         """Synchronous cleanup — safe even when the task was cancelled
         (no awaits, so it cannot be re-interrupted mid-flight)."""
         server = self._server
-        for sub in list(self._subscriptions.values()):
-            sub.subscriber.close()
-            try:
-                server.router(sub.db_name).unregister(sub.subscriber)
-            except OdeError:
-                pass  # server shutting down; the router is already gone
-            if sub.task is not None and not sub.task.done():
+        for sub_id in list(self._subscriptions):
+            sub = self._drop_subscription(sub_id)
+            if not sub.task.done():
                 sub.task.cancel()
-        self._subscriptions.clear()
         try:
             self._session.close()  # aborts an open tx, drops cursor pins
         except Exception:
@@ -245,57 +254,31 @@ class _AsyncConnection:
         result.setdefault("epoch", hosted.database.store.epoch)
         return result
 
-    # -- replication long-poll ---------------------------------------------------
+    # -- change-log readers ------------------------------------------------------
 
     async def _repl_fetch(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        session = self._session
-        hosted = session.resolve_hosted(payload)
-        feed = self._server.feed(hosted.database.name)
-        after = payload.get("after", 0)
-        if not isinstance(after, int) or after < 0:
-            raise NetworkError(f"bad replication offset {after!r}")
-        max_units = int(payload.get("max", 64))
-        wait_seconds = min(
-            max(int(payload.get("wait_ms", 0)) / 1000.0, 0.0),
-            MAX_WAIT_SECONDS)
+        hosted = self._session.resolve_hosted(payload)
+        store = hosted.database.store
+        after = _fetch_field(payload, "after", 0, 0)
+        max_units = _fetch_field(payload, "max", 64, 1)
+        wait_ms = _fetch_field(payload, "wait_ms", 0, 1)
         loop = asyncio.get_running_loop()
-        fetch = functools.partial(feed.fetch, after, max_units=max_units)
-        # The waiter fires on the committer's thread (and on feed
-        # close), so it only posts the event back to the loop.
-        wake = asyncio.Event()
-
-        def notify() -> None:
-            try:
-                loop.call_soon_threadsafe(wake.set)
-            except RuntimeError:
-                pass  # loop already shut down
-
-        # Register BEFORE the first fetch: a commit landing between an
-        # empty fetch and a later registration would wake no one and
-        # the poller would sleep its whole wait with a unit ready.
-        feed.add_waiter(notify)
-        try:
-            # In the executor, not inline: a fetch below the ring floor
-            # re-reads units from the WAL file.
-            result = await loop.run_in_executor(self._server._executor, fetch)
-            if result["units"] or wait_seconds <= 0.0:
+        deadline = loop.time() + min(wait_ms / 1000.0, MAX_WAIT_SECONDS)
+        while True:
+            if self._server._stopping.is_set():
+                raise NetworkError("server shutting down")
+            changed = hosted.changed  # before the read: see the module doc
+            result = fetch(store, after, max_units)
+            remaining = deadline - loop.time()
+            if result["units"] or result["resync"] or remaining <= 0:
                 return result
-            # Nothing to stream yet: park loop-natively on the waiter.
             try:
-                await asyncio.wait_for(wake.wait(), wait_seconds)
+                await asyncio.wait_for(changed.wait(), remaining)
             except asyncio.TimeoutError:
-                pass  # empty long-poll: reply with no units
-        finally:
-            feed.remove_waiter(notify)
-        # A closed feed (server shutdown) raises a clean NetworkError
-        # here rather than leaving the poller parked past the drain.
-        return await loop.run_in_executor(self._server._executor, fetch)
-
-    # -- change-data-capture -----------------------------------------------------
+                pass  # the next round replies with no units
 
     async def _cdc_subscribe(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        session = self._session
-        hosted = session.resolve_hosted(payload)
+        hosted = self._session.resolve_hosted(payload)
         database = hosted.database
         clusters = payload.get("clusters")
         if clusters is not None:
@@ -303,79 +286,48 @@ class _AsyncConnection:
             for name in clusters:
                 database.schema.get_class(name)  # raises on unknown class
         sub_id = next(self._sub_ids)
-        subscriber = CdcSubscriber(sub_id, database.name, clusters=clusters)
-        loop = asyncio.get_running_loop()
-        wake = asyncio.Event()
-
-        def notify() -> None:
-            try:
-                loop.call_soon_threadsafe(wake.set)
-            except RuntimeError:
-                pass  # loop already shut down
-
-        subscriber.set_notifier(notify)
-        sub = _AsyncSubscription(sub_id, database.name, subscriber, wake)
-        router = self._server.router(database.name)
-        # Ordering is the whole soundness story: register BEFORE
-        # reading the ack epoch, so no commit can fall between them
-        # unseen — a duplicate event at/below the ack epoch is a
-        # harmless extra eviction, the reverse order would lose deltas.
-        router.register(subscriber)
+        # The cursor starts at the ack epoch.  Every later commit is
+        # appended to the log after its epoch publishes, so none can
+        # fall between the ack and the stream unseen.
         epoch = database.store.epoch
+        sub = _AsyncSubscription(sub_id, hosted, ChangeCursor(epoch, clusters))
         self._subscriptions[sub_id] = sub
+        hosted.subscribers += 1
         sub.task = asyncio.create_task(self._pump(sub))
         return {"sub": sub_id, "epoch": epoch}
 
     async def _cdc_unsubscribe(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        sub = self._subscriptions.pop(payload.get("sub"), None)
+        sub = self._drop_subscription(payload.get("sub"))
         if sub is None:
             return {"closed": False}
-        sub.subscriber.close()
-        try:
-            self._server.router(sub.db_name).unregister(sub.subscriber)
-        except OdeError:
-            pass
-        if sub.task is not None:
-            try:
-                await asyncio.wait_for(sub.task, timeout=2.0)
-            except asyncio.TimeoutError:
-                sub.task.cancel()
-            except Exception:
-                pass
+        sub.task.cancel()
+        await asyncio.wait([sub.task])
         return {"closed": True}
 
-    async def _pump(self, sub: _AsyncSubscription) -> None:
-        """Drain one subscriber's queue onto the connection.
+    def _drop_subscription(self, sub_id) -> Optional[_AsyncSubscription]:
+        sub = self._subscriptions.pop(sub_id, None)
+        if sub is not None:
+            sub.hosted.subscribers -= 1
+        return sub
 
-        Parks on the subscription's wake event — zero idle wakeups — and
-        ships one frame per drained summary, so every commit reaches the
-        consumer at its own epoch.
-        """
-        m_send_errors = get_registry().counter("cdc.send_errors")
-        subscriber = sub.subscriber
-        while True:
-            await sub.wake.wait()
-            sub.wake.clear()
-            while True:
-                batch = subscriber.drain()
-                if not batch:
-                    break
-                try:
-                    for summary in batch:
-                        sent = await self._send(0, P.OP_CDC_EVENT, {
-                            "db": sub.db_name, "sub": sub.sub_id,
-                            **summary_to_wire(summary)})
-                        self._server._m_bytes_out.inc(sent)
-                except asyncio.CancelledError:
-                    raise
-                except Exception:
-                    m_send_errors.inc()
-                    subscriber.close()
-                    try:
-                        self._server.router(sub.db_name).unregister(
-                            subscriber)
-                    except OdeError:
-                        pass
-                    return
-            if subscriber.closed:
+    async def _pump(self, sub: _AsyncSubscription) -> None:
+        """Push one cursor's summaries onto the connection, one frame per
+        commit, until the subscription is dropped or the server stops."""
+        server = self._server
+        hosted = sub.hosted
+        log = hosted.database.store.change_log
+        while not server._stopping.is_set():
+            changed = hosted.changed  # before the read: see the module doc
+            try:
+                for summary in sub.cursor.read(log):
+                    sent = await self._send(0, P.OP_CDC_EVENT, {
+                        "db": hosted.database.name, "sub": sub.sub_id,
+                        **summary_to_wire(summary)})
+                    server._m_bytes_out.inc(sent)
+            except asyncio.CancelledError:
+                raise
+            except Exception:
+                get_registry().counter("cdc.send_errors").inc()
+                self._drop_subscription(sub.sub_id)
                 return
+            await changed.wait()

@@ -4,21 +4,22 @@ One server process owns the databases (and therefore their directory
 locks); any number of OdeView front ends connect and browse the same
 data concurrently — the paper's multi-user premise made literal.
 
-:class:`OdeServer` is the hosting layer (databases, replication feeds,
-change routers, replica appliers, request metrics) plus the lifecycle of
-the one I/O core: an ``asyncio`` event loop on one background thread.
-Connections are coroutines (:mod:`repro.net.aserver`), frames reassemble
-incrementally from whatever the socket has, snapshot reads run inline
-on the loop, and writes hop to a small executor for the group-commit
-stage/wait so the loop never blocks on an fsync.  Connection count is
-bounded by file descriptors, not OS threads.
+:class:`OdeServer` is the hosting layer (databases and the wakeups of
+their change-log readers, replica appliers, request metrics) plus the
+lifecycle of the one I/O core: an ``asyncio`` event loop on one
+background thread.  Connections are coroutines
+(:mod:`repro.net.aserver`), frames reassemble incrementally from
+whatever the socket has, snapshot reads run inline on the loop, and
+writes hop to a small executor for the group-commit stage/wait so the
+loop never blocks on an fsync.  Connection count is bounded by file
+descriptors, not OS threads.
 
 Writers are serialized per database by an ``asyncio.Lock`` the server
 hands out (:meth:`OdeServer._write_lock_for`); readers are lock-free
 (MVCC snapshots).
 
 Shutdown drains gracefully: the listener closes first (no new
-connections), replication feeds close (unparking long-pollers with a
+connections), parked change-log readers wake (a long-poll ends with a
 clean error), in-flight requests finish, and if connections fail to
 drain the group-commit barrier cancels its parked waiters rather than
 leaking them past the drain deadline.
@@ -27,20 +28,19 @@ leaking them past the drain deadline.
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.cdc.router import ChangeRouter
 from repro.errors import NetworkError, OdeError, StorageError
 from repro.net import protocol as P
 from repro.net.aserver import _AsyncConnection
 from repro.net.session import HostedDatabase
 from repro.obs.metrics import get_registry
 from repro.ode.database import Database
-from repro.repl.feed import ReplicationFeed
 from repro.repl.replica import ReplicaApplier, bootstrap_replica
 
 #: How long shutdown waits for in-flight connections to drain.
@@ -61,9 +61,8 @@ _EXECUTOR_WORKERS = 16
 class OdeServer:
     """Hosts the databases under a root and serves them from one event loop.
 
-    Owns the databases, their replication feeds and change routers, the
-    replica appliers, the session-id well, the request metrics, and the
-    loop thread that moves frames.
+    Owns the databases, the replica appliers, the session-id well, the
+    request metrics, and the loop thread that moves frames.
     """
 
     def __init__(self, root: Union[str, Path], host: str = "127.0.0.1",
@@ -92,8 +91,6 @@ class OdeServer:
         #: The faultsim test seam, handed to every hosted database.
         self._fault_gate = fault_gate
         self._hosted: Dict[str, HostedDatabase] = {}
-        self._feeds: Dict[str, ReplicationFeed] = {}
-        self._routers: Dict[str, ChangeRouter] = {}
         self._appliers: Dict[str, ReplicaApplier] = {}
         self._stopping = threading.Event()
         # itertools.count, NOT iter(range(...)): a finite range would
@@ -147,18 +144,23 @@ class OdeServer:
             raise StorageError(f"no databases found under {self.root}")
         for path in candidates:
             database = Database.open(path, fault_gate=self._fault_gate)
-            self._hosted[database.name] = HostedDatabase(database)
-            # Every hosted database gets a feed, whatever the role: on
-            # a primary it serves replicas; on a replica it makes the
-            # node a valid upstream for chained replication (the
-            # store's subscribe hook fires on replicated applies too).
-            self._feeds[database.name] = ReplicationFeed(database.store)
-            # ... and a change router, for the same reason: a replica
-            # serves CDC from its own applied feed, so push fan-out
-            # scales with the replica set instead of piling onto the
-            # primary.
-            self._routers[database.name] = ChangeRouter(
-                database.name, database.store)
+            hosted = HostedDatabase(database)
+            self._hosted[database.name] = hosted
+            # Whatever the role: the log fills on replicated applies
+            # too, so a replica serves replica fetches (chaining) and
+            # CDC push from its own applied stream.
+            database.store.change_log.on_change = functools.partial(
+                self._post_wake, hosted)
+
+    def _post_wake(self, hosted: HostedDatabase) -> None:
+        """The change log's hook (writer's thread, store lock
+        held): one loop wakeup per commit, whatever the reader count."""
+        loop = self._loop
+        if loop is not None:
+            try:
+                loop.call_soon_threadsafe(hosted.wake)
+            except RuntimeError:
+                pass  # loop already closed
 
     def _bootstrap_from_primary(self) -> None:
         """Clone the primary's databases that are missing under root."""
@@ -198,20 +200,15 @@ class OdeServer:
         accepted its term fence is already on disk.  Idempotent on a
         primary: no appliers to stop, but a fresh term is still minted
         (each call is one promotion; callers must not blind-retry it).
-        The feeds and change routers were created at start regardless of
-        role, so replicas and CDC subscribers of this node keep working
-        across the flip — downstream appliers see the raised term in
+        Every database's change log serves regardless of role, so
+        replicas and CDC subscribers of this node keep working across
+        the flip — downstream appliers see the raised term in
         their next fetch and resync under it.
         """
         self._stop_appliers()
         self.replica_of = None
         return {name: entry.database.store.promote_term()
                 for name, entry in sorted(self._hosted.items())}
-
-    def _close_feeds(self) -> None:
-        """Close the replication feeds, unparking long-pollers cleanly."""
-        for feed in self._feeds.values():
-            feed.close()
 
     def _cancel_commit_waiters(self) -> None:
         """Fail parked ``commit_wait`` callers with a clean error.
@@ -229,9 +226,7 @@ class OdeServer:
                 get_registry().counter("net.teardown_error").inc()
 
     def _close_hosted(self) -> None:
-        """Tear down routers and databases (run from the caller's thread)."""
-        for router in self._routers.values():
-            router.close()
+        """Close the databases (run from the caller's thread)."""
         for entry in self._hosted.values():
             try:
                 entry.database.close()
@@ -240,26 +235,12 @@ class OdeServer:
                 # store down; the directory lock still gets released.
                 get_registry().counter("net.teardown_error").inc()
         self._hosted.clear()
-        self._feeds.clear()
-        self._routers.clear()
 
     def hosted(self, name: str) -> HostedDatabase:
         entry = self._hosted.get(name)
         if entry is None:
             raise StorageError(f"server does not host a database named {name!r}")
         return entry
-
-    def feed(self, name: str) -> ReplicationFeed:
-        feed = self._feeds.get(name)
-        if feed is None:
-            raise StorageError(f"server does not host a database named {name!r}")
-        return feed
-
-    def router(self, name: str) -> ChangeRouter:
-        router = self._routers.get(name)
-        if router is None:
-            raise StorageError(f"server does not host a database named {name!r}")
-        return router
 
     def applier(self, name: str) -> ReplicaApplier:
         applier = self._appliers.get(name)
@@ -287,8 +268,13 @@ class OdeServer:
         applier = self._appliers.get(name)
         if applier is not None:
             return applier.stats()
-        feed = self._feeds.get(name)
-        return feed.stats() if feed is not None else {}
+        log = self.hosted(name).database.store.change_log
+        return {
+            "floor": log.floor,
+            "units": len(log),
+            "bytes": log.nbytes,
+            "resyncs": get_registry().counter("repl.feed.resyncs").value,
+        }
 
     def database_names(self) -> List[str]:
         return sorted(self._hosted)
@@ -345,7 +331,6 @@ class OdeServer:
             self._loop_thread = None
             self._loop = None
             self._stop_appliers()
-            self._close_feeds()
             self._close_hosted()
             raise exc
 
@@ -398,7 +383,6 @@ class OdeServer:
         if loop is None or thread is None or not thread.is_alive():
             # Never started (or the loop already died): just tear down
             # whatever hosting state exists.
-            self._close_feeds()
             self._close_hosted()
             self._loop = None
             self._loop_thread = None
@@ -425,10 +409,11 @@ class OdeServer:
         if self._aserver is not None:
             self._aserver.close()
             await self._aserver.wait_closed()
-        # Feeds first: a replication long-poll parked on a feed waiter
-        # wakes immediately with a clean error instead of riding out
-        # its wait against the drain budget.
-        self._close_feeds()
+        # Parked readers first: a replication long-poll wakes at once
+        # with a clean error instead of riding out its wait against the
+        # drain budget, and CDC pumps exit.
+        for hosted in self._hosted.values():
+            hosted.wake()
         for conn in list(self._connections):
             conn.request_close()
         tasks = [conn.task for conn in list(self._connections)

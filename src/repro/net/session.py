@@ -43,6 +43,7 @@ then ``commit_wait``).
 
 from __future__ import annotations
 
+import asyncio
 import itertools
 from typing import Any, Dict, Optional, Tuple
 
@@ -63,10 +64,22 @@ MAX_SCAN_BATCH = 1024
 
 
 class HostedDatabase:
-    """One database the server hosts."""
+    """One database the server hosts, and the loop-side state of the
+    readers of its change log."""
 
     def __init__(self, database) -> None:
         self.database = database
+        #: Set, and replaced by a fresh one, on the loop after each
+        #: change-log append: every reader parked on this database
+        #: awaits the current event.
+        self.changed = asyncio.Event()
+        #: Live CDC subscriptions on this database, over all sessions.
+        self.subscribers = 0
+
+    def wake(self) -> None:
+        """Wake every parked reader of this database (loop thread)."""
+        changed, self.changed = self.changed, asyncio.Event()
+        changed.set()
 
 
 class ServerSession:
@@ -611,7 +624,11 @@ class ServerSession:
                     registry.histogram("mvcc.snapshot_age").percentile(95),
             },
             "read_lockfree": self._m_read_lockfree.value,
-            "cdc": self.server.router(database.name).stats(),
+            "cdc": {
+                "subscribers": hosted.subscribers,
+                "events": registry.counter("cdc.events").value,
+                "coalesced": registry.counter("cdc.coalesced").value,
+            },
         }
 
     def op_vacuum(self, payload: Dict[str, Any]) -> Dict[str, Any]:

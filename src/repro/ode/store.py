@@ -69,6 +69,7 @@ sweeps every chain only when it raised the watermark.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import threading
 from pathlib import Path
@@ -199,6 +200,106 @@ class _MembershipReads:
         return [Oid(database, cluster, number)
                 for database, cluster, numbers in clusters
                 for number in numbers]
+
+
+class ChangeEntry:
+    """One committed unit in a store's :class:`ChangeLog`."""
+
+    __slots__ = ("epoch", "frames", "nbytes", "summary")
+
+    def __init__(self, epoch: int, frames: List[WalRecord], nbytes: int):
+        self.epoch = epoch
+        #: The commit's full frame sequence (BEGIN, ops, COMMIT).
+        self.frames = frames
+        #: The unit's size in the WAL; the log is bounded by the sum.
+        self.nbytes = nbytes
+        #: Filled in by the first CDC reader (:mod:`repro.cdc.summary`)
+        #: and shared by every later one.
+        self.summary = None
+
+
+class ChangeLog:
+    """The store's committed units since :attr:`floor`, oldest first.
+
+    The one buffer behind replica fetches and CDC push.  A unit enters
+    on both publish paths (group-commit finish and
+    :meth:`ObjectStore.apply_replicated`) in the store-lock critical
+    section that publishes its epoch, so the entries are exactly every
+    published epoch in ``(floor, tail]``.  Oldest units are trimmed once
+    their WAL bytes exceed :data:`WAL_CHECKPOINT_BYTES`; a WAL
+    checkpoint does not trim.  A snapshot install or a recovery that
+    published epochs the log never saw resets it, raising the floor.
+
+    Readers hold their own ``after_epoch``; a reader below the floor
+    has lost units and must resync.
+    """
+
+    def __init__(self, floor: int):
+        self._lock = threading.Lock()
+        self._entries: List[ChangeEntry] = []
+        self._nbytes = 0
+        self._floor = floor
+        #: Called with no arguments after every append and reset, on the
+        #: writer's thread under the store lock: it must be cheap and
+        #: must not block.  The server points it at its event loop.
+        self.on_change: Optional[Callable[[], None]] = None
+
+    @property
+    def floor(self) -> int:
+        """The epoch the oldest entry extends."""
+        return self._floor
+
+    @property
+    def tail(self) -> int:
+        """The newest epoch in the log (the floor when it is empty)."""
+        with self._lock:
+            return self._entries[-1].epoch if self._entries else self._floor
+
+    @property
+    def nbytes(self) -> int:
+        return self._nbytes
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def append(self, epoch: int, frames: List[WalRecord], nbytes: int) -> None:
+        with self._lock:
+            self._entries.append(ChangeEntry(epoch, frames, nbytes))
+            self._nbytes += nbytes
+            trim = 0
+            while self._nbytes > WAL_CHECKPOINT_BYTES:
+                self._nbytes -= self._entries[trim].nbytes
+                self._floor = self._entries[trim].epoch
+                trim += 1
+            del self._entries[:trim]
+        self._wake()
+
+    def reset(self, floor: int) -> None:
+        with self._lock:
+            self._entries = []
+            self._nbytes = 0
+            self._floor = floor
+        self._wake()
+
+    def _wake(self) -> None:
+        hook = self.on_change
+        if hook is not None:
+            try:
+                hook()
+            except Exception:
+                get_registry().counter("store.change_log.wake_errors").inc()
+
+    def read(self, after_epoch: int,
+             limit: Optional[int] = None) -> Optional[List[ChangeEntry]]:
+        """Entries newer than *after_epoch*, oldest first, at most
+        *limit*; ``None`` when *after_epoch* is below the floor."""
+        with self._lock:
+            if after_epoch < self._floor:
+                return None
+            start = bisect.bisect_right(self._entries, after_epoch,
+                                        key=lambda entry: entry.epoch)
+            stop = len(self._entries) if limit is None else start + limit
+            return self._entries[start:stop]
 
 
 class Snapshot(_MembershipReads):
@@ -360,11 +461,6 @@ class ObjectStore(_MembershipReads):
         # dooms any transaction left open across it.
         self._generation = 0
         self._tx_doomed = False
-        # Listeners for commits that do NOT cross the group-commit
-        # barrier (replicated applies); subscribe_commits registers on
-        # both paths so a subscriber sees every published commit.
-        self._replication_listeners: List[
-            Callable[[int, List[WalRecord]], None]] = []
         # Derived-structure maintenance (attribute indexes, statistics).
         # Apply listeners run INSIDE the commit path — under the store
         # lock, after the pages are applied, before the epoch publishes
@@ -378,6 +474,7 @@ class ObjectStore(_MembershipReads):
         self._rebuild_from_pages(purge=self._redo_oids())
         self._recover_from_wal()
         self._rebuild_members()
+        self._change_log = ChangeLog(self._epoch)
         # Epochs are minted at stage time and published at finish time;
         # the mint counter never regresses in-process, so a failed
         # commit leaves at most a gap, never a reused epoch.
@@ -601,7 +698,8 @@ class ObjectStore(_MembershipReads):
                                     epoch=epoch, term=self._term)]
                 self._commit_group.submit(
                     epoch, frames,
-                    lambda: self._commit_finish(epoch, effects, generation))
+                    lambda nbytes: self._commit_finish(
+                        epoch, frames, nbytes, effects, generation))
                 self._epoch_minted = epoch
             finally:
                 # Success or not, this transaction is finished: a failed
@@ -636,10 +734,12 @@ class ObjectStore(_MembershipReads):
             raise
         self._maybe_checkpoint()
 
-    def _commit_finish(self, epoch: int, effects: Dict[Oid, Optional[bytes]],
+    def _commit_finish(self, epoch: int, frames: List[WalRecord], nbytes: int,
+                       effects: Dict[Oid, Optional[bytes]],
                        generation: int) -> None:
         """Apply + publish one durable commit (runs on the batch leader,
-        in epoch order, after the batch fsync)."""
+        in epoch order, after the batch fsync; *nbytes* is the unit's
+        size in the WAL)."""
         with self._lock:
             if generation != self._generation:
                 # The store rebuilt itself from stable storage after this
@@ -667,6 +767,7 @@ class ObjectStore(_MembershipReads):
             self._notify_apply(epoch, effects, existed)
             self._gate("store.commit.publish")
             self._publish_epoch(epoch, effects, preimages)
+            self._change_log.append(epoch, frames, nbytes)
             self._gate("store.commit.checkpoint")
 
     def _maybe_checkpoint(self) -> None:
@@ -697,36 +798,14 @@ class ObjectStore(_MembershipReads):
         Already-durable commits are unaffected."""
         self._commit_group.shutdown_cancel(message)
 
-    # -- replication: shipping out, applying in ---------------------------------
+    # -- replication and CDC: the change log, applying in -----------------------
 
-    def subscribe_commits(
-            self, listener: Callable[[int, List[WalRecord]], None]) -> None:
-        """Call ``listener(epoch, frames)`` for every published commit.
-
-        Registered on both commit paths: the group-commit barrier (local
-        writers) and :meth:`apply_replicated` (commits shipped from a
-        primary), so a chained replica can feed its own downstreams.
-        Notification order is epoch order; a commit is only ever
-        announced after it is durable in this store's WAL and its epoch
-        is visible to snapshot readers.
-        """
-        self._commit_group.subscribe(listener)
-        with self._lock:
-            self._replication_listeners.append(listener)
-
-    def unsubscribe_commits(
-            self, listener: Callable[[int, List[WalRecord]], None]) -> None:
-        """Detach a :meth:`subscribe_commits` listener from both paths.
-
-        Idempotent; a listener that was never registered is ignored.  A
-        commit already in flight may still notify the listener once.
-        """
-        self._commit_group.unsubscribe(listener)
-        with self._lock:
-            self._replication_listeners = [
-                entry for entry in self._replication_listeners
-                if entry is not listener
-            ]
+    @property
+    def change_log(self) -> ChangeLog:
+        """Every published commit since the log's floor, for replica
+        fetches and CDC readers (local commits and replicated applies
+        alike, so a chained replica feeds its own readers)."""
+        return self._change_log
 
     # -- derived state (secondary indexes): apply/rebuild listeners --------------
 
@@ -764,14 +843,6 @@ class ObjectStore(_MembershipReads):
     def _notify_rebuild(self) -> None:
         for listener in self._rebuild_listeners:
             listener()
-
-    def replication_units(
-            self, after_epoch: int,
-    ) -> Tuple[List[Tuple[int, List[WalRecord]]], Optional[int]]:
-        """Committed units newer than *after_epoch* from the WAL, plus
-        the log's contiguity floor (see
-        :meth:`~repro.ode.wal.WriteAheadLog.committed_units`)."""
-        return self._wal.committed_units(after_epoch)
 
     @staticmethod
     def _unit_effects(frames: List[WalRecord]) -> Dict[Oid, Optional[bytes]]:
@@ -845,8 +916,8 @@ class ObjectStore(_MembershipReads):
                         f"replicated units skip an epoch: {epoch} "
                         f"cannot extend {last}")
                 last = epoch
-            self._wal.append_batch([record for _epoch, frames in fresh
-                                    for record in frames])
+            sizes = iter(self._wal.append_batch(
+                [record for _epoch, frames in fresh for record in frames]))
             self._wal.group_sync()
             # Adopt a higher term arriving in the stream.  Durable for
             # free: the COMMIT records just fsynced above carry it, and
@@ -881,12 +952,8 @@ class ObjectStore(_MembershipReads):
                     self._notify_rebuild()
                 if epoch > self._epoch_minted:
                     self._epoch_minted = epoch
-                for listener in self._replication_listeners:
-                    try:
-                        listener(epoch, frames)
-                    except Exception:
-                        get_registry().counter(
-                            "wal.group.notify_errors").inc()
+                self._change_log.append(
+                    epoch, frames, sum(next(sizes) for _record in frames))
             applied = self._epoch
         self._maybe_checkpoint()
         return applied
@@ -943,6 +1010,9 @@ class ObjectStore(_MembershipReads):
             # past and must not shadow the new primary's epochs.
             self._epoch_minted = epoch
             self._wal.checkpoint(epoch, term=self._term)
+            # The log's units belong to the replaced history; readers
+            # below the installed epoch resync, none streams across it.
+            self._change_log.reset(epoch)
             return epoch
 
     def _check_doomed(self) -> None:
@@ -1002,6 +1072,9 @@ class ObjectStore(_MembershipReads):
                 # never a half-applied commit.
                 self._rebuild_members()
                 self._notify_rebuild()
+                if self._epoch != self._change_log.tail:
+                    # The replay published commits the log never saw.
+                    self._change_log.reset(self._epoch)
                 return
             except StorageError as exc:
                 last = exc

@@ -168,8 +168,9 @@ class WriteAheadLog:
             if sync:
                 self.sync()
 
-    def append_batch(self, records: List[WalRecord]) -> None:
-        """Append several records as one contiguous write.
+    def append_batch(self, records: List[WalRecord]) -> List[int]:
+        """Append several records as one contiguous write; returns each
+        record's frame size.
 
         The frames are concatenated and cross the ``wal.append`` fault
         gate as a *single* blob — one write, one crash point — which is
@@ -179,8 +180,9 @@ class WriteAheadLog:
         :meth:`group_sync`.
         """
         if not records:
-            return
-        blob = b"".join(self.encode_frame(record) for record in records)
+            return []
+        frames = [self.encode_frame(record) for record in records]
+        blob = b"".join(frames)
         with self._io:
             self._fh.seek(0, os.SEEK_END)
             if self._fault_gate is None:
@@ -189,6 +191,7 @@ class WriteAheadLog:
             else:
                 self._fault_gate("wal.append", blob, self._append_through)
             self._size += len(blob)
+        return [len(frame) for frame in frames]
 
     def _append_through(self, frame: bytes) -> None:
         """Gated append continuation: write and flush, so a torn frame
@@ -447,13 +450,14 @@ class GroupCommit:
     the leader for what is pending, up to :data:`MAX_BATCH` commits: it
     appends every queued transaction's frames as one epoch-ordered blob,
     issues a single ``wal.group.sync`` fsync, and then runs each commit's
-    ``on_durable`` callback **in epoch order** — the store's callback
-    applies the commit's pages and publishes its epoch, so visibility is
-    granted strictly after durability, oldest first.  Followers wake
-    when the durable watermark passes their epoch.  The leader never
-    waits for stragglers: commits staged while it fsyncs form the next
-    batch, so batches grow with the number of concurrent writers and a
-    lone writer pays one fsync per commit.
+    ``on_durable(nbytes)`` callback **in epoch order**, with the commit's
+    size in the log — the store's callback applies the commit's pages,
+    publishes its epoch and appends the unit to its change log, so
+    visibility is granted strictly after durability, oldest first.
+    Followers wake when the durable watermark passes their epoch.  The
+    leader never waits for stragglers: commits staged while it fsyncs
+    form the next batch, so batches grow with the number of concurrent
+    writers and a lone writer pays one fsync per commit.
 
     Failure protocol: a *transient* ``Exception`` during a flush fails
     the whole batch **and** everything still pending (the store recovers
@@ -481,7 +485,7 @@ class GroupCommit:
         # epoch-ascending (epoch, frames, on_durable) triples; *frames*
         # is one transaction's full record sequence (BEGIN, ops, COMMIT)
         self._pending: List[
-            Tuple[int, List[WalRecord], Optional[Callable[[], None]]]] = []
+            Tuple[int, List[WalRecord], Optional[Callable[[int], None]]]] = []
         self._durable = 0
         self._leader = False
         self._dead: Optional[BaseException] = None
@@ -493,10 +497,6 @@ class GroupCommit:
         self._commits = 0
         self._syncs = 0
         self._largest_batch = 0
-        # Commit subscribers: called by the leader, per commit, in epoch
-        # order, strictly after the commit is durable *and* finished
-        # (its on_durable ran).  This is the replication shipping hook.
-        self._subscribers: List[Callable[[int, List[WalRecord]], None]] = []
         self._wait_hist = Histogram("group_commit.wait_seconds")
         registry = get_registry()
         self._m_batches = registry.counter("wal.group.batches")
@@ -509,7 +509,7 @@ class GroupCommit:
     # -- the writer-facing protocol ---------------------------------------------
 
     def submit(self, epoch: int, frames: List[WalRecord],
-               on_durable: Optional[Callable[[], None]] = None) -> None:
+               on_durable: Optional[Callable[[int], None]] = None) -> None:
         """Queue one commit's buffered WAL frames (called at stage, under
         the store lock; epochs therefore arrive in ascending order)."""
         with self._cond:
@@ -520,34 +520,6 @@ class GroupCommit:
                 raise GroupCommitError(
                     f"commit group cancelled: {self._cancelled}")
             self._pending.append((epoch, frames, on_durable))
-
-    def subscribe(self, listener: Callable[[int, List[WalRecord]], None]) -> None:
-        """Register ``listener(epoch, frames)`` for every finished commit.
-
-        The leader notifies in epoch order, after the commit's fsync and
-        ``on_durable`` callback — so a listener only ever sees commits
-        that are durable and published, which is exactly what may be
-        shipped to a replica.  Listeners run under the finish lock (the
-        store lock) and must be fast and exception-free; a listener
-        error is counted (``wal.group.notify_errors``) and swallowed so
-        it can never fail a batch that is already durable.
-        """
-        with self._cond:
-            self._subscribers.append(listener)
-
-    def unsubscribe(self, listener: Callable[[int, List[WalRecord]], None]) -> None:
-        """Remove a listener registered by :meth:`subscribe` (idempotent)."""
-        with self._cond:
-            self._subscribers = [
-                entry for entry in self._subscribers if entry is not listener
-            ]
-
-    def _notify(self, epoch: int, frames: List[WalRecord]) -> None:
-        for listener in self._subscribers:
-            try:
-                listener(epoch, frames)
-            except Exception:
-                get_registry().counter("wal.group.notify_errors").inc()
 
     def wait_durable(self, epoch: int) -> None:
         """Block until *epoch* is durable and finished (its ``on_durable``
@@ -708,7 +680,7 @@ class GroupCommit:
     def _flush_group(
             self,
             batch: List[Tuple[int, List[WalRecord],
-                              Optional[Callable[[], None]]]],
+                              Optional[Callable[[int], None]]]],
     ) -> None:
         """Make one batch durable, then finish its commits in epoch order.
 
@@ -722,8 +694,8 @@ class GroupCommit:
         unfinished suffix (`_lead_once` records epochs above the
         watermark).
         """
-        self._wal.append_batch([record for _epoch, frames, _cb in batch
-                                for record in frames])
+        sizes = iter(self._wal.append_batch(
+            [record for _epoch, frames, _cb in batch for record in frames]))
         self._wal.group_sync()
         with self._cond:
             self._batches += 1
@@ -743,12 +715,12 @@ class GroupCommit:
         try:
             with hold:
                 for epoch, frames, on_durable in batch:
+                    nbytes = sum(next(sizes) for _record in frames)
                     if on_durable is not None:
-                        on_durable()
+                        on_durable(nbytes)
                     with self._cond:
                         if epoch > self._durable:
                             self._durable = epoch
-                    self._notify(epoch, frames)
         finally:
             with self._cond:
                 self._cond.notify_all()

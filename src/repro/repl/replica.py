@@ -2,7 +2,7 @@
 
 A replica is an ordinary server process whose databases are clones of a
 primary's, kept current by one :class:`ReplicaApplier` thread per
-database.  The applier long-polls the primary's replication feed over
+database.  The applier long-polls the primary's change log over
 the normal wire protocol (``OP_REPL_FETCH``), applies each batch of
 committed units with :meth:`~repro.ode.store.ObjectStore.apply_replicated`
 — WAL-first, epoch-ordered, idempotent — and falls back to a full
@@ -11,10 +11,10 @@ snapshot install (``OP_REPL_SNAPSHOT`` →
 primary reports the gap unbridgeable.
 
 The applier is deliberately pull-based: the primary keeps no per-replica
-state beyond the feed ring, a replica that dies simply stops fetching,
-and catch-up after a restart is the same code path as steady state
-(fetch from my epoch).  ``pause``/``resume`` exist so tests can hold a
-replica at a known lag.
+state (every reader shares its change log), a replica that dies simply
+stops fetching, and catch-up after a restart is the same code path as
+steady state (fetch from my epoch).  ``pause``/``resume`` exist so tests
+can hold a replica at a known lag.
 """
 
 from __future__ import annotations

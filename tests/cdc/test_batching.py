@@ -1,28 +1,27 @@
 """The server's loop-native CDC pump: one frame per commit, never merged.
 
-The soundness claim under test: the pump ships every drained summary as
-its own ``OP_CDC_EVENT``, so every commit reaches a subscriber at its
-own epoch — nothing coalesced away, nothing skipped — and a failed send
-closes and unregisters the subscriber instead of wedging the commit
-path.
+The soundness claim under test: the pump ships every unit its cursor
+reads as its own ``OP_CDC_EVENT``, so every commit reaches a subscriber
+at its own epoch — nothing coalesced away, nothing skipped — and a
+failed send drops the subscription instead of wedging the commit path.
 """
 
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
+from types import SimpleNamespace
 
-from repro.cdc import (
-    CdcSubscriber,
-    ChangeRouter,
-    ChangeSummary,
-    summary_from_wire,
-)
+from repro.cdc import ChangeCursor, summary_from_wire
 from repro.net import protocol as P
 from repro.net.aserver import _AsyncConnection, _AsyncSubscription
-from repro.obs import get_registry
-from repro.ode.store import ObjectStore
 from repro.net.remote import RemoteDatabase
+from repro.net.session import HostedDatabase
+from repro.obs import get_registry
+from repro.ode.codec import encode_object
+from repro.ode.oid import Oid
+from repro.ode.store import ObjectStore
 
 
 def _server_epoch(database: RemoteDatabase) -> int:
@@ -33,79 +32,79 @@ def _server_epoch(database: RemoteDatabase) -> int:
 class _PumpHost:
     """What the connection's pump needs of its server, and no more."""
 
-    def __init__(self, router=None):
-        self._router = router
+    def __init__(self):
+        self._stopping = threading.Event()
         self._m_bytes_out = get_registry().counter("net.server.bytes_out")
 
-    def router(self, _name):
-        return self._router
+
+def _store_with_commits(path, count: int) -> ObjectStore:
+    store = ObjectStore(path)
+    for number in range(1, count + 1):
+        oid = Oid("db", "emp", number)
+        store.put(oid, encode_object(oid, "Rec", {"n": number}))
+    return store
 
 
-def _run_pump(subscriber, send, host):
-    """Run the server's loop-native pump over *subscriber* to its exit.
+def _run_pump(hosted, send, host):
+    """Run the server's loop-native pump over a cursor at epoch 0 to its
+    exit; returns the connection.
 
-    The burst is queued before the pump starts, so its first drain
+    The burst is committed before the pump starts, so its first read
     deterministically sees all of it.  ``send`` stands in for the
     connection's frame writer.
     """
     async def main():
         connection = _AsyncConnection(host, None, None, 1)
         connection._send = send
-        wake = asyncio.Event()
-        wake.set()
-        await asyncio.wait_for(connection._pump(_AsyncSubscription(
-            subscriber.sub_id, subscriber.db_name, subscriber, wake)), 5.0)
+        sub = _AsyncSubscription(1, hosted, ChangeCursor(0))
+        connection._subscriptions[1] = sub
+        hosted.subscribers = 1
+        await asyncio.wait_for(connection._pump(sub), 5.0)
+        return connection
 
-    asyncio.run(main())
-
-
-def _queued(*epochs):
-    subscriber = CdcSubscriber(1, "db")
-    for epoch in epochs:
-        subscriber.offer(ChangeSummary(
-            epoch=epoch, changes={"emp": (f"db:emp:{epoch}",)}))
-    return subscriber
+    return asyncio.run(main())
 
 
 class TestLoopPump:
     """The two pump behaviours no end-to-end test pins down."""
 
-    def test_burst_ships_one_frame_per_summary(self):
-        subscriber = _queued(1, 2, 3)
+    def test_burst_ships_one_frame_per_summary(self, tmp_path):
+        store = _store_with_commits(tmp_path, 3)
+        hosted = HostedDatabase(SimpleNamespace(name="db", store=store))
+        host = _PumpHost()
         shipped = []
+        try:
+            async def send(request_id, opcode, payload):
+                assert (request_id, opcode) == (0, P.OP_CDC_EVENT)
+                shipped.append(summary_from_wire(payload))
+                if len(shipped) == 3:
+                    host._stopping.set()  # the pump's exit signal
+                    hosted.wake()
+                return 1
 
-        async def send(request_id, opcode, payload):
-            assert (request_id, opcode) == (0, P.OP_CDC_EVENT)
-            shipped.append(summary_from_wire(payload))
-            if len(shipped) == 3:
-                subscriber.close()  # the pump's exit signal
-            return 1
-
-        _run_pump(subscriber, send, _PumpHost())
+            _run_pump(hosted, send, host)
+        finally:
+            store.close()
         assert [summary.epoch for summary in shipped] == [1, 2, 3]
         assert [summary.changes["emp"] for summary in shipped] == [
             ("db:emp:1",), ("db:emp:2",), ("db:emp:3",)]
 
     def test_send_failure_closes_and_unregisters_the_subscriber(
             self, tmp_path):
-        store = ObjectStore(tmp_path)
-        router = ChangeRouter("db", store)
+        store = _store_with_commits(tmp_path, 1)
+        hosted = HostedDatabase(SimpleNamespace(name="db", store=store))
+        errors = get_registry().counter("cdc.send_errors")
+        before = errors.value
         try:
-            subscriber = _queued(1)
-            router.register(subscriber)
-            errors = get_registry().counter("cdc.send_errors")
-            before = errors.value
-
             async def send(_request_id, _opcode, _payload):
                 raise ConnectionError("peer is gone")
 
-            _run_pump(subscriber, send, _PumpHost(router))
-            assert subscriber.closed
-            assert router.subscriber_count == 0
-            assert errors.value == before + 1
+            connection = _run_pump(hosted, send, _PumpHost())
         finally:
-            router.close()
             store.close()
+        assert connection._subscriptions == {}
+        assert hosted.subscribers == 0
+        assert errors.value == before + 1
 
 
 class TestEndToEndNoEpochSkipped:
@@ -136,7 +135,7 @@ class TestEndToEndNoEpochSkipped:
                     event = sub.get(timeout=0.5)
                     if event is None:
                         continue
-                    assert not event.resync  # burst fits the queue
+                    assert not event.resync  # burst fits the log
                     top_epoch = max(top_epoch, event.epoch)
                     seen_oids.update(event.oids())
                 # Nothing skipped, nothing beyond.

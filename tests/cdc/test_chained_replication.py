@@ -1,11 +1,11 @@
 """Chained replication with CDC from the tail.
 
 Satellite to the CDC tentpole: a primary → replica → replica chain.
-Commits on the primary propagate hop by hop (each replica's feed is
-filled by its *applied* units, so the middle node is a valid upstream),
-and a browser subscribed to the TAIL replica still gets push events —
-the router there rides ``apply_replicated``'s commit notification, not
-the group-commit barrier.
+Commits on the primary propagate hop by hop (each replica's change log
+is filled by its *applied* units, so the middle node is a valid
+upstream), and a browser subscribed to the TAIL replica still gets push
+events — its cursor reads units ``apply_replicated`` appended, not the
+group-commit barrier's.
 """
 
 from __future__ import annotations

@@ -12,11 +12,11 @@ import time
 
 import pytest
 
-from repro.cdc import QUEUE_CAPACITY
-from repro.cdc import router as router_module
+from repro.cdc import ChangeCursor
 from repro.errors import OdeError
 from repro.net import protocol as P
 from repro.net.client import OdeClient
+from repro.ode import store as store_module
 
 
 def _wait_until(predicate, timeout: float = 10.0, interval: float = 0.02):
@@ -109,8 +109,7 @@ class TestPushDelivery:
                                         writer_lab):
         sub = remote_lab.subscribe()
         sub.close()
-        _wait_until(lambda: served_lab.router("lab").stats()[
-            "subscribers"] == 0)
+        _wait_until(lambda: served_lab.hosted("lab").subscribers == 0)
         oid = writer_lab.objects.cluster("employee").first()
         _touch(writer_lab, oid)
         assert sub.get(timeout=0.3) is None
@@ -122,14 +121,18 @@ class TestPushDelivery:
             assert stats["cdc"]["subscribers"] == 1
 
     def test_client_cannot_size_the_server_queue(self, served_lab):
-        """A subscribe asking for a 4096-summary queue gets the fixed
-        server-side bound: no client sizes the memory held for it."""
+        """A subscribe asking for a 4096-summary queue gets what every
+        subscription gets: one cursor over the shared change log, so no
+        client sizes the memory held for it."""
         client = OdeClient("127.0.0.1", served_lab.port).connect()
         try:
-            client.call(P.OP_CDC_SUBSCRIBE, {"db": "lab", "capacity": 4096})
-            router = served_lab.router("lab")
-            (subscriber,) = router._subscribers.values()
-            assert subscriber.capacity == QUEUE_CAPACITY
+            reply = client.call(P.OP_CDC_SUBSCRIBE,
+                                {"db": "lab", "capacity": 4096})
+            conn = next(iter(served_lab._connections))
+            (sub,) = conn._subscriptions.values()
+            assert isinstance(sub.cursor, ChangeCursor)
+            assert sub.cursor.after == reply["epoch"]
+            assert served_lab.hosted("lab").subscribers == 1
         finally:
             client.close()
 
@@ -147,16 +150,15 @@ class TestCommitPathIsolation:
         for _ in range(5):
             _touch(writer_lab, oid)
         assert time.monotonic() - start < 5.0  # commits never blocked
-        _wait_until(lambda: served_lab.router("lab").stats()[
-            "subscribers"] == 0)
+        _wait_until(lambda: served_lab.hosted("lab").subscribers == 0)
 
     def test_wedged_subscriber_coalesces_not_blocks(self, served_lab,
                                                     writer_lab, monkeypatch):
-        """A subscriber that never reads: its server queue overflows
-        into one resync marker; commit latency stays flat."""
-        # A tiny bound, read when the server builds the subscriber, so
-        # the overflow path runs within a short burst.
-        monkeypatch.setattr(router_module, "QUEUE_CAPACITY", 2)
+        """A subscriber that never reads: the change log's floor may
+        overtake its cursor (one resync marker); commit latency stays
+        flat."""
+        # A tiny log bound, so the floor moves within a short burst.
+        monkeypatch.setattr(store_module, "WAL_CHECKPOINT_BYTES", 2048)
         wedged = OdeClient("127.0.0.1", served_lab.port).connect()
         reply = wedged.call(P.OP_CDC_SUBSCRIBE, {"db": "lab"})
         assert reply["sub"] >= 1
@@ -167,8 +169,7 @@ class TestCommitPathIsolation:
         for _ in range(50):
             _touch(writer_lab, oid)
         assert time.monotonic() - start < 20.0
-        stats = served_lab.router("lab").stats()
-        assert stats["subscribers"] == 1   # wedged, not dead
+        assert served_lab.hosted("lab").subscribers == 1  # wedged, not dead
         wedged.close()
 
 
@@ -176,11 +177,9 @@ class TestSessionTeardown:
     def test_disconnect_reaps_subscriptions(self, served_lab):
         client = OdeClient("127.0.0.1", served_lab.port).connect()
         client.subscribe("lab")
-        _wait_until(lambda: served_lab.router("lab").stats()[
-            "subscribers"] == 1)
+        _wait_until(lambda: served_lab.hosted("lab").subscribers == 1)
         client.close()
-        _wait_until(lambda: served_lab.router("lab").stats()[
-            "subscribers"] == 0)
+        _wait_until(lambda: served_lab.hosted("lab").subscribers == 0)
 
     def test_client_drop_marks_subscription_lost(self, served_lab,
                                                  remote_lab):

@@ -116,7 +116,7 @@ def test_vanished_current_lands_on_first_member(remote_lab, writer_lab):
 def test_close_detaches_the_subscription(network, remote_lab, served_lab):
     browse = ReactiveBrowse(network, remote_lab)
     assert browse.alive
-    _wait_until(lambda: served_lab.router("lab").stats()["subscribers"] == 1)
+    _wait_until(lambda: served_lab.hosted("lab").subscribers == 1)
     browse.close()
     assert not browse.alive
-    _wait_until(lambda: served_lab.router("lab").stats()["subscribers"] == 0)
+    _wait_until(lambda: served_lab.hosted("lab").subscribers == 0)

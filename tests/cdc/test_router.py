@@ -1,137 +1,147 @@
-"""ChangeRouter / CdcSubscriber: bounded queues, coalescing, fan-out.
+"""A subscription's server-side state: a ChangeCursor over the change log.
 
-The backpressure contract under test: the commit path (``offer``) never
-blocks and never errors, no matter how wedged a consumer is — a slow
-subscriber degrades to one pending resync marker whose epoch keeps
-advancing, and a dead one is just garbage, not backpressure.
+What replaced the per-subscriber queues and their router: every
+subscriber reads the store's one change log through an
+``(after_epoch, clusters)`` cursor.  The contract under test: the
+commit path only appends, however many subscribers there are and
+however wedged; each unit is summarized once and shared; a cursor the
+log's floor overtakes degrades to one resync marker at the newest
+epoch, never a pile and never a silent gap.
 """
 
 from __future__ import annotations
 
-from repro.cdc import CdcSubscriber, ChangeRouter, ChangeSummary
-from repro.cdc import router as router_module
+import time
+
+from repro.cdc import ChangeCursor
+from repro.net.client import OdeClient
+from repro.obs import get_registry
+from repro.ode import store as store_module
 from repro.ode.codec import encode_object
 from repro.ode.oid import Oid
 from repro.ode.store import ObjectStore
 
 
-def _small_subscriber(monkeypatch, capacity):
-    """A subscriber built while the fixed queue bound is shrunk."""
-    monkeypatch.setattr(router_module, "QUEUE_CAPACITY", capacity)
-    return CdcSubscriber(1, "lab")
+def _put(store: ObjectStore, number: int, cluster: str = "employee") -> None:
+    oid = Oid("lab", cluster, number)
+    store.put(oid, encode_object(oid, "Rec", {"n": number}))
 
 
-def _summary(epoch, cluster="employee", oid=None):
-    oid = oid or f"lab:{cluster}:{epoch}"
-    return ChangeSummary(epoch=epoch, changes={cluster: (oid,)})
+def _shrink_log(store: ObjectStore, monkeypatch, units: int) -> None:
+    """Bound the log to *units* one-put units' worth of WAL bytes."""
+    _put(store, 0)
+    monkeypatch.setattr(store_module, "WAL_CHECKPOINT_BYTES",
+                        units * store.change_log.nbytes)
 
 
 class TestSubscriberQueue:
-    def test_offer_drain_round_trip(self):
-        sub = CdcSubscriber(1, "lab")
-        assert sub.offer(_summary(5))
-        assert sub.drain() == [_summary(5)]
-        assert sub.drain() == []
+    def test_offer_drain_round_trip(self, tmp_path):
+        store = ObjectStore(tmp_path)
+        try:
+            cursor = ChangeCursor(store.epoch)
+            _put(store, 5)
+            (summary,) = cursor.read(store.change_log)
+            assert summary.epoch == store.epoch
+            assert summary.changes == {"employee": ("lab:employee:5",)}
+            assert cursor.after == store.epoch
+            assert cursor.read(store.change_log) == []
+        finally:
+            store.close()
 
-    def test_cluster_filter_drops_unwanted_summaries(self):
-        sub = CdcSubscriber(1, "lab", clusters=["department"])
-        assert not sub.offer(_summary(5, cluster="employee"))
-        assert sub.offer(_summary(6, cluster="department"))
-        (taken,) = sub.drain()
-        assert set(taken.changes) == {"department"}
+    def test_cluster_filter_drops_unwanted_summaries(self, tmp_path):
+        store = ObjectStore(tmp_path)
+        try:
+            cursor = ChangeCursor(store.epoch, clusters=["department"])
+            _put(store, 5, cluster="employee")
+            _put(store, 6, cluster="department")
+            (taken,) = cursor.read(store.change_log)
+            assert set(taken.changes) == {"department"}
+            assert cursor.after == store.epoch  # advanced past both
+        finally:
+            store.close()
 
-    def test_overflow_coalesces_into_one_resync(self, monkeypatch):
-        sub = _small_subscriber(monkeypatch, 2)
-        for epoch in (1, 2, 3, 4, 5):
-            assert sub.offer(_summary(epoch))
-        # capacity 2: epochs 1-2 queued, 3 overflowed (clearing them),
-        # 4-5 folded into the marker.  One event, newest epoch, resync.
-        (event,) = sub.drain()
-        assert event.resync and event.epoch == 5
-        assert sub.drain() == []
-        assert sub.coalesced == 1
+    def test_overflow_coalesces_into_one_resync(self, tmp_path, monkeypatch):
+        store = ObjectStore(tmp_path)
+        coalesced = get_registry().counter("cdc.coalesced")
+        try:
+            _shrink_log(store, monkeypatch, 2)
+            cursor = ChangeCursor(store.epoch)
+            for number in range(1, 6):
+                _put(store, number)
+            # The floor passed the cursor: one event, newest epoch, resync.
+            before = coalesced.value
+            (event,) = cursor.read(store.change_log)
+            assert event.resync and event.epoch == store.epoch
+            assert cursor.read(store.change_log) == []
+            assert coalesced.value == before + 1
+        finally:
+            store.close()
 
-    def test_marker_outranks_queued_summaries(self, monkeypatch):
-        sub = _small_subscriber(monkeypatch, 1)
-        sub.offer(_summary(1))
-        sub.offer(_summary(2))   # overflow: clears, marker at 2
-        sub.offer(_summary(3))   # folds into marker
-        (event,) = sub.drain()
-        assert event.resync and event.epoch == 3
-
-    def test_closed_subscriber_refuses_offers(self):
-        sub = CdcSubscriber(1, "lab")
-        sub.close()
-        assert not sub.offer(_summary(1))
-        assert sub.drain() == []
-
-    def test_backlog_counts_queue_plus_marker(self, monkeypatch):
-        sub = _small_subscriber(monkeypatch, 1)
-        assert sub.backlog == 0
-        sub.offer(_summary(1))
-        assert sub.backlog == 1
-        sub.offer(_summary(2))
-        assert sub.backlog == 1  # collapsed to the marker
+    def test_marker_outranks_queued_summaries(self, tmp_path, monkeypatch):
+        """Units the log still holds past an overtaken cursor are not
+        shipped behind its marker: the marker is the whole batch, and
+        streaming resumes from its epoch."""
+        store = ObjectStore(tmp_path)
+        try:
+            _shrink_log(store, monkeypatch, 2)
+            cursor = ChangeCursor(store.epoch)
+            for number in range(1, 4):
+                _put(store, number)
+            assert len(store.change_log) == 2  # units still held
+            (event,) = cursor.read(store.change_log)
+            assert event.resync and event.epoch == store.epoch
+            _put(store, 9)
+            (after,) = cursor.read(store.change_log)
+            assert not after.resync and after.epoch == store.epoch
+        finally:
+            store.close()
 
 
 class TestRouter:
     def test_commits_fan_out_to_every_subscriber(self, tmp_path):
         store = ObjectStore(tmp_path)
-        router = ChangeRouter("db", store)
         try:
-            first = CdcSubscriber(1, "db")
-            second = CdcSubscriber(2, "db")
-            router.register(first)
-            router.register(second)
-            oid = Oid("db", "emp", 1)
-            store.put(oid, encode_object(oid, "Rec", {"n": 1}))
-            for sub in (first, second):
-                (event,) = sub.drain()
-                assert event.changes == {"emp": ("db:emp:1",)}
+            first = ChangeCursor(store.epoch)
+            second = ChangeCursor(store.epoch)
+            _put(store, 1)
+            (one,) = first.read(store.change_log)
+            (two,) = second.read(store.change_log)
+            assert one.changes == {"employee": ("lab:employee:1",)}
+            assert one is two  # summarized once, shared
         finally:
-            router.close()
             store.close()
 
-    def test_session_local_sub_ids_do_not_collide(self, tmp_path):
-        """Two sessions both hand the shared router a subscriber with
-        sub_id 1; the router must treat them as distinct."""
-        store = ObjectStore(tmp_path)
-        router = ChangeRouter("db", store)
+    def test_session_local_sub_ids_do_not_collide(self, served_lab):
+        """Two sessions both hold a subscription with sub id 1; the
+        server counts and serves them as distinct."""
+        first = OdeClient("127.0.0.1", served_lab.port).connect()
+        second = OdeClient("127.0.0.1", served_lab.port).connect()
         try:
-            first = CdcSubscriber(1, "db")
-            second = CdcSubscriber(1, "db")
-            router.register(first)
-            router.register(second)
-            assert router.subscriber_count == 2
-            router.unregister(first)
-            assert router.subscriber_count == 1
-            assert second.drain() == [] and not second.closed
+            sub_one = first.subscribe("lab")
+            sub_two = second.subscribe("lab")
+            assert sub_one.sub_id == sub_two.sub_id == 1
+            hosted = served_lab.hosted("lab")
+            assert hosted.subscribers == 2
+            sub_one.close()
+            deadline = time.monotonic() + 5.0
+            while hosted.subscribers != 1:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            objects = hosted.database.objects
+            objects.update(objects.cluster("employee").first(), {})
+            assert sub_two.get(timeout=5.0) is not None
         finally:
-            router.close()
-            store.close()
+            first.close()
+            second.close()
 
     def test_no_subscribers_means_no_summarize_work(self, tmp_path):
         store = ObjectStore(tmp_path)
-        router = ChangeRouter("db", store)
+        events = get_registry().counter("cdc.events")
         try:
-            before = router.stats()["events"]
-            oid = Oid("db", "emp", 2)
-            store.put(oid, encode_object(oid, "Rec", {"n": 2}))
-            assert router.stats()["events"] == before
-        finally:
-            router.close()
-            store.close()
-
-    def test_close_detaches_from_the_store(self, tmp_path):
-        store = ObjectStore(tmp_path)
-        router = ChangeRouter("db", store)
-        sub = CdcSubscriber(1, "db")
-        router.register(sub)
-        router.close()
-        try:
-            assert sub.closed
-            oid = Oid("db", "emp", 3)
-            store.put(oid, encode_object(oid, "Rec", {"n": 3}))
-            assert sub.drain() == []
+            before = events.value
+            _put(store, 2)
+            assert events.value == before
+            (entry,) = store.change_log.read(0)
+            assert entry.summary is None
         finally:
             store.close()

@@ -48,7 +48,7 @@ def test_callback_errors_are_contained():
 
 
 def test_local_overflow_coalesces_to_resync(monkeypatch):
-    monkeypatch.setattr(subscription_module, "LOCAL_QUEUE_CAPACITY", 2)
+    monkeypatch.setattr(subscription_module, "EVENT_CAPACITY", 2)
     sub = Subscription(_StubClient(), 1, "lab")
     for epoch in (1, 2, 3, 4):
         sub.deliver(_event(epoch))

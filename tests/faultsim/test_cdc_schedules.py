@@ -3,15 +3,18 @@
 The contract under torture: the commit path never blocks on a
 subscriber, whatever its fate.  A seeded schedule assigns each of a
 fleet of subscribers one fate — killed mid-stream (socket closed with
-no goodbye), wedged (never reads; its tiny server queue overflows into
-a resync marker), cleanly unsubscribed mid-stream, or healthy — while a
-writer commits continuously.  Afterwards:
+no goodbye), wedged (a cursor over the change log that never advances,
+overtaken by the log's floor — a tiny log bound makes it move), cleanly
+unsubscribed mid-stream, or healthy — while a writer commits
+continuously.  Afterwards:
 
 * every commit completed within a hard latency bound (the writer never
   waited on any subscriber's queue, socket, or corpse);
 * every *healthy* subscriber converged: it can account for the final
   epoch via deltas or a resync marker;
-* the router reaped every non-healthy subscriber and ends consistent.
+* the server reaped every killed and unsubscribed subscriber, and a
+  wedged cursor degrades to exactly one resync marker at the newest
+  epoch.
 
 Reproduce a failure with the seed in its message (``FAULTSIM_SEED``
 selects an extra one).
@@ -25,12 +28,12 @@ import time
 
 import pytest
 
-from repro.cdc import CdcSubscriber
-from repro.cdc import router as router_module
+from repro.cdc import ChangeCursor
 from repro.data.labdb import make_lab_database
 from repro.net.client import OdeClient
 from repro.net.remote import RemoteDatabase
 from repro.net.server import OdeServer
+from repro.ode import store as store_module
 
 DEFAULT_SEEDS = [0, 1]
 FLEET = 8
@@ -39,6 +42,9 @@ COMMITS = 30
 #: second waited on *something* — and the only new thing in its path is
 #: the fan-out, which must be non-blocking.
 COMMIT_BOUND_SECONDS = 2.0
+#: The change log's bound in these schedules: a few commits' worth of
+#: WAL bytes, so its floor overtakes a wedged cursor within a burst.
+TINY_LOG_BYTES = 2048
 
 
 def _seeds():
@@ -49,12 +55,11 @@ def _seeds():
     return seeds
 
 
-def _tiny_subscriber(monkeypatch, sub_id: int, capacity: int) -> CdcSubscriber:
-    """A subscriber built while the fixed queue bound is shrunk; the
-    server's own subscribers keep the real bound."""
-    with monkeypatch.context() as patch:
-        patch.setattr(router_module, "QUEUE_CAPACITY", capacity)
-        return CdcSubscriber(sub_id, "lab")
+def _wedged_cursor(server, monkeypatch) -> ChangeCursor:
+    """A cursor nothing ever advances, over a log whose bound is shrunk
+    so its floor overtakes the cursor."""
+    monkeypatch.setattr(store_module, "WAL_CHECKPOINT_BYTES", TINY_LOG_BYTES)
+    return ChangeCursor(server.hosted("lab").database.store.epoch)
 
 
 def _wait_until(predicate, timeout: float = 15.0, interval: float = 0.02):
@@ -85,9 +90,8 @@ def test_subscriber_fates_never_block_commits(served_lab, seed, monkeypatch):
 
     healthy = []      # (database, subscription)
     killed = []       # raw clients whose sockets we will close
-    wedged = []       # router-level subscribers nobody ever drains
+    wedged = []       # cursors over the change log nobody ever advances
     unsubscribed = [] # (database, subscription) to close mid-stream
-    router = served_lab.router("lab")
     for fate in fates:
         if fate in ("healthy", "unsubscribed"):
             database = RemoteDatabase.connect(
@@ -100,13 +104,11 @@ def test_subscriber_fates_never_block_commits(served_lab, seed, monkeypatch):
             client.subscribe("lab")
             killed.append(client)
         else:
-            # The worst slow consumer: a subscriber whose queue nothing
-            # ever drains (a pump stuck in a dead-peer sendall looks
-            # exactly like this to the router).  Tiny capacity so the
-            # overflow-to-marker degradation must fire.
-            subscriber = _tiny_subscriber(monkeypatch, 900 + len(wedged), 2)
-            router.register(subscriber)
-            wedged.append(subscriber)
+            # The worst slow consumer: a cursor nothing ever advances (a
+            # pump stuck in a dead-peer send looks exactly like this to
+            # the log).  A tiny log so the floor-to-marker degradation
+            # must fire.
+            wedged.append(_wedged_cursor(served_lab, monkeypatch))
 
     writer = RemoteDatabase.connect("127.0.0.1", served_lab.port, "lab")
     try:
@@ -142,18 +144,20 @@ def test_subscriber_fates_never_block_commits(served_lab, seed, monkeypatch):
             assert events, f"seed={seed}: a healthy subscriber saw nothing"
             assert max(e.epoch for e in events) >= tip
 
-        # the router reaped the killed (their sessions died) and the
-        # unsubscribed; wedged ones are alive-but-slow, still registered
-        expected = len(healthy) + len(wedged)
-        _wait_until(lambda: served_lab.router("lab").stats()[
-            "subscribers"] == expected)
-        for subscriber in wedged:
-            # capacity 2 against ~30 commits: the queue degraded to one
-            # resync marker folding every overflowed epoch
-            assert subscriber.coalesced > 0
-            assert subscriber.backlog <= 3  # queue + marker, never more
+        # the server reaped the killed (their sessions died) and the
+        # unsubscribed; wedged cursors live outside it, in this test
+        expected = len(healthy)
+        _wait_until(lambda: served_lab.hosted("lab").subscribers == expected)
+        log = served_lab.hosted("lab").database.store.change_log
+        # a tiny bound against ~30 commits: the log holds a few units,
+        # never the backlog a wedged reader left behind
+        assert log.nbytes <= TINY_LOG_BYTES
+        for cursor in wedged:
+            # the floor overtook the cursor: one resync marker at the
+            # newest epoch stands for every unit it missed
+            assert log.floor > cursor.after
             events = []
-            while batch := subscriber.drain():
+            while batch := cursor.read(log):
                 events.extend(batch)
             markers = [event for event in events if event.resync]
             assert len(markers) == 1 and markers[0].epoch >= tip
@@ -161,8 +165,6 @@ def test_subscriber_fates_never_block_commits(served_lab, seed, monkeypatch):
         writer.close()
         for database, _subscription in healthy + unsubscribed:
             database.close()
-        for subscriber in wedged:
-            router.unregister(subscriber)
         for client in killed:
             try:
                 client.close()
@@ -171,26 +173,24 @@ def test_subscriber_fates_never_block_commits(served_lab, seed, monkeypatch):
 
 
 def test_overflow_marker_is_single_and_newest(served_lab, monkeypatch):
-    """A never-drained subscriber's queue degrades to exactly one resync
-    at the newest folded epoch, however large the burst."""
-    router = served_lab.router("lab")
-    subscriber = _tiny_subscriber(monkeypatch, 1, 1)
-    router.register(subscriber)
+    """A never-advanced cursor degrades to exactly one resync at the
+    newest epoch, however large the burst."""
+    cursor = _wedged_cursor(served_lab, monkeypatch)
     writer = RemoteDatabase.connect("127.0.0.1", served_lab.port, "lab")
     try:
         oid = writer.objects.cluster("employee").first()
         for index in range(10):
             writer.objects.update(oid, {"name": f"burst-{index}"})
         tip = served_lab.hosted("lab").database.store.epoch
-        _wait_until(lambda: subscriber.coalesced > 0)
-        # the backlog never exceeds queue + marker no matter the burst
-        assert subscriber.backlog <= 2
+        log = served_lab.hosted("lab").database.store.change_log
+        _wait_until(lambda: log.floor > cursor.after)
+        # the log holds a bounded tail no matter the burst
+        assert log.nbytes <= TINY_LOG_BYTES
         events = []
-        while batch := subscriber.drain():
+        while batch := cursor.read(log):
             events.extend(batch)
         resyncs = [event for event in events if event.resync]
         assert len(resyncs) == 1           # one marker, not a pile
         assert resyncs[-1].epoch == tip    # folded through the newest
     finally:
         writer.close()
-        router.unregister(subscriber)

@@ -4,7 +4,8 @@ The whole suite runs against the one event-loop core, so these tests pin
 down what is *specific* to the loop: the constructor's single-valued
 ``io_model`` keyword, writer serialization via the per-database asyncio
 lock, the zero-idle-wakeup contract, the replication long-poll's
-register-before-fetch ordering, and the shutdown paths that must
+wake-event-before-read ordering and field validation, and the shutdown
+paths that must
 release parked waiters (replication long-polls, group-commit barriers)
 with a typed error instead of leaking them past the drain deadline.
 """
@@ -23,6 +24,7 @@ from repro.net import protocol as P
 from repro.net.client import OdeClient
 from repro.net.server import OdeServer
 from repro.obs import get_registry
+from repro.ode.oid import Oid
 from repro.repl.feed import MAX_WAIT_SECONDS
 
 
@@ -48,6 +50,11 @@ def _first_employee(client) -> str:
     numbers = client.call(
         P.OP_CLUSTER_NUMBERS, {"db": "lab", "class": "employee"})["numbers"]
     return f"lab:employee:{numbers[0]}"
+
+
+def _parked_readers(server) -> int:
+    """Readers awaiting the lab database's current wake event."""
+    return len(server.hosted("lab").changed._waiters or ())
 
 
 class TestWriterSerialization:
@@ -168,8 +175,8 @@ class TestTornConnections:
 class TestReplicationLongPoll:
     def test_commit_between_empty_fetch_and_park_wakes_the_poller(
             self, served_lab):
-        """A commit landing right after the long-poll's empty fetch must
-        wake it: the feed waiter is registered *before* that fetch, so
+        """A commit landing right after the long-poll's empty read must
+        wake it: the poller takes the wake event *before* that read, so
         the reply carries the unit at once instead of after ``wait_ms``."""
         poller = OdeClient("127.0.0.1", served_lab.port)
         writer = OdeClient("127.0.0.1", served_lab.port)
@@ -177,22 +184,24 @@ class TestReplicationLongPoll:
             oid = _first_employee(writer)
             epoch = writer.call(
                 P.OP_COUNT, {"db": "lab", "class": "employee"})["epoch"]
-            feed = served_lab.feed("lab")
-            real_fetch = feed.fetch
+            database = served_lab.hosted("lab").database
+            log = database.store.change_log
+            real_read = log.read
             committed = threading.Event()
 
-            def fetch_then_commit(*args, **kwargs):
-                result = real_fetch(*args, **kwargs)
+            def read_then_commit(*args, **kwargs):
+                result = real_read(*args, **kwargs)
                 if not committed.is_set():
                     # Exactly the window: the empty result is in hand,
-                    # the poller has not parked yet.
+                    # the poller has not parked yet.  The commit runs
+                    # here, on the loop thread, so its wakeup can only
+                    # be handled after the poller parks.
                     committed.set()
-                    writer.call(P.OP_UPDATE, {
-                        "db": "lab", "oid": oid,
-                        "updates": {"name": "in-the-window"}})
+                    database.objects.update(Oid.parse(oid),
+                                            {"name": "in-the-window"})
                 return result
 
-            feed.fetch = fetch_then_commit
+            log.read = read_then_commit
             started = time.monotonic()
             reply = poller.call(P.OP_REPL_FETCH, {
                 "db": "lab", "after": epoch, "wait_ms": 3000})
@@ -239,6 +248,28 @@ class TestReplicationLongPoll:
         finally:
             poller.close()
 
+    @pytest.mark.parametrize("field, value", [
+        ("max", True), ("max", "7"), ("max", 0), ("max", -1), ("max", 2.5),
+        ("wait_ms", "soon"), ("wait_ms", True), ("wait_ms", 0),
+        ("wait_ms", -5), ("after", -1), ("after", True), ("after", "3"),
+    ])
+    def test_fetch_fields_are_validated(self, served_lab, field, value):
+        """``after``, ``max`` and ``wait_ms`` are integers and only
+        ``after`` may be 0: ``max=0`` would never advance its poller,
+        ``max=-1`` would slice away the newest unit."""
+        poller = OdeClient("127.0.0.1", served_lab.port)
+        try:
+            with pytest.raises(NetworkError, match=repr(field)):
+                poller.call(P.OP_REPL_FETCH, {"db": "lab", field: value})
+            # The connection is healthy afterwards; a valid fetch serves.
+            epoch = poller.call(
+                P.OP_COUNT, {"db": "lab", "class": "employee"})["epoch"]
+            reply = poller.call(P.OP_REPL_FETCH,
+                                {"db": "lab", "after": epoch, "max": 1})
+            assert not reply["resync"] and reply["units"] == []
+        finally:
+            poller.close()
+
     def test_every_parked_poller_wakes_on_one_commit(self, served_lab):
         """Four concurrent long-polls on one feed all return the one
         commit that lands while they are parked."""
@@ -262,11 +293,9 @@ class TestReplicationLongPoll:
                                         daemon=True) for client in pollers]
             for thread in threads:
                 thread.start()
-            # Every poller's waiter is registered before its first
-            # fetch, so once all four are in, one commit must wake all.
-            feed = served_lab.feed("lab")
+            # Once all four are parked, one commit must wake all.
             deadline = time.monotonic() + 5.0
-            while len(feed._waiters) < len(pollers):
+            while _parked_readers(served_lab) < len(pollers):
                 assert time.monotonic() < deadline, "pollers never parked"
                 time.sleep(0.01)
             writer.call(P.OP_UPDATE, {"db": "lab", "oid": oid,

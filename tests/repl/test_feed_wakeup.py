@@ -1,13 +1,12 @@
-"""ReplicationFeed long poll: no missed-wakeup window, deterministically.
+"""The replication long poll on the server's loop: no missed wakeup.
 
-The long poll is the event loop's
-(:meth:`repro.net.aserver._AsyncConnection._repl_fetch`): register a
-waiter, fetch, park on the waiter if the fetch came back empty, fetch
-again.  ``_LongPoll`` runs that protocol on a thread and reports when it
-has parked, so a commit can be *held* until the poller is provably
-parked — the exact interleaving a missed-wakeup bug would need.  The
-commit landing between the empty fetch and the park is pinned on the
-wire in ``tests/net/test_async_server.py::TestReplicationLongPoll``.
+An ``OP_REPL_FETCH`` with nothing to stream parks on its database's
+``changed`` event, taken *before* it reads the change log; a commit
+appends to the log and posts one wakeup to the loop, which sets that
+event.  These tests hold the commit until the poller is provably parked
+on the event — the exact interleaving a missed-wakeup bug would need.
+The commit landing between the empty read and the park is pinned in
+``tests/net/test_async_server.py::TestReplicationLongPoll``.
 """
 
 from __future__ import annotations
@@ -15,116 +14,99 @@ from __future__ import annotations
 import threading
 import time
 
-from repro.ode.codec import encode_object
-from repro.ode.oid import Oid
-from repro.ode.store import ObjectStore
-from repro.repl.feed import MAX_WAIT_SECONDS, ReplicationFeed, units_from_wire
+from repro.net import protocol as P
+from repro.net.client import OdeClient
+from repro.repl.feed import MAX_WAIT_SECONDS, units_from_wire
 
 
-def _put(store: ObjectStore, index: int) -> Oid:
-    oid = Oid("db", "emp", index)
-    store.put(oid, encode_object(oid, "Rec", {"n": index}))
-    return oid
+def _parked(server) -> int:
+    return len(server.hosted("lab").changed._waiters or ())
 
 
-class _LongPoll:
-    """The loop's long-poll protocol on a thread, with a park signal."""
-
-    def __init__(self, feed: ReplicationFeed):
-        self._feed = feed
-        self._wake = threading.Event()
-        self.parked = threading.Event()
-
-    def __call__(self, after_epoch: int):
-        notify = self._wake.set
-        self._feed.add_waiter(notify)
-        try:
-            reply = self._feed.fetch(after_epoch)
-            if reply["units"]:
-                return reply
-            self.parked.set()
-            self._wake.wait(MAX_WAIT_SECONDS)
-        finally:
-            self._feed.remove_waiter(notify)
-        return self._feed.fetch(after_epoch)
+def _wait_parked(server, count: int) -> None:
+    deadline = time.monotonic() + 5.0
+    while _parked(server) < count:
+        assert time.monotonic() < deadline, "pollers never parked"
+        time.sleep(0.01)
 
 
-def test_commit_wakes_a_parked_long_poll(tmp_path):
-    store = ObjectStore(tmp_path)
-    feed = ReplicationFeed(store)
-    poll = _LongPoll(feed)
+def _commit(server) -> int:
+    """One commit straight on the hosted store; returns its epoch."""
+    objects = server.hosted("lab").database.objects
+    oid = objects.cluster("employee").first()
+    objects.update(oid, {"name": "woken"})
+    return server.hosted("lab").database.store.epoch
+
+
+def _poll(client, after: int):
+    started = time.monotonic()
+    reply = client.call(P.OP_REPL_FETCH,
+                        {"db": "lab", "after": after, "wait_ms": 3000})
+    epochs = [epoch for epoch, _f in units_from_wire(reply["units"])]
+    return epochs, time.monotonic() - started
+
+
+def test_commit_wakes_a_parked_long_poll(served_lab):
+    client = OdeClient("127.0.0.1", served_lab.port)
     result = {}
     try:
-        tail = store.epoch
-
-        def fetch():
-            started = time.monotonic()
-            result["reply"] = poll(tail)
-            result["elapsed"] = time.monotonic() - started
-
-        fetcher = threading.Thread(target=fetch, daemon=True)
+        tail = served_lab.hosted("lab").database.store.epoch
+        fetcher = threading.Thread(
+            target=lambda: result.update(reply=_poll(client, tail)),
+            daemon=True)
         fetcher.start()
         # Only commit once the fetcher is provably parked: the window a
         # missed-wakeup bug would need is now wide open.
-        assert poll.parked.wait(5.0)
-        _put(store, 1)
+        _wait_parked(served_lab, 1)
+        epoch = _commit(served_lab)
         fetcher.join(timeout=5.0)
         assert not fetcher.is_alive()
-        reply = result["reply"]
-        assert not reply["resync"]
-        epochs = [epoch for epoch, _f in units_from_wire(reply["units"])]
-        assert epochs == [tail + 1]
-        # woken by the waiter, not the timeout
-        assert result["elapsed"] < MAX_WAIT_SECONDS
+        epochs, elapsed = result["reply"]
+        assert epochs == [epoch] == [tail + 1]
+        assert elapsed < MAX_WAIT_SECONDS  # woken, not timed out
     finally:
-        store.close()
+        client.close()
 
 
-def test_commit_before_the_check_returns_without_parking(tmp_path):
-    store = ObjectStore(tmp_path)
-    feed = ReplicationFeed(store)
-    poll = _LongPoll(feed)
+def test_commit_before_the_check_returns_without_parking(served_lab):
+    client = OdeClient("127.0.0.1", served_lab.port)
     try:
-        tail = store.epoch
-        _put(store, 1)  # lands before the poll even registers
-        reply = poll(tail)
-        epochs = [epoch for epoch, _f in units_from_wire(reply["units"])]
+        tail = served_lab.hosted("lab").database.store.epoch
+        _commit(served_lab)  # lands before the poll even reads
+        epochs, elapsed = _poll(client, tail)
         assert epochs == [tail + 1]
-        assert not poll.parked.is_set()  # the other arm: no wait at all
+        assert elapsed < 1.0  # the other arm: no wait at all
+        assert _parked(served_lab) == 0
     finally:
-        store.close()
+        client.close()
 
 
-def test_every_parked_waiter_wakes_on_one_commit(tmp_path):
+def test_every_parked_waiter_wakes_on_one_commit(served_lab):
     """N concurrent long-pollers all see the same commit."""
-    store = ObjectStore(tmp_path)
-    feed = ReplicationFeed(store)
-    polls = [_LongPoll(feed) for _ in range(4)]
+    clients = [OdeClient("127.0.0.1", served_lab.port) for _ in range(4)]
     replies = []
     replies_lock = threading.Lock()
     try:
-        tail = store.epoch
+        tail = served_lab.hosted("lab").database.store.epoch
 
-        def fetch(poll):
-            started = time.monotonic()
-            reply = poll(tail)
+        def fetch(client):
+            reply = _poll(client, tail)
             with replies_lock:
-                replies.append((reply, time.monotonic() - started))
+                replies.append(reply)
 
-        fetchers = [threading.Thread(target=fetch, args=(poll,), daemon=True)
-                    for poll in polls]
+        fetchers = [threading.Thread(target=fetch, args=(client,),
+                                     daemon=True) for client in clients]
         for fetcher in fetchers:
             fetcher.start()
-        for poll in polls:
-            assert poll.parked.wait(5.0)
-        _put(store, 1)
+        _wait_parked(served_lab, len(clients))
+        _commit(served_lab)
         for fetcher in fetchers:
             fetcher.join(timeout=5.0)
             assert not fetcher.is_alive()
-        assert len(replies) == 4
-        for reply, elapsed in replies:
-            epochs = [epoch for epoch, _f in units_from_wire(reply["units"])]
+        assert len(replies) == len(clients)
+        for epochs, elapsed in replies:
             assert epochs == [tail + 1]
             assert elapsed < MAX_WAIT_SECONDS  # woken, not timed out
     finally:
-        store.close()
+        for client in clients:
+            client.close()

@@ -1,4 +1,4 @@
-"""ObjectStore replication hooks: replication_units / apply / install.
+"""ObjectStore replication hooks: the change log / apply / install.
 
 These tests exercise the storage half of WAL shipping in-process, with
 no server in the way: a writer store plays primary, a second store
@@ -48,6 +48,12 @@ def replica(tmp_path):
     store.close()
 
 
+def _units(store: ObjectStore, after_epoch: int = 0):
+    """The units in *store*'s change log past *after_epoch*."""
+    return [(entry.epoch, entry.frames)
+            for entry in store.change_log.read(after_epoch)]
+
+
 def _fill(primary: ObjectStore, transactions: int = 3) -> None:
     for index in range(transactions):
         oid = Oid("db", "emp", index)
@@ -57,8 +63,8 @@ def _fill(primary: ObjectStore, transactions: int = 3) -> None:
 class TestApply:
     def test_units_stream_and_apply(self, primary, replica):
         _fill(primary)
-        units, floor = primary.replication_units(replica.epoch)
-        assert floor == 0
+        assert primary.change_log.floor == 0
+        units = _units(primary, replica.epoch)
         assert [epoch for epoch, _frames in units] == [1, 2, 3]
         applied = replica.apply_replicated(units)
         assert applied == primary.epoch
@@ -66,7 +72,7 @@ class TestApply:
 
     def test_apply_is_idempotent(self, primary, replica):
         _fill(primary)
-        units, _floor = primary.replication_units(0)
+        units = _units(primary)
         replica.apply_replicated(units)
         before = _state(replica)
         # Redelivery of an already-applied window is a no-op, not an
@@ -76,13 +82,13 @@ class TestApply:
 
     def test_apply_rejects_epoch_gap(self, primary, replica):
         _fill(primary)
-        units, _floor = primary.replication_units(0)
+        units = _units(primary)
         with pytest.raises(ReplicaDivergedError):
             replica.apply_replicated(units[1:])
 
     def test_apply_rejects_open_transaction(self, primary, replica):
         _fill(primary)
-        units, _floor = primary.replication_units(0)
+        units = _units(primary)
         replica.begin()
         try:
             with pytest.raises(TransactionError):
@@ -93,7 +99,7 @@ class TestApply:
     def test_deletes_replicate(self, primary, replica):
         _fill(primary)
         _commit(primary, [(Oid("db", "emp", 1), None)])
-        units, _floor = primary.replication_units(0)
+        units = _units(primary)
         replica.apply_replicated(units)
         assert not replica.exists(Oid("db", "emp", 1))
         assert _state(replica) == _state(primary)
@@ -101,7 +107,7 @@ class TestApply:
     def test_applied_state_survives_reopen(self, primary, tmp_path):
         _fill(primary)
         replica = ObjectStore(tmp_path / "replica")
-        units, _floor = primary.replication_units(0)
+        units = _units(primary)
         replica.apply_replicated(units)
         epoch = replica.epoch
         replica.close()
@@ -115,14 +121,16 @@ class TestApply:
             reopened.close()
 
     def test_subscribers_fire_on_replicated_applies(self, primary, replica):
-        """A replica is a valid upstream: its commit subscription sees
-        replicated units too, which is what chained replication rides."""
+        """A replica is a valid upstream: replicated units enter its
+        change log and wake its readers, which is what chained
+        replication and CDC from a replica ride."""
         _fill(primary)
-        seen = []
-        replica.subscribe_commits(lambda epoch, _frames: seen.append(epoch))
-        units, _floor = primary.replication_units(0)
+        wakes = []
+        replica.change_log.on_change = lambda: wakes.append(replica.epoch)
+        units = _units(primary)
         replica.apply_replicated(units)
-        assert seen == [1, 2, 3]
+        assert _units(replica) == units
+        assert wakes == [1, 2, 3]  # one per unit, each after its publish
 
 
 class TestInstall:
@@ -140,7 +148,7 @@ class TestInstall:
 
     def test_install_rejects_epoch_regression(self, primary, replica):
         _fill(primary)
-        units, _floor = primary.replication_units(0)
+        units = _units(primary)
         replica.apply_replicated(units)
         with pytest.raises(ReplicaDivergedError):
             replica.install_replicated(replica.epoch - 1, [])
