@@ -2,7 +2,7 @@
 
 The delivery layer between the commit stream and the browsers.  On the
 server, each subscription is one :class:`ChangeCursor` over the store's
-change log (:class:`~repro.ode.store.ChangeLog`, the same log replica
+change log (:class:`~repro.ode.changelog.ChangeLog`, the same log replica
 fetches read): the connection's pump reads it on the event loop,
 summarizes each committed unit once into a compact
 ``(epoch, cluster, oids)`` delta and pushes it as an unsolicited

@@ -11,7 +11,7 @@ commit.
 
 A subscriber's only server-side state is a :class:`ChangeCursor`: an
 ``(after_epoch, clusters)`` position in the store's
-:class:`~repro.ode.store.ChangeLog`.  Each log entry is summarized
+:class:`~repro.ode.changelog.ChangeLog`.  Each log entry is summarized
 once, by the first cursor to read it, and the summary is cached on the
 entry for every other cursor.
 
@@ -27,7 +27,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs import get_registry
 from repro.ode.oid import Oid
-from repro.ode.store import ChangeLog
+from repro.ode.changelog import ChangeLog
 from repro.ode.wal import OP_DELETE, OP_PUT, WalRecord
 
 

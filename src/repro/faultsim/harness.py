@@ -59,7 +59,7 @@ def _file_handles(obj: object) -> List[object]:
     """The open storage file objects hiding inside a storage object."""
     handles = []
     if isinstance(obj, ObjectStore):
-        handles += _file_handles(obj._pagefile)
+        handles += _file_handles(obj._placement.pagefile)
         handles += _file_handles(obj._wal)
     elif isinstance(obj, PageFile):
         handles += [obj._fh, obj._journal]

@@ -38,9 +38,10 @@ WAL_SITES = (
     "wal.group.sync",
 )
 
-#: Pure crash points inside :class:`repro.ode.store.ObjectStore`'s
-#: commit-finish sequence, crossed by the group-commit leader after the
-#: batch fsync, once per commit in epoch order: after the commit record
+#: Pure crash points inside :class:`repro.ode.store.ObjectStore`'s one
+#: apply path (``_apply_unit``), crossed once per unit in epoch order —
+#: by the group-commit leader after the batch fsync, and by a replica's
+#: ``apply_replicated`` after its own: after the commit record
 #: is durable but before the pages are touched (``apply``); after the
 #: pages are applied but before the secondary indexes absorb the
 #: commit's effects (``index`` — a crash here reopens with indexes

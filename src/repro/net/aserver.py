@@ -19,7 +19,7 @@ writes
     concurrent sessions' commits batch into one ``wal.group.sync``.
 change-log readers
     a CDC subscription and a replication long-poll are both a cursor
-    over the database's change log (:class:`~repro.ode.store.ChangeLog`)
+    over the database's change log (:class:`~repro.ode.changelog.ChangeLog`)
     read inline on the loop.  A commit appends once and posts one
     ``call_soon_threadsafe`` per database; on the loop that sets the
     database's ``changed`` event, which every parked reader of it awaits.

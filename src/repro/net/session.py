@@ -571,7 +571,8 @@ class ServerSession:
             "icon": database.icon,
             "modules": modules,
             # Index *definitions* ship with the snapshot so the replica
-            # builds (and then maintains, via its apply listener) the
+            # builds (and then maintains, through the store's derived-state
+            # hook) the
             # same indexes the primary serves.
             "indexes": [[class_name, attribute] for class_name, attribute
                         in database.objects.indexes.definitions()],

@@ -133,7 +133,14 @@ class BufferPool:
                           and page_no == self._last_miss + 1)
             self._last_miss = page_no
             if sequential and self._readahead:
-                self._prefetch_range(page_no + 1, self._readahead)
+                # Pinned meanwhile, or a pool no larger than the window
+                # would evict the very page the caller is about to use.
+                frame.pins += 1
+                try:
+                    self.prefetch(range(page_no + 1,
+                                        page_no + 1 + self._readahead))
+                finally:
+                    frame.pins -= 1
         if pin:
             frame.pins += 1
         elapsed = perf_counter() - start
@@ -191,9 +198,6 @@ class BufferPool:
             loaded += 1
         return loaded
 
-    def _prefetch_range(self, start: int, window: int) -> None:
-        self.prefetch(range(start, start + window))
-
     # -- admission / eviction -----------------------------------------------------
 
     def _admit(self, page_no: int, page: Page,
@@ -220,26 +224,20 @@ class BufferPool:
             self._evict(victim_no)
 
     def _evict(self, page_no: int) -> None:
-        frame = self._frames.pop(page_no)
+        frame = self._frames[page_no]
         if frame.page.dirty:
             # Even a single write-back must be crash-atomic: the victim
             # page can hold committed records that are no longer in the
-            # WAL, which a torn in-place overwrite would destroy.
+            # WAL, which a torn in-place overwrite would destroy.  The
+            # frame leaves the pool only once its image has landed.
             self._pagefile.write_pages_atomic({page_no: frame.page.to_bytes()})
             self.stats.writebacks += 1
             self._m_writebacks.inc()
+        del self._frames[page_no]
         self.stats.evictions += 1
         self._m_evictions.inc()
 
     # -- durability -------------------------------------------------------------
-
-    def flush_page(self, page_no: int) -> None:
-        frame = self._frames.get(page_no)
-        if frame is not None and frame.page.dirty:
-            self._pagefile.write_pages_atomic({page_no: frame.page.to_bytes()})
-            frame.page.dirty = False
-            self.stats.writebacks += 1
-            self._m_writebacks.inc()
 
     def flush_all(self) -> None:
         """Write every dirty page back in one crash-atomic batch.

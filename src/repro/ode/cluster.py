@@ -19,13 +19,14 @@ from typing import Callable, List, Optional, Union
 
 from repro.errors import StorageError
 from repro.ode.oid import Oid
-from repro.ode.store import ObjectStore, Snapshot
+from repro.ode.mvcc import Snapshot
+from repro.ode.store import ObjectStore
 
 MatchFn = Callable[[Oid], bool]
 
 #: Anything a cluster can read its membership through: the live store
 #: (a *live* view that sees every commit as it lands) or a pinned
-#: :class:`~repro.ode.store.Snapshot` (one consistent epoch).
+#: :class:`~repro.ode.mvcc.Snapshot` (one consistent epoch).
 ClusterReader = Union[ObjectStore, Snapshot]
 
 

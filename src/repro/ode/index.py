@@ -14,10 +14,10 @@ scan.  This module provides them:
   newer than its snapshot.
 * :class:`IndexManager` — registry + maintenance.  Indexes are NOT
   updated eagerly on object writes: maintenance rides the commit blob.
-  The manager registers as the store's apply listener and mutates its
-  indexes inside ``_commit_finish`` / ``apply_replicated`` — under the
-  store lock, after the pages are applied, *before* the epoch publishes
-  — stamping each delta with the commit's epoch.  A transaction that
+  The manager fills the store's ``derived`` slot and mutates its
+  indexes inside ``_apply_unit`` (local and replicated units alike) —
+  under the store lock, after the pages are applied, *before* the epoch
+  publishes — stamping each delta with the commit's epoch.  A transaction that
   aborts (or dies before its fsync) therefore never touches an index,
   and the ``store.commit.index`` fault gate puts the maintenance step
   under the same crash matrix as the pages themselves.  On the rebuild
@@ -262,10 +262,10 @@ class IndexManager:
     """Creates, maintains, and serves attribute indexes for one database.
 
     Maintenance is commit-driven: the owning :class:`ObjectManager`
-    registers :meth:`apply_effects` as the store's apply listener and
-    :meth:`on_store_rebuilt` as its rebuild listener.  Nothing here is
-    called from the object-write path any more — an uncommitted write
-    is invisible to every index.
+    fills the store's ``derived`` slot with it: :meth:`apply_effects`
+    runs in every commit, :meth:`on_store_rebuilt` after rebuilds.
+    Nothing here is called from the object-write path any more — an
+    uncommitted write is invisible to every index.
     """
 
     def __init__(self, manager):
@@ -357,7 +357,7 @@ class IndexManager:
             index.built_epoch = store.epoch
         self.statistics.observe_index(index)
 
-    # -- commit-driven maintenance (store listeners) ---------------------------
+    # -- commit-driven maintenance (the store's derived-state hook) -------------
 
     def apply_effects(self, epoch: int,
                       effects: Dict[Oid, Optional[bytes]],

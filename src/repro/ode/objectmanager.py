@@ -34,9 +34,10 @@ from repro.ode.classdef import OdeClass
 from repro.ode.cluster import Cluster, ClusterCursor, SnapshotCursor
 from repro.ode.codec import decode_object, encode_object
 from repro.ode.constraints import BehaviourRegistry
+from repro.ode.mvcc import Snapshot
 from repro.ode.oid import Oid
 from repro.ode.schema import Schema
-from repro.ode.store import ObjectStore, Snapshot
+from repro.ode.store import ObjectStore
 
 Predicate = Callable[["ObjectBuffer"], bool]
 
@@ -110,8 +111,7 @@ class ObjectManager:
         # between page apply and epoch publish, so index entries become
         # visible atomically with the data they index (and are re-derived
         # wholesale after a recovery or resync).
-        store.add_apply_listener(self.indexes.apply_effects)
-        store.add_rebuild_listener(self.indexes.on_store_rebuilt)
+        store.derived = self.indexes
         self._compiled_constraints = CompiledConstraintCache(schema)
         self._compiled_triggers = CompiledTriggerCache(schema)
         from repro.obs import get_registry

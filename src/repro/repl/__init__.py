@@ -3,7 +3,7 @@
 The group-commit barrier already emits commits as epoch-ordered,
 batch-atomic WAL blobs; this package turns that stream into read
 replicas.  Every store keeps its recently published units in one
-in-memory change log (:class:`~repro.ode.store.ChangeLog`, shared with
+in-memory change log (:class:`~repro.ode.changelog.ChangeLog`, shared with
 CDC push); :func:`~repro.repl.feed.fetch` serves long-polling fetchers
 from it, and a :class:`~repro.repl.replica.ReplicaApplier` on each
 replica pulls units over the ordinary wire protocol and applies them

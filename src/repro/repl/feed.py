@@ -3,7 +3,7 @@
 A *unit* is one committed transaction's WAL frame sequence (BEGIN, the
 ops, COMMIT) tagged with the epoch it was published at.  Every store
 keeps the units published since its log's floor in memory
-(:class:`~repro.ode.store.ChangeLog`, bounded by the WAL checkpoint
+(:class:`~repro.ode.changelog.ChangeLog`, bounded by the WAL checkpoint
 size), on local commits and replicated applies alike, so any node —
 primary or chained replica — can serve fetches.  :func:`fetch` answers
 two regimes:

@@ -196,10 +196,10 @@ class ReplicaApplier:
                 self._stop.wait(backoff)
                 backoff = min(backoff * 2.0, MAX_RECONNECT_BACKOFF_SECONDS)
             except OdeError as exc:
-                # Divergence or local storage failure: stop applying,
-                # leave the evidence for stats.  Serving reads at the
-                # last good epoch is still safe — applied state is
-                # consistent — it just stops advancing.
+                # Divergence, or a storage failure before the units
+                # were durable: stop applying, leave the evidence for
+                # stats.  (A failure mid-apply never lands here — the
+                # store recovers from its own log.)  Reads stay safe.
                 self.last_error = f"{type(exc).__name__}: {exc}"
                 return
 

@@ -16,7 +16,7 @@ from repro.cdc import ChangeCursor
 from repro.errors import OdeError
 from repro.net import protocol as P
 from repro.net.client import OdeClient
-from repro.ode import store as store_module
+from repro.ode import changelog as changelog_module
 
 
 def _wait_until(predicate, timeout: float = 10.0, interval: float = 0.02):
@@ -158,7 +158,7 @@ class TestCommitPathIsolation:
         overtake its cursor (one resync marker); commit latency stays
         flat."""
         # A tiny log bound, so the floor moves within a short burst.
-        monkeypatch.setattr(store_module, "WAL_CHECKPOINT_BYTES", 2048)
+        monkeypatch.setattr(changelog_module, "WAL_CHECKPOINT_BYTES", 2048)
         wedged = OdeClient("127.0.0.1", served_lab.port).connect()
         reply = wedged.call(P.OP_CDC_SUBSCRIBE, {"db": "lab"})
         assert reply["sub"] >= 1

@@ -16,7 +16,7 @@ import time
 from repro.cdc import ChangeCursor
 from repro.net.client import OdeClient
 from repro.obs import get_registry
-from repro.ode import store as store_module
+from repro.ode import changelog as changelog_module
 from repro.ode.codec import encode_object
 from repro.ode.oid import Oid
 from repro.ode.store import ObjectStore
@@ -30,7 +30,7 @@ def _put(store: ObjectStore, number: int, cluster: str = "employee") -> None:
 def _shrink_log(store: ObjectStore, monkeypatch, units: int) -> None:
     """Bound the log to *units* one-put units' worth of WAL bytes."""
     _put(store, 0)
-    monkeypatch.setattr(store_module, "WAL_CHECKPOINT_BYTES",
+    monkeypatch.setattr(changelog_module, "WAL_CHECKPOINT_BYTES",
                         units * store.change_log.nbytes)
 
 

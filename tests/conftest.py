@@ -10,6 +10,7 @@ from repro.core.session import UserSession
 from repro.data.documents import make_documents_database
 from repro.data.labdb import make_lab_database
 from repro.data.universitydb import make_university_database
+from repro.errors import FaultInjectedError
 from repro.ode.database import Database
 
 # Tier-1 draws the same examples on every run (and replays no local
@@ -19,6 +20,30 @@ from repro.ode.database import Database
 settings.register_profile("tier1", derandomize=True)
 settings.register_profile("random", derandomize=False)
 settings.load_profile("tier1")
+
+
+class _TransientFault:
+    """A fault gate that fails the next crossing of *site* once
+    :attr:`armed` is set, with a transient :attr:`error`; every other
+    crossing passes through."""
+
+    error = FaultInjectedError
+
+    def __init__(self, site: str):
+        self.site = site
+        self.armed = False
+
+    def __call__(self, site, data, default):
+        if self.armed and site == self.site:
+            self.armed = False
+            raise self.error(f"injected at {site}")
+        return default() if data is None else default(data)
+
+
+@pytest.fixture
+def transient_fault():
+    """``transient_fault(site)`` builds a one-shot transient fault gate."""
+    return _TransientFault
 
 
 @pytest.fixture

@@ -33,7 +33,7 @@ from repro.data.labdb import make_lab_database
 from repro.net.client import OdeClient
 from repro.net.remote import RemoteDatabase
 from repro.net.server import OdeServer
-from repro.ode import store as store_module
+from repro.ode import changelog as changelog_module
 
 DEFAULT_SEEDS = [0, 1]
 FLEET = 8
@@ -58,7 +58,7 @@ def _seeds():
 def _wedged_cursor(server, monkeypatch) -> ChangeCursor:
     """A cursor nothing ever advances, over a log whose bound is shrunk
     so its floor overtakes the cursor."""
-    monkeypatch.setattr(store_module, "WAL_CHECKPOINT_BYTES", TINY_LOG_BYTES)
+    monkeypatch.setattr(changelog_module, "WAL_CHECKPOINT_BYTES", TINY_LOG_BYTES)
     return ChangeCursor(server.hosted("lab").database.store.epoch)
 
 

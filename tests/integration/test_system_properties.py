@@ -150,7 +150,7 @@ class TestPersistenceRoundtrip:
 
         store._wal.append(WalRecord(op=OP_COMMIT, txid=store._txid), sync=True)
         store._wal.close()
-        store._pagefile.close()
+        store._placement.pagefile.close()
         database._release_lock()  # the "crashed" process is gone
 
         reopened = open_lab_database(tmp_path / "lab.odb")

@@ -188,7 +188,7 @@ class MembershipMachine(RuleBasedStateMachine):
     @invariant()
     def no_chain_without_a_pin(self):
         if not self.snapshots:
-            assert not self.store._mvcc
+            assert not self.store._mvcc._chains
 
     def teardown(self):
         for snapshot in self.snapshots:

@@ -9,7 +9,7 @@ import pytest
 
 from repro.data.synthetic import make_synthetic_database
 from repro.obs import get_registry
-from repro.ode import store as store_module
+from repro.ode import mvcc as mvcc_module
 from repro.ode.codec import encode_object
 from repro.ode.membership import ClusterMembership
 from repro.ode.oid import Oid
@@ -33,9 +33,9 @@ class TestStepsNeverMaterialiseTheCluster:
             objects.delete(Oid("synthetic", "reading", 21))
             objects.new_object("reading", {"seq": 50})
             new = objects.cursor("reading")
-            monkeypatch.setattr(store_module._MembershipReads,
+            monkeypatch.setattr(mvcc_module._MembershipReads,
                                 "cluster_numbers", _refuse)
-            monkeypatch.setattr(store_module._MembershipReads,
+            monkeypatch.setattr(mvcc_module._MembershipReads,
                                 "cluster_range", _refuse)
             for cursor, forward, back, last in (
                     (old, [20, 21, 22], [21, 20, 19], 49),
@@ -81,7 +81,7 @@ class TestSweepsFollowTheWatermark:
             assert sweeps.value == at_rest[0] + 1
             assert pruned.value == at_rest[1] + 2
             assert live.value == at_rest[2]
-            assert not store._mvcc
+            assert not store._mvcc._chains
 
 
 class _CountingList(list):
@@ -117,14 +117,14 @@ class _CountedMembership(ClusterMembership):
 class TestBulkIngestIsLinear:
     @pytest.mark.parametrize("count", [2000, 8000])
     def test_one_transaction_of_inserts(self, tmp_path, monkeypatch, count):
-        monkeypatch.setattr(store_module, "ClusterMembership",
+        monkeypatch.setattr(mvcc_module, "ClusterMembership",
                             _CountedMembership)
         monkeypatch.setattr(_CountingList, "work", 0)
         monkeypatch.setattr(_CountedMembership, "changes", 0)
         database = make_synthetic_database(
             tmp_path, readings=count, sensors=10)
         try:
-            members = database.store._members["reading"]
+            members = database.store._mvcc._members["reading"]
             assert isinstance(members, _CountedMembership)
             assert len(members.numbers) == count and not members.log
             # One membership change per insert, each an append: nothing

@@ -168,7 +168,7 @@ class TestVersionChainsAndPruning:
         oid = Oid("db", "c", 0)
         for x in range(50):
             store.put(oid, record(oid, x=x))
-        assert not store._mvcc   # no pin open: the pages hold every value
+        assert not store._mvcc._chains   # no pin open: the pages hold every value
 
     def test_release_between_apply_and_publish_keeps_preimage(self, tmp_path):
         """A release prunes under the MVCC lock alone, so it can drop a

@@ -163,7 +163,7 @@ class TestPersistence:
              WalRecord(op=OP_COMMIT, txid=store._txid)])
         store._wal.sync()
         store._wal.close()
-        store._pagefile.close()
+        store._placement.pagefile.close()
 
         with ObjectStore(directory) as recovered:
             assert recovered.get(oid) == record(oid, name="durable")
@@ -176,7 +176,7 @@ class TestPersistence:
         store.put(oid, record(oid))
         store._wal.sync()
         store._wal.close()          # crash without commit
-        store._pagefile.close()
+        store._placement.pagefile.close()
         with ObjectStore(directory) as recovered:
             assert not recovered.exists(oid)
 
@@ -270,3 +270,42 @@ class TestPropertyBased:
         with ObjectStore(directory) as store:
             for oid, data in model.items():
                 assert store.get(oid) == data
+
+
+class TestSmallPools:
+    def test_failed_eviction_write_back_keeps_the_dirty_frame(
+            self, tmp_path, transient_fault):
+        """A write-back that fails during a plain read loses nothing: the
+        read raises, every object still reads, and all survive reopen."""
+        gate = transient_fault("pagefile.journal.write")
+        oids = [Oid("db", "emp", n) for n in range(24)]
+        store = ObjectStore(tmp_path / "db", pool_capacity=8,
+                            fault_gate=gate)
+        for oid in oids:
+            store.put(oid, record(oid, blob="x" * 1500))
+        gate.armed = True
+        with pytest.raises(gate.error):
+            store.get(oids[0])
+        for oid in oids:
+            assert store.get(oid) == record(oid, blob="x" * 1500)
+        store.close()
+        with ObjectStore(tmp_path / "db", pool_capacity=8) as store:
+            assert [oid for oid in oids if not store.exists(oid)] == []
+
+    @pytest.mark.parametrize("capacity", [1, 2, 3, 4, 5])
+    def test_readahead_never_evicts_the_page_it_serves(self, tmp_path,
+                                                      capacity):
+        """In a pool no larger than the read-ahead window, a page fetched
+        for a mutation stays in the pool, so a committed delete of every
+        object survives a clean close."""
+        oids = [Oid("db", "emp", n) for n in range(12)]
+        with ObjectStore(tmp_path / "db", pool_capacity=capacity) as store:
+            for oid in oids:
+                store.put(oid, record(oid, blob="x" * 1500))
+        with ObjectStore(tmp_path / "db", pool_capacity=capacity) as store:
+            store.begin()
+            for oid in oids:
+                store.delete(oid)
+            store.commit()
+        with ObjectStore(tmp_path / "db", pool_capacity=capacity) as store:
+            assert [oid for oid in oids if store.exists(oid)] == []

@@ -47,7 +47,7 @@ def _crash_after_commit(directory: Path, oid: Oid, payload: bytes) -> None:
     store.put(oid, payload)
     _land_buffered_commit(store)
     store._wal.close()
-    store._pagefile.close()
+    store._placement.pagefile.close()
 
 
 def test_torn_tail_does_not_block_recovery(tmp_path):
@@ -72,7 +72,7 @@ def test_corrupt_final_frame_ignored(tmp_path):
     store.put(bad, record(bad, name="mangled"))
     _land_buffered_commit(store)
     store._wal.close()
-    store._pagefile.close()
+    store._placement.pagefile.close()
     wal_path = directory / ObjectStore.WAL_FILE
     data = bytearray(wal_path.read_bytes())
     data[-2] ^= 0xFF  # flip a bit inside the last frame

@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from repro.errors import ReplicationError
-from repro.ode import store as store_module
+from repro.ode import changelog as changelog_module
 from repro.ode.codec import encode_object
 from repro.ode.oid import Oid
 from repro.ode.store import ObjectStore
@@ -113,7 +113,7 @@ def test_trimmed_log_orders_a_resync(tmp_path, monkeypatch):
     try:
         _put(store, 0)
         unit_bytes = store.change_log.nbytes
-        monkeypatch.setattr(store_module, "WAL_CHECKPOINT_BYTES",
+        monkeypatch.setattr(changelog_module, "WAL_CHECKPOINT_BYTES",
                             2 * unit_bytes)
         for index in range(1, 4):
             _put(store, index)

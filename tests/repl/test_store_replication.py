@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ReplicaDivergedError, TransactionError
+from repro.obs import get_registry
 from repro.ode.codec import encode_object
 from repro.ode.oid import Oid
 from repro.ode.store import ObjectStore
@@ -169,3 +170,34 @@ class TestInstall:
             assert _state(reopened) == _state(primary)
         finally:
             reopened.close()
+
+
+def test_transient_fault_mid_apply_recovers_the_replica(tmp_path, primary,
+                                                        transient_fault):
+    """A page-write fault halfway through a replicated unit (an eviction
+    write-back while the grown object is re-placed) must not leave the
+    replica half-applied: recovery redoes the durable units from its log
+    and the replica lands on the primary's epoch, as a primary would."""
+    gate = transient_fault("pagefile.journal.write")
+    replica = ObjectStore(tmp_path / "gated", pool_capacity=8,
+                          fault_gate=gate)
+    try:
+        oids = [Oid("db", "emp", n) for n in range(24)]
+        _commit(primary, [(oid, encode_object(oid, "Rec", {"b": "x" * 1500}))
+                          for oid in oids])
+        assert replica.apply_replicated(_units(primary)) == 1
+        grown = encode_object(oids[23], "Rec", {"b": "y" * 3000})
+        _commit(primary, [(oids[23], grown)])
+        recoveries = get_registry().counter("store.apply_recoveries")
+        before = recoveries.value
+        gate.armed = True
+        assert replica.apply_replicated(_units(primary, 1)) == 2
+        assert not gate.armed, "the fault never fired"
+        assert recoveries.value == before + 1
+        assert replica.epoch == 2
+        assert replica.get(oids[23]) == grown
+        assert _state(replica) == _state(primary)
+        # Redelivery is the idempotent no-op it always is.
+        assert replica.apply_replicated(_units(primary, 1)) == 2
+    finally:
+        replica.close()
