@@ -18,7 +18,10 @@ Run directly for the full measurement::
 
     PYTHONPATH=src python benchmarks/bench_replication.py --duration 5
 
-or via pytest (short smoke durations) with the other benchmarks.
+or as a short pytest smoke run::
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_replication.py -q
+
 Results land in ``benchmarks/artifacts/BENCH_replication.json``.
 """
 

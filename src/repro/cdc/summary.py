@@ -117,19 +117,26 @@ class ChangeCursor:
 
     ``read`` returns the summaries of every unit past the cursor that
     touches its clusters, and advances it.  A cursor the log's floor
-    has overtaken gets one resync marker at the log's newest epoch and
-    continues from there: however far behind, one event, never a pile.
+    has overtaken, or whose position predates a log reset (the
+    position's *generation*), gets one resync marker at the log's
+    newest epoch and continues from there: however far behind, one
+    event, never a pile and never a silent gap.
     """
 
-    __slots__ = ("after", "clusters")
+    __slots__ = ("after", "clusters", "generation")
 
-    def __init__(self, after: int, clusters: Optional[Sequence[str]] = None):
+    def __init__(self, after: int, clusters: Optional[Sequence[str]] = None,
+                 generation: int = 0):
         self.after = after
         self.clusters = frozenset(clusters) if clusters is not None else None
+        #: The log generation *after* was taken in; read it before the
+        #: epoch, so a reset between the two costs a resync, not a gap.
+        self.generation = generation
 
     def read(self, log: ChangeLog) -> List[ChangeSummary]:
-        entries = log.read(self.after)
+        entries = log.read(self.after, generation=self.generation)
         if entries is None:
+            self.generation = log.generation
             self.after = log.tail
             get_registry().counter("cdc.coalesced").inc()
             return [ChangeSummary(epoch=self.after, resync=True)]

@@ -289,8 +289,10 @@ class _AsyncConnection:
         # The cursor starts at the ack epoch.  Every later commit is
         # appended to the log after its epoch publishes, so none can
         # fall between the ack and the stream unseen.
+        generation = database.store.change_log.generation
         epoch = database.store.epoch
-        sub = _AsyncSubscription(sub_id, hosted, ChangeCursor(epoch, clusters))
+        sub = _AsyncSubscription(sub_id, hosted,
+                                 ChangeCursor(epoch, clusters, generation))
         self._subscriptions[sub_id] = sub
         hosted.subscribers += 1
         sub.task = asyncio.create_task(self._pump(sub))

@@ -40,10 +40,13 @@ class ChangeLog:
     are trimmed once their WAL bytes exceed :data:`WAL_CHECKPOINT_BYTES`;
     a WAL checkpoint does not trim.  A snapshot install or a recovery
     that published epochs the log never saw resets it, raising the
-    floor.
+    floor, and bumps :attr:`generation`.
 
     Readers hold their own ``after_epoch``; a reader below the floor
-    has lost units and must resync.
+    has lost units and must resync.  So must a reader whose position
+    was taken in an earlier generation: a term-raise rewind can reset
+    the floor *below* it, and the new history's epochs up to it would
+    otherwise read as already seen.
     """
 
     def __init__(self, floor: int):
@@ -51,6 +54,7 @@ class ChangeLog:
         self._entries: List[ChangeEntry] = []
         self._nbytes = 0
         self._floor = floor
+        self._generation = 0
         #: Called with no arguments after every append and reset, on the
         #: writer's thread under the store lock: it must be cheap and
         #: must not block.  The server points it at its event loop.
@@ -60,6 +64,12 @@ class ChangeLog:
     def floor(self) -> int:
         """The epoch the oldest entry extends."""
         return self._floor
+
+    @property
+    def generation(self) -> int:
+        """How many times the log was reset; epochs from different
+        generations belong to different histories."""
+        return self._generation
 
     @property
     def tail(self) -> int:
@@ -91,6 +101,7 @@ class ChangeLog:
             self._entries = []
             self._nbytes = 0
             self._floor = floor
+            self._generation += 1
         self._wake()
 
     def _wake(self) -> None:
@@ -101,12 +112,15 @@ class ChangeLog:
             except Exception:
                 get_registry().counter("store.change_log.wake_errors").inc()
 
-    def read(self, after_epoch: int,
-             limit: Optional[int] = None) -> Optional[List[ChangeEntry]]:
+    def read(self, after_epoch: int, limit: Optional[int] = None,
+             generation: Optional[int] = None
+             ) -> Optional[List[ChangeEntry]]:
         """Entries newer than *after_epoch*, oldest first, at most
-        *limit*; ``None`` when *after_epoch* is below the floor."""
+        *limit*; ``None`` when *after_epoch* is below the floor or was
+        taken in a *generation* other than the current one."""
         with self._lock:
-            if after_epoch < self._floor:
+            stale = generation is not None and generation != self._generation
+            if stale or after_epoch < self._floor:
                 return None
             start = bisect.bisect_right(self._entries, after_epoch,
                                         key=lambda entry: entry.epoch)

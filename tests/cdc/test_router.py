@@ -96,6 +96,29 @@ class TestSubscriberQueue:
         finally:
             store.close()
 
+    def test_cursor_above_a_term_raise_rewind_resyncs(self, tmp_path):
+        """A rewind installs epoch 2 under a cursor at 5: the new term's
+        epochs 3-6 are a different history, so the cursor gets one
+        resync marker instead of skipping 3-5 as already seen."""
+        store = ObjectStore(tmp_path)
+        try:
+            for number in range(1, 6):
+                _put(store, number)
+            cursor = ChangeCursor(store.epoch)
+            records = [(str(oid), store.get(oid))
+                       for oid in sorted(store.oids(), key=str)[:2]]
+            store.install_replicated(2, records, term=2)
+            for number in range(10, 14):
+                _put(store, number)
+            assert store.epoch == 6
+            (event,) = cursor.read(store.change_log)
+            assert event.resync and event.epoch == 6
+            _put(store, 20)
+            (after,) = cursor.read(store.change_log)
+            assert not after.resync and after.epoch == 7
+        finally:
+            store.close()
+
 
 class TestRouter:
     def test_commits_fan_out_to_every_subscriber(self, tmp_path):

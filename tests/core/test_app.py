@@ -5,6 +5,7 @@ import pytest
 from repro.errors import OdeViewError
 from repro.core.app import OdeView
 from repro.data.documents import make_documents_database
+from repro.data.universitydb import make_university_database
 
 
 class TestDatabaseWindow:
@@ -20,10 +21,12 @@ class TestDatabaseWindow:
 
     def test_multiple_databases_listed(self, lab_root):
         make_documents_database(lab_root).close()
+        make_university_database(lab_root).close()
         app = OdeView(lab_root)
         rendering = app.render()
         assert "[ATT] lab" in rendering
         assert "[DOC] papers" in rendering
+        assert "[UNI] university" in rendering
         app.shutdown()
 
     def test_refresh_after_new_database(self, app, lab_root):

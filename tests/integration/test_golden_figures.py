@@ -17,7 +17,13 @@ GOLDEN = Path(__file__).parent.parent / "golden"
 
 
 def _run_session(lab_root):
-    """Replay the session and return {figure: rendering}."""
+    """Replay the session and return {figure: rendering}.
+
+    Figures 5, 7 and 8 branch off the main path (manager's class
+    information, and the department and colleague windows), so a
+    second session renders them and the main path's files stay as
+    they are.
+    """
     renderings = {}
     with UserSession(lab_root, screen_width=200) as s:
         renderings["fig01"] = s.snapshot("fig1")
@@ -39,10 +45,25 @@ def _run_session(lab_root):
         renderings["fig09"] = s.snapshot("fig9")
         s.click_control(browser, "next")
         renderings["fig10"] = s.snapshot("fig10")
+    with UserSession(lab_root, screen_width=200) as s:
+        s.click_database_icon("lab")
+        s.click_class_node("lab", "employee")
+        s.app.click("lab.info.employee.subs.manager")
+        renderings["fig05"] = s.snapshot("fig5")
+        browser = s.app.session("lab").open_object_set("employee")
+        s.click_control(browser, "next")
+        dept = s.click_reference_button(browser, "dept")
+        s.click_format_button(dept, "text")
+        renderings["fig07"] = s.snapshot("fig7")
+        colleagues = s.click_reference_button(dept, "employees")
+        s.click_control(colleagues, "next")
+        s.click_control(colleagues, "next")
+        s.click_format_button(colleagues, "text")
+        renderings["fig08"] = s.snapshot("fig8")
     return renderings
 
 
-FIGURES = ["fig01", "fig02", "fig03", "fig04", "fig06", "fig09", "fig10"]
+FIGURES = [f"fig{number:02d}" for number in range(1, 11)]
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,9 @@
 """Integration test: the paper's §3 sample session, figure by figure.
 
 Each test reproduces the state of one figure and asserts the load-bearing
-facts the paper states for it.  The benchmarks in benchmarks/ regenerate
-the same renderings; EXPERIMENTS.md records them.
+facts the paper states for it.  test_golden_figures.py pins the same ten
+renderings byte for byte against tests/golden/; EXPERIMENTS.md records
+them.
 """
 
 import pytest
@@ -116,6 +117,13 @@ def test_figure8_colleague_in_same_department(s):
     colleague = colleagues.node.buffer()
     assert colleague.value("dept") == browser.node.buffer().value("dept")
     assert colleague.value("name") in rendering
+    assert "[reset]" in rendering           # the set window's own panel
+    # 55 employees round-robin over 7 departments: rakesh's has 8
+    colleagues.node.reset()
+    walked = 0
+    while colleagues.node.next() is not None:
+        walked += 1
+    assert walked == 8
 
 
 def test_figure9_employees_manager_chain(s):

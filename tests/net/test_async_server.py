@@ -3,15 +3,17 @@
 The whole suite runs against the one event-loop core, so these tests pin
 down what is *specific* to the loop: the constructor's single-valued
 ``io_model`` keyword, writer serialization via the per-database asyncio
-lock, the zero-idle-wakeup contract, the replication long-poll's
-wake-event-before-read ordering and field validation, and the shutdown
-paths that must
-release parked waiters (replication long-polls, group-commit barriers)
-with a typed error instead of leaking them past the drain deadline.
+lock, the zero-idle-wakeup contract (also with ``NET_IDLE_CONNECTIONS``
+handshaken idle connections held open, default 256), the replication
+long-poll's wake-event-before-read ordering and field validation, and
+the shutdown paths that must release parked waiters (replication
+long-polls, group-commit barriers) with a typed error instead of
+leaking them past the drain deadline.
 """
 
 from __future__ import annotations
 
+import os
 import socket
 import threading
 import time
@@ -26,6 +28,10 @@ from repro.net.server import OdeServer
 from repro.obs import get_registry
 from repro.ode.oid import Oid
 from repro.repl.feed import MAX_WAIT_SECONDS
+
+#: Idle connections held open beside a working client; CI's tier-2
+#: network job raises it to 4096.
+IDLE_CONNECTIONS = int(os.environ.get("NET_IDLE_CONNECTIONS", "256"))
 
 
 class TestConstructor:
@@ -141,6 +147,37 @@ class TestIdleCost:
             assert counter.value - before == 0
         finally:
             client.close()
+
+    def test_many_idle_connections_leave_a_fresh_client_served(
+            self, served_lab):
+        """Every idle connection completes its HELLO; while they sit the
+        loop takes no wakeup, and a fresh client's round trip is
+        answered at the cost of its own frames only."""
+        hello = P.encode_frame(1, P.OP_HELLO,
+                               {"version": P.PROTOCOL_VERSION})
+        idle = []
+        try:
+            for _ in range(IDLE_CONNECTIONS):
+                sock = socket.create_connection(
+                    ("127.0.0.1", served_lab.port), timeout=10.0)
+                idle.append(sock)
+                sock.sendall(hello)
+                assert P.read_frame(sock).opcode == P.OP_REPLY
+            counter = get_registry().counter("net.server.wakeups")
+            before = counter.value
+            time.sleep(1.0)
+            assert counter.value == before
+            client = OdeClient("127.0.0.1", served_lab.port)
+            try:
+                reply = client.call(P.OP_COUNT,
+                                    {"db": "lab", "class": "employee"})
+                assert reply["count"] == 55
+            finally:
+                client.close()
+            assert counter.value - before <= 2  # HELLO + COUNT
+        finally:
+            for sock in idle:
+                sock.close()
 
 
 class TestTornConnections:

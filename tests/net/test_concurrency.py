@@ -18,6 +18,7 @@ def test_concurrent_browsers_and_a_writer(served_lab):
     port = served_lab.port
     errors = []
     counts = []
+    commits = []
     stop = threading.Event()
 
     def browser(worker: int) -> None:
@@ -45,6 +46,7 @@ def test_concurrent_browsers_and_a_writer(served_lab):
                     db.objects.begin()
                     db.objects.delete(oid)
                     db.objects.commit()
+                    commits.append(oid)
             finally:
                 db.close()
         except Exception as exc:
@@ -59,6 +61,8 @@ def test_concurrent_browsers_and_a_writer(served_lab):
     for t in threads:
         t.join(60)
     assert not errors
+    assert len(commits) == 5  # the readers never starved the writer...
+    assert counts             # ...nor it them
     # counts only ever show 7 (steady) or 8 (mid-write) departments
     assert set(counts) <= {7, 8}
     # and the server is still healthy afterwards

@@ -97,9 +97,12 @@ class TestBatching:
                     "batches", "batch_size_mean", "batch_size_max",
                     "wait_p95_ms"):
             assert key in stats
-        store.commit_wait(_stage(store, 0, "x"))
+        for n in range(3):
+            store.commit_wait(_stage(store, n, "x"))
         after = store.group_commit_stats()
-        assert after["wait_count"] == 1
+        assert after["wait_count"] == 3
+        # a lone writer pays one fsync per commit
+        assert after["syncs"] == after["commits"] == 3
         assert after["batch_size_mean"] == 1.0
         store.close()
 

@@ -79,6 +79,7 @@ class TestObjectInteractor:
         assert "rakesh" in resources.windows[0].content
 
     def test_display_crash_is_isolated(self, manager, lab_db):
+        manager.spawn(ObjectInteractor("oi.department", lab_db, "department"))
         (lab_db.display_dir / "employee.py").write_text(
             "def display(buffer, request):\n    raise RuntimeError('bug')\n"
             "FORMATS = ('text',)\n")
@@ -90,6 +91,12 @@ class TestObjectInteractor:
         assert manager.get("dbi").alive
         info = manager.call("dbi", "class_info", class_name="employee")
         assert info["count"] == 55
+        # ...and so is every other object-interactor (§4.6)
+        assert [p.name for p in manager.crashed_processes()] == ["oi"]
+        dept = manager.call("oi.department", "next")
+        resources = manager.call("oi.department", "display", oid=dept,
+                                 request=DisplayRequest(window_prefix="d"))
+        assert "db research" in resources.windows[0].content
 
     def test_predicate_filtered_interactor(self, manager, lab_db):
         pm = ProcessManager()
