@@ -17,8 +17,7 @@ The cost model is deliberately small:
 A probed row costs more than a scanned row (random OID lookups vs a
 sequential cluster sweep) and the probe pays a fixed setup cost, so the
 break-even lands near half the cluster — very selective predicates probe,
-unselective ones scan, exactly the shape the BENCH_index ablation
-measures.
+unselective ones scan.
 
 Snapshot correctness: a probe answers *as of the reader's epoch*.  When
 the calling thread holds a ``pinned()`` snapshot, the probe passes that
@@ -296,10 +295,10 @@ class SelectionPlanner:
         # the commit-driven maintenance entirely.
         check = plan.expr if plan.expr is not None else plan.residual
         for number in plan.candidates or ():
-            oid = Oid(database_name, plan.class_name, number)
-            if not objects.exists(oid):
+            buffer = objects.find_buffer(
+                Oid(database_name, plan.class_name, number))
+            if buffer is None:
                 continue  # index may lag a raw store mutation
-            buffer = objects.get_buffer(oid)
             if check is None or self._evaluator.matches(check, buffer):
                 yield buffer
 

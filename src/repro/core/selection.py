@@ -16,12 +16,13 @@ while scanning — the pushdown of §5.2.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Set
+from typing import Any, Callable, List, Optional
 
 from repro.errors import SelectionError, TypeCheckError
 from repro.dynlink.registry import DisplayRegistry
 from repro.ode.database import Database
 from repro.ode.opp import ast
+from repro.ode.opp.ast import used_attributes
 from repro.ode.opp.parser import parse_expression
 from repro.ode.opp.predicate import PredicateEvaluator
 from repro.ode.opp.printer import expr_to_source
@@ -29,31 +30,6 @@ from repro.ode.opp.typecheck import check_selection_predicate
 
 #: Operators the menu scheme offers.
 MENU_OPERATORS = ("==", "!=", "<", "<=", ">", ">=")
-
-
-def used_attributes(expr: ast.Expr) -> Set[str]:
-    """Every bare attribute name a predicate mentions (its root names)."""
-    names: Set[str] = set()
-
-    def visit(node: ast.Expr) -> None:
-        if isinstance(node, ast.Name):
-            names.add(node.ident)
-        elif isinstance(node, ast.FieldAccess):
-            visit(node.base)
-        elif isinstance(node, ast.Index):
-            visit(node.base)
-            visit(node.subscript)
-        elif isinstance(node, ast.Call):
-            for arg in node.args:
-                visit(arg)
-        elif isinstance(node, ast.Unary):
-            visit(node.operand)
-        elif isinstance(node, ast.Binary):
-            visit(node.left)
-            visit(node.right)
-
-    visit(expr)
-    return names
 
 
 class SelectionBuilder:

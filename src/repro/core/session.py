@@ -4,8 +4,9 @@ Section 3 of the paper is "a simulation of a user session with OdeView";
 this module is the machinery that re-runs it: a driver that performs user
 actions (clicking icons, nodes, and buttons; sequencing; projecting;
 selecting) against a live :class:`~repro.core.app.OdeView` and records a
-named rendering after each step.  The figure benchmarks and the
-EXPERIMENTS.md transcripts are produced through it.
+named rendering after each step.  The golden figure renderings
+(``tests/golden``) and the EXPERIMENTS.md transcripts are produced
+through it.
 """
 
 from __future__ import annotations

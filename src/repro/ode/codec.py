@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import datetime
 import struct
-from typing import Any, Dict, Tuple
+from typing import Any, Container, Dict, Optional, Tuple
 
 from repro.errors import CodecError, OdeError
 from repro.ode.oid import Oid
@@ -40,6 +40,16 @@ _TAG_LIST = 6
 _TAG_STRUCT = 7
 _TAG_OID = 8
 _TAG_BYTES = 9
+
+_INT = struct.Struct(">q")
+_FLOAT = struct.Struct(">d")
+_DATE = struct.Struct(">I")
+
+#: Payload width of each fixed-size tag.
+_FIXED_WIDTH = {_TAG_NULL: 0, _TAG_BOOL: 1, _TAG_INT: 8, _TAG_FLOAT: 8,
+                _TAG_DATE: 4}
+#: The tags whose payload is a length-prefixed run of bytes.
+_SIZED_TAGS = (_TAG_STRING, _TAG_OID, _TAG_BYTES)
 
 
 def write_varint(value: int) -> bytes:
@@ -81,9 +91,9 @@ def encode_value(value: Any) -> bytes:
     if isinstance(value, bool):
         return bytes([_TAG_BOOL, 1 if value else 0])
     if isinstance(value, int):
-        return bytes([_TAG_INT]) + struct.pack(">q", value)
+        return bytes([_TAG_INT]) + _INT.pack(value)
     if isinstance(value, float):
-        return bytes([_TAG_FLOAT]) + struct.pack(">d", value)
+        return bytes([_TAG_FLOAT]) + _FLOAT.pack(value)
     if isinstance(value, str):
         payload = value.encode("utf-8")
         return bytes([_TAG_STRING]) + write_varint(len(payload)) + payload
@@ -92,7 +102,7 @@ def encode_value(value: Any) -> bytes:
     if isinstance(value, datetime.datetime):
         raise CodecError("datetime values are not supported; use datetime.date")
     if isinstance(value, datetime.date):
-        return bytes([_TAG_DATE]) + struct.pack(">I", value.toordinal())
+        return bytes([_TAG_DATE]) + _DATE.pack(value.toordinal())
     if isinstance(value, Oid):
         payload = str(value).encode("utf-8")
         return bytes([_TAG_OID]) + write_varint(len(payload)) + payload
@@ -132,23 +142,16 @@ def decode_value(data: bytes, offset: int = 0) -> Tuple[Any, int]:
         end = offset + 8
         if end > len(data):
             raise CodecError("truncated int")
-        return struct.unpack(">q", data[offset:end])[0], end
+        return _INT.unpack_from(data, offset)[0], end
     if tag == _TAG_FLOAT:
         end = offset + 8
         if end > len(data):
             raise CodecError("truncated float")
-        return struct.unpack(">d", data[offset:end])[0], end
+        return _FLOAT.unpack_from(data, offset)[0], end
     if tag == _TAG_STRING or tag == _TAG_OID:
-        length, offset = read_varint(data, offset)
-        end = offset + length
-        if end > len(data):
-            raise CodecError("truncated string")
-        try:
-            text = data[offset:end].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CodecError(f"invalid UTF-8 in string payload: {exc}") from exc
+        text, end = _read_text(data, offset, "string payload")
         if tag == _TAG_OID:
-            return _parse_oid(text), end
+            return parse_oid(text), end
         return text, end
     if tag == _TAG_BYTES:
         length, offset = read_varint(data, offset)
@@ -160,7 +163,7 @@ def decode_value(data: bytes, offset: int = 0) -> Tuple[Any, int]:
         end = offset + 4
         if end > len(data):
             raise CodecError("truncated date")
-        ordinal = struct.unpack(">I", data[offset:end])[0]
+        ordinal = _DATE.unpack_from(data, offset)[0]
         try:
             return datetime.date.fromordinal(ordinal), end
         except (ValueError, OverflowError) as exc:
@@ -176,18 +179,61 @@ def decode_value(data: bytes, offset: int = 0) -> Tuple[Any, int]:
         count, offset = read_varint(data, offset)
         record: Dict[str, Any] = {}
         for _ in range(count):
-            key_len, offset = read_varint(data, offset)
-            end = offset + key_len
-            if end > len(data):
-                raise CodecError("truncated struct key")
-            try:
-                key = data[offset:end].decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CodecError(f"invalid UTF-8 in struct key: {exc}") from exc
-            offset = end
+            key, offset = _read_text(data, offset, "struct key")
             record[key], offset = decode_value(data, offset)
         return record, offset
     raise CodecError(f"unknown value tag {tag}")
+
+
+def skip_value(data: bytes, offset: int = 0) -> int:
+    """The offset just past the value at *offset*, without building it.
+
+    Checks the framing :func:`decode_value` checks — known tags, lengths
+    inside the data — but not the content of a payload (UTF-8, date
+    range, OID syntax): a skipped value is never handed to anyone.
+    """
+    if offset >= len(data):
+        raise CodecError("truncated value")
+    tag = data[offset]
+    offset += 1
+    width = _FIXED_WIDTH.get(tag)
+    if width is not None:
+        end = offset + width
+    elif tag in _SIZED_TAGS:
+        length, offset = read_varint(data, offset)
+        end = offset + length
+    elif tag == _TAG_LIST:
+        count, offset = read_varint(data, offset)
+        for _ in range(count):
+            offset = skip_value(data, offset)
+        return offset
+    elif tag == _TAG_STRUCT:
+        count, offset = read_varint(data, offset)
+        for _ in range(count):
+            length, offset = read_varint(data, offset)
+            offset = skip_value(data, offset + length)
+        return offset
+    else:
+        raise CodecError(f"unknown value tag {tag}")
+    if end > len(data):
+        raise CodecError("truncated value")
+    return end
+
+
+def _read_text(data: bytes, offset: int, what: str) -> Tuple[str, int]:
+    """A length-prefixed UTF-8 run at *offset*; return (text, new offset)."""
+    if offset < len(data) and data[offset] < 0x80:   # a one-byte length
+        length = data[offset]
+        offset += 1
+    else:
+        length, offset = read_varint(data, offset)
+    end = offset + length
+    if end > len(data):
+        raise CodecError(f"truncated {what}")
+    try:
+        return data[offset:end].decode("utf-8"), end
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"invalid UTF-8 in {what}: {exc}") from exc
 
 
 def encode_object(oid: Oid, class_name: str, values: Dict[str, Any]) -> bytes:
@@ -202,24 +248,55 @@ def encode_object(oid: Oid, class_name: str, values: Dict[str, Any]) -> bytes:
 
 def decode_object(data: bytes) -> Tuple[Oid, str, Dict[str, Any]]:
     """Decode a record produced by :func:`encode_object`."""
+    oid_text, class_name, values = decode_fields(data, None)
+    return parse_oid(oid_text), class_name, values
+
+
+def decode_fields(data: bytes, names: Optional[Container[str]]
+                  ) -> Tuple[str, str, Dict[str, Any]]:
+    """Decode a record's header and the attributes in *names* (every
+    attribute when ``None``): the one record walker.
+
+    The other attributes are skipped by tag (:func:`skip_value`); the
+    record is checked as :func:`decode_object` checks it — magic, format
+    version, header types, struct framing, no trailing bytes.  The OID
+    comes back as its stored text, for a caller to compare with the OID
+    it asked for; :func:`parse_oid` makes it an :class:`Oid`.
+    """
     if not data or data[0] != OBJECT_MAGIC:
         raise CodecError("not an object record (bad magic)")
     version, offset = read_varint(data, 1)
     if version != FORMAT_VERSION:
         raise CodecError(f"unsupported object format version {version}")
-    oid_text, offset = decode_value(data, offset)
-    class_name, offset = decode_value(data, offset)
-    values, offset = decode_value(data, offset)
-    if not isinstance(oid_text, str) or not isinstance(class_name, str):
-        raise CodecError("malformed object header")
-    if not isinstance(values, dict):
+    oid_text, offset = _header_text(data, offset)
+    class_name, offset = _header_text(data, offset)
+    if offset >= len(data):
+        raise CodecError("truncated value")
+    if data[offset] != _TAG_STRUCT:
         raise CodecError("object values must decode to a dict")
+    count, offset = read_varint(data, offset + 1)
+    values: Dict[str, Any] = {}
+    for _ in range(count):
+        key, offset = _read_text(data, offset, "struct key")
+        if names is None or key in names:
+            values[key], offset = decode_value(data, offset)
+        else:
+            offset = skip_value(data, offset)
     if offset != len(data):
         raise CodecError(f"{len(data) - offset} trailing bytes after object record")
-    return _parse_oid(oid_text), class_name, values
+    return oid_text, class_name, values
 
 
-def _parse_oid(text: str) -> Oid:
+def _header_text(data: bytes, offset: int) -> Tuple[str, int]:
+    if offset >= len(data):
+        raise CodecError("truncated value")
+    if data[offset] != _TAG_STRING:
+        raise CodecError("malformed object header")
+    return _read_text(data, offset + 1, "string payload")
+
+
+def parse_oid(text: str) -> Oid:
+    """The :class:`Oid` of an OID's text; :class:`CodecError` if malformed."""
     try:
         return Oid.parse(text)
     except OdeError as exc:

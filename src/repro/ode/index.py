@@ -28,9 +28,10 @@ Entries removed at or below the MVCC watermark (the oldest pinned
 epoch) are unreachable by every possible reader and are garbage
 collected amortized, mirroring the store's version-chain pruning.
 
-The BENCH_index benchmark measures the scan-vs-probe shape; the
-equivalence battery in ``tests/ode/test_index_equivalence.py`` proves
-probe ≡ scan at head and under pins.
+Index upkeep decodes only the indexed attributes of a record
+(:func:`~repro.ode.codec.decode_fields`).  The equivalence battery in
+``tests/ode/test_index_equivalence.py`` proves probe ≡ scan at head and
+under pins.
 """
 
 from __future__ import annotations
@@ -352,8 +353,9 @@ class IndexManager:
         store = self._manager.store
         with store.lock:
             index.clear()
-            for buffer in self._manager.select(class_name):
-                index.insert(buffer.oid.number, buffer.values.get(attribute))
+            for oid, values in self._manager.scan_values(class_name,
+                                                         (attribute,)):
+                index.insert(oid.number, values.get(attribute))
             index.built_epoch = store.epoch
         self.statistics.observe_index(index)
 
@@ -371,7 +373,7 @@ class IndexManager:
         says whether each OID was present before this commit (drives
         cardinality statistics).
         """
-        from repro.ode.codec import decode_object
+        from repro.ode.codec import decode_fields
 
         touched: List[AttributeIndex] = []
         with self._lock:
@@ -392,7 +394,8 @@ class IndexManager:
                     for index in indexes:
                         index.remove(oid.number, epoch)
                 else:
-                    _oid, _class_name, values = decode_object(payload)
+                    _oid, _class_name, values = decode_fields(
+                        payload, [index.attribute for index in indexes])
                     for index in indexes:
                         index.insert(oid.number,
                                      values.get(index.attribute), epoch)

@@ -301,15 +301,18 @@ class Snapshot(_MembershipReads):
     # -- reads -----------------------------------------------------------------
 
     def get(self, oid: Oid) -> bytes:
-        self._check_open()
-        value = self._lookup(oid, self._epoch)
+        value = self.find(oid)
         if value is None:
             raise ObjectNotFoundError(f"no object {oid} at epoch {self._epoch}")
         return value
 
-    def exists(self, oid: Oid) -> bool:
+    def find(self, oid: Oid) -> Optional[bytes]:
+        """The record of *oid* at this epoch, ``None`` when absent."""
         self._check_open()
-        return self._lookup(oid, self._epoch) is not None
+        return self._lookup(oid, self._epoch)
+
+    def exists(self, oid: Oid) -> bool:
+        return self.find(oid) is not None
 
     # -- lifecycle -------------------------------------------------------------
 

@@ -23,16 +23,26 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional
+from typing import (
+    Any,
+    Callable,
+    Container,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 from repro.errors import (
     AccessError,
     ObjectNotFoundError,
     SchemaError,
 )
-from repro.ode.classdef import OdeClass
+from repro.ode.classdef import MemberFunction, OdeClass
 from repro.ode.cluster import Cluster, ClusterCursor, SnapshotCursor
-from repro.ode.codec import decode_object, encode_object
+from repro.ode.codec import decode_fields, encode_object, parse_oid
 from repro.ode.constraints import BehaviourRegistry
 from repro.ode.mvcc import Snapshot
 from repro.ode.oid import Oid
@@ -90,6 +100,15 @@ class ObjectBuffer:
         return names
 
 
+@dataclass(frozen=True)
+class _ClassLayout:
+    """What building a buffer needs of a class, per schema version."""
+
+    public_names: Tuple[str, ...]
+    #: Public, side-effect-free member functions: the computed attributes.
+    methods: Tuple[MemberFunction, ...]
+
+
 class ObjectManager:
     """Typed object operations over one database's store and schema."""
 
@@ -114,6 +133,7 @@ class ObjectManager:
         store.derived = self.indexes
         self._compiled_constraints = CompiledConstraintCache(schema)
         self._compiled_triggers = CompiledTriggerCache(schema)
+        self._layouts: Dict[str, Tuple[int, _ClassLayout]] = {}
         from repro.obs import get_registry
 
         registry = get_registry()
@@ -176,14 +196,14 @@ class ObjectManager:
         costs plans against (see :mod:`repro.core.statistics`)."""
         return self.indexes.statistics
 
-    def _read_record(self, oid: Oid,
-                     snapshot: Optional[Snapshot] = None) -> bytes:
+    def _find_record(self, oid: Oid,
+                     snapshot: Optional[Snapshot] = None) -> Optional[bytes]:
         reader = snapshot or self._current_snapshot()
         if reader is not None:
-            return reader.get(oid)
+            return reader.find(oid)
         # No pin: read through the store, which honours the open
         # transaction's overlay (read-your-writes).
-        return self._store.get(oid)
+        return self._store.find(oid)
 
     def _versions(self):
         if self._version_manager is None:
@@ -274,28 +294,31 @@ class ObjectManager:
     def get_buffer(self, oid: Oid,
                    snapshot: Optional[Snapshot] = None) -> ObjectBuffer:
         """Fetch the object into an object buffer (paper §4.2)."""
-        self._m_buffers.inc()
-        with self._m_buffer_time.time():
-            return self._build_buffer(oid, snapshot)
+        buffer = self.find_buffer(oid, snapshot)
+        if buffer is None:
+            raise ObjectNotFoundError(f"no object {oid}")
+        return buffer
 
-    def _build_buffer(self, oid: Oid,
-                      snapshot: Optional[Snapshot] = None) -> ObjectBuffer:
-        data = self._read_record(oid, snapshot)
-        stored_oid, class_name, values = decode_object(data)
-        if stored_oid != oid:
-            raise ObjectNotFoundError(
-                f"record under {oid} claims identity {stored_oid}"
-            )
-        public_names = tuple(
-            attr.name
-            for attr in self.schema.all_attributes(class_name)
-            if attr.is_public
-        )
+    def find_buffer(self, oid: Oid,
+                    snapshot: Optional[Snapshot] = None
+                    ) -> Optional[ObjectBuffer]:
+        """:meth:`get_buffer` in one read, ``None`` when *oid* is absent.
+
+        A record stored under *oid* that claims another identity still
+        raises :class:`ObjectNotFoundError`.
+        """
+        with self._m_buffer_time.time():
+            data = self._find_record(oid, snapshot)
+            return None if data is None else self._build_buffer(oid, data)
+
+    def _build_buffer(self, oid: Oid, data: bytes) -> ObjectBuffer:
+        self._m_buffers.inc()
+        stored, class_name, values = decode_fields(data, None)
+        self._check_identity(oid, stored)
+        layout = self._layout(class_name)
         computed: Dict[str, Any] = {}
         bound = self.behaviours.methods.get(class_name, {})
-        for method in self.schema.all_methods(class_name):
-            if not (method.is_public and not method.side_effects):
-                continue
+        for method in layout.methods:
             fn = method.fn or bound.get(method.name)
             if fn is not None:
                 computed[method.name] = fn(values)
@@ -303,9 +326,40 @@ class ObjectManager:
             oid=oid,
             class_name=class_name,
             values=values,
-            public_names=public_names,
+            public_names=layout.public_names,
             computed=computed,
         )
+
+    @staticmethod
+    def _check_identity(oid: Oid, stored: str) -> None:
+        """Raise unless the record's stored OID text names *oid*."""
+        if stored == str(oid):
+            return
+        stored_oid = parse_oid(stored)   # CodecError when malformed
+        if stored_oid != oid:
+            raise ObjectNotFoundError(
+                f"record under {oid} claims identity {stored_oid}"
+            )
+
+    def _layout(self, class_name: str) -> "_ClassLayout":
+        """The class's public names and computed methods, resolved once
+        per schema version (the MRO walk is the costly part).  Method
+        bodies bound through :attr:`behaviours` are still looked up per
+        call: the registry changes without a schema bump."""
+        cached = self._layouts.get(class_name)
+        version = self.schema.version
+        if cached is not None and cached[0] == version:
+            return cached[1]
+        layout = _ClassLayout(
+            public_names=tuple(
+                attr.name for attr in self.schema.all_attributes(class_name)
+                if attr.is_public),
+            methods=tuple(
+                method for method in self.schema.all_methods(class_name)
+                if method.is_public and not method.side_effects),
+        )
+        self._layouts[class_name] = (version, layout)
+        return layout
 
     def update(self, oid: Oid, updates: Mapping[str, Any]) -> ObjectBuffer:
         """Apply attribute updates; enforce constraints; fire triggers."""
@@ -357,9 +411,10 @@ class ObjectManager:
         snapshot = ambient if ambient is not None else self._store.snapshot()
         matcher = None
         if predicate is not None:
-            def matcher(oid: Oid, _predicate=predicate,
-                        _snapshot=snapshot) -> bool:
-                return bool(_predicate(self.get_buffer(oid, _snapshot)))
+            matching = self._matcher(class_name, predicate)
+
+            def matcher(oid: Oid) -> bool:
+                return matching(oid, snapshot.get(oid)) is not None
         cluster = Cluster(snapshot, self.database, class_name)
         return SnapshotCursor(
             cluster, matcher,
@@ -380,11 +435,59 @@ class ObjectManager:
 
     def _select_from(self, snapshot: Snapshot, class_name: str,
                      predicate: Optional[Predicate]) -> Iterator[ObjectBuffer]:
+        matching = self._matcher(class_name, predicate)
         for number in snapshot.cluster_numbers(class_name):
             oid = Oid(self.database, class_name, number)
-            buffer = self.get_buffer(oid, snapshot)
-            if predicate is None or predicate(buffer):
+            buffer = matching(oid, snapshot.get(oid))
+            if buffer is not None:
                 yield buffer
+
+    def _matcher(self, class_name: str, predicate: Optional[Predicate]
+                 ) -> Callable[[Oid, bytes], Optional[ObjectBuffer]]:
+        """A record's buffer when it satisfies *predicate*, else ``None``.
+
+        A compiled predicate names the attributes it reads (``reads``,
+        see :meth:`PredicateEvaluator.compile`).  Unless one of them is
+        a computed method, the record is first decoded for just those,
+        its identity checked, and the predicate evaluated on a probe
+        buffer with the class's public names, so encapsulation and
+        missing-attribute errors fire exactly as on a full buffer; only
+        a match is decoded whole.
+        """
+        def full(oid: Oid, data: bytes) -> Optional[ObjectBuffer]:
+            buffer = self._build_buffer(oid, data)
+            return buffer if predicate(buffer) else None
+
+        if predicate is None:
+            return self._build_buffer
+        reads = getattr(predicate, "reads", None)
+        if reads is None or not self.schema.has_class(class_name):
+            return full
+        layout = self._layout(class_name)
+        if any(method.name in reads for method in layout.methods):
+            return full
+
+        def probe_first(oid: Oid, data: bytes) -> Optional[ObjectBuffer]:
+            stored, stored_class, values = decode_fields(data, reads)
+            self._check_identity(oid, stored)
+            if stored_class != class_name:
+                return full(oid, data)
+            probe = ObjectBuffer(oid, class_name, values, layout.public_names)
+            return self._build_buffer(oid, data) if predicate(probe) else None
+
+        return probe_first
+
+    def scan_values(self, class_name: str, names: Container[str]
+                    ) -> Iterator[Tuple[Oid, Dict[str, Any]]]:
+        """``(oid, values)`` for every member of a cluster, decoding only
+        the attributes in *names*, from one snapshot (index upkeep)."""
+        with self.pinned() as snapshot:
+            for number in snapshot.cluster_numbers(class_name):
+                oid = Oid(self.database, class_name, number)
+                stored, _class, values = decode_fields(
+                    snapshot.get(oid), names)
+                self._check_identity(oid, stored)
+                yield oid, values
 
     # -- transactions -----------------------------------------------------------------
 

@@ -14,7 +14,7 @@ and safely shared between the parser, checker, evaluator, and printer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Tuple
+from typing import Any, Optional, Set, Tuple
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +82,31 @@ class Binary(Expr):
     op: str
     left: Expr
     right: Expr
+
+
+def used_attributes(expr: Expr) -> Set[str]:
+    """Every bare attribute name a predicate mentions (its root names)."""
+    names: Set[str] = set()
+
+    def visit(node: Expr) -> None:
+        if isinstance(node, Name):
+            names.add(node.ident)
+        elif isinstance(node, FieldAccess):
+            visit(node.base)
+        elif isinstance(node, Index):
+            visit(node.base)
+            visit(node.subscript)
+        elif isinstance(node, Call):
+            for arg in node.args:
+                visit(arg)
+        elif isinstance(node, Unary):
+            visit(node.operand)
+        elif isinstance(node, Binary):
+            visit(node.left)
+            visit(node.right)
+
+    visit(expr)
+    return names
 
 
 COMPARISON_OPS = ("==", "!=", "<", "<=", ">", ">=")

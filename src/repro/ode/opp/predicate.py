@@ -62,9 +62,16 @@ class PredicateEvaluator:
         return result
 
     def compile(self, expr: ast.Expr) -> Callable[[Any], bool]:
-        """A reusable buffer -> bool callable (what cursors consume)."""
+        """A reusable buffer -> bool callable (what cursors consume).
+
+        Its ``reads`` attribute is the set of attribute names the
+        expression reads; the object manager decodes only those before
+        the predicate has passed (``->`` and the built-in functions read
+        only what their arguments name).
+        """
         def predicate(buffer) -> bool:
             return self.matches(expr, buffer)
+        predicate.reads = frozenset(ast.used_attributes(expr))
         return predicate
 
     def compile_source(self, source: str) -> Callable[[Any], bool]:

@@ -687,18 +687,20 @@ class ObjectStore(_MembershipReads):
             raise
 
     def get(self, oid: Oid) -> bytes:
+        value = self.find(oid)
+        if value is None:
+            raise ObjectNotFoundError(f"no object {oid}")
+        return value
+
+    def find(self, oid: Oid) -> Optional[bytes]:
+        """The record of *oid* as this thread's transaction sees it,
+        ``None`` when absent (or deleted in the open transaction)."""
         with self._lock:
             self._m_gets.inc()
             overlay = self._tx_overlay(oid)
             if overlay is not None:
-                if overlay.op == OP_DELETE:
-                    raise ObjectNotFoundError(
-                        f"object {oid} deleted in this transaction")
-                return overlay.payload
-            value = self._placement.read(oid)
-            if value is None:
-                raise ObjectNotFoundError(f"no object {oid}")
-            return value
+                return overlay.payload if overlay.op == OP_PUT else None
+            return self._placement.read(oid)
 
     def exists(self, oid: Oid) -> bool:
         with self._lock:

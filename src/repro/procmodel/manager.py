@@ -8,7 +8,7 @@ interactor process; here it is one ``call``.
 Crash containment is the managed property: ``call`` into a crashed or
 crashing actor raises :class:`ProcessCrashedError`, and
 ``crashed_processes`` reports casualties, while every other actor stays
-serviceable — the guarantee ABL-PROC benchmarks.
+serviceable.
 """
 
 from __future__ import annotations

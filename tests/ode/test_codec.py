@@ -7,11 +7,14 @@ from hypothesis import given, strategies as st
 
 from repro.errors import CodecError
 from repro.ode.codec import (
+    decode_fields,
     decode_object,
     decode_value,
     encode_object,
     encode_value,
+    parse_oid,
     read_varint,
+    skip_value,
     write_varint,
 )
 from repro.ode.oid import Oid
@@ -168,6 +171,80 @@ class TestObjects:
         assert oid.number == 9
         assert class_name == "employee"
         assert values == {"id": 9}
+
+
+class TestDecodeFields:
+    """The one record walker, asked for some attributes."""
+
+    OID = Oid("lab", "employee", 3)
+    VALUES = {"name": "rakesh", "dept": Oid("lab", "department", 0),
+              "grades": [1, {"x": None}], "since": datetime.date(1990, 5, 23),
+              "photo": b"\x00\xff", "pay": 1.5, "boss": True}
+
+    def record(self, values=None):
+        return encode_object(self.OID, "employee",
+                             self.VALUES if values is None else values)
+
+    def test_every_name_is_decode_object(self):
+        text, class_name, values = decode_fields(self.record(), None)
+        assert (parse_oid(text), class_name, values) == decode_object(
+            self.record())
+        assert text == str(self.OID)
+
+    @pytest.mark.parametrize("names", [(), ("name",), ("grades", "boss"),
+                                       ("ghost", "pay")])
+    def test_named_values_only(self, names):
+        _text, class_name, values = decode_fields(self.record(), names)
+        assert class_name == "employee"
+        assert values == {n: self.VALUES[n] for n in names
+                          if n in self.VALUES}
+
+    def test_duplicate_key_keeps_the_last(self):
+        data = bytearray(self.record({"a": 1}))
+        # a hand-made struct with "a" twice: count 2, then both entries
+        head = data[:data.index(bytes([7, 1]))]
+        body = bytes([7, 2]) + b"\x01a" + encode_value(1) + b"\x01a" \
+            + encode_value(2)
+        assert decode_fields(bytes(head) + body, ("a",))[2] == {"a": 2}
+        assert decode_object(bytes(head) + body)[2] == {"a": 2}
+
+    def test_trailing_bytes_rejected(self):
+        with pytest.raises(CodecError):
+            decode_fields(self.record() + b"x", ())
+
+    def test_non_string_header_rejected(self):
+        data = bytearray(self.record())
+        data[2] = 8   # the OID header's string tag becomes the OID tag
+        with pytest.raises(CodecError, match="header"):
+            decode_fields(bytes(data), ())
+
+    def test_values_must_be_a_struct(self):
+        data = encode_object(self.OID, "employee", {})
+        with pytest.raises(CodecError, match="dict"):
+            decode_fields(data[:-2] + encode_value([]), ())
+
+    def test_every_truncation_rejected(self):
+        data = self.record()
+        for cut in range(len(data)):
+            with pytest.raises(CodecError):
+                decode_fields(data[:cut], ())
+
+    @pytest.mark.parametrize("value", _SAMPLE_VALUES + [b"", b"\x01\x02"],
+                             ids=[repr(v)[:30] for v in _SAMPLE_VALUES]
+                             + ["b''", "bytes"])
+    def test_skip_value_lands_where_decode_does(self, value):
+        data = encode_value(value) + b"tail"
+        assert skip_value(data, 0) == decode_value(data, 0)[1]
+
+    def test_skip_value_checks_framing(self):
+        for data in (b"", b"\xff", encode_value("hello")[:-1],
+                     encode_value([1, 2])[:-3], encode_value({"k": 1})[:3]):
+            with pytest.raises(CodecError):
+                skip_value(data, 0)
+
+    def test_malformed_oid_text_is_a_codec_error(self):
+        with pytest.raises(CodecError):
+            parse_oid("not-an-oid")
 
 
 class TestBytes:

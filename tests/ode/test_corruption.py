@@ -8,10 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import CodecError, OdeError, StorageError
 from repro.ode.codec import (
+    decode_fields,
     decode_object,
     decode_value,
     encode_object,
     encode_value,
+    parse_oid,
+    skip_value,
 )
 from repro.ode.oid import Oid
 from repro.ode.page import PAGE_SIZE, Page
@@ -41,6 +44,27 @@ class TestCodecFuzz:
         except CodecError:
             pass
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(min_size=0, max_size=64))
+    def test_skip_value_never_crashes_uncontrolled(self, noise):
+        """Skipping checks framing only, and agrees with decoding on
+        where a well-formed value ends."""
+        try:
+            end = skip_value(noise, 0)
+        except CodecError:
+            return
+        try:
+            assert decode_value(noise, 0)[1] == end
+        except CodecError:
+            pass  # content the skip does not read (UTF-8, dates, OIDs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(min_size=1, max_size=64),
+           st.sampled_from([None, (), ("a",), ("name", "n", "tags")]))
+    @example(b"\xb0\x01\x04\x00\x04\x00\x07\x01\x00\x08\x01\xff", ())
+    def test_decode_fields_never_crashes_uncontrolled(self, noise, names):
+        _assert_fields_consistent(noise, names)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000), st.integers(0, 255))
     def test_bitflipped_object_record(self, position, new_byte):
@@ -51,6 +75,8 @@ class TestCodecFuzz:
         if data[position] == new_byte:
             new_byte = (new_byte + 1) % 256
         data[position] = new_byte
+        for names in (None, (), ("name",), ("tags", "n")):
+            _assert_fields_consistent(bytes(data), names)
         try:
             decoded_oid, class_name, values = decode_object(bytes(data))
         except (CodecError, OdeError):
@@ -58,6 +84,29 @@ class TestCodecFuzz:
         # if it still decodes, it must decode to *consistent* types
         assert isinstance(class_name, str)
         assert isinstance(values, dict)
+
+
+def _assert_fields_consistent(data, names):
+    """``decode_fields`` raises nothing but :class:`CodecError`, rejects
+    nothing ``decode_object`` accepts, and projects what it decodes."""
+    try:
+        whole = decode_object(data)
+    except CodecError:
+        whole = None
+    try:
+        text, class_name, values = decode_fields(data, names)
+    except CodecError:
+        assert whole is None, "decode_fields rejected a valid record"
+        return
+    assert isinstance(text, str) and isinstance(class_name, str)
+    assert isinstance(values, dict)
+    if whole is not None:
+        oid, whole_class, whole_values = whole
+        assert (parse_oid(text), class_name) == (oid, whole_class)
+        # bytes, not values: a flip can make a nan, and nan != nan
+        assert encode_value(values) == encode_value(
+            {key: value for key, value in whole_values.items()
+             if names is None or key in names})
 
 
 # Generated attribute values spanning every codec tag, nested a few
@@ -137,10 +186,40 @@ class TestCodecProperties:
     @given(_VALUES, st.integers(min_value=0, max_value=100_000))
     def test_truncated_object_record_is_rejected(self, value, cut):
         oid = Oid("db", "c", 7)
-        blob = encode_object(oid, "c", {"v": value})
+        blob = encode_object(oid, "c", {"v": value, "w": value})
         cut %= len(blob)  # every strict prefix, including the empty one
         with pytest.raises(OdeError):
             decode_object(blob[:cut])
+        for names in ((), ("v",), ("w",)):
+            with pytest.raises(CodecError):
+                decode_fields(blob[:cut], names)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(st.text(max_size=6), _VALUES, max_size=6),
+           st.data())
+    def test_decode_fields_is_the_projection(self, record, data):
+        """For any record and any subset of its keys (plus keys it does
+        not have), decode_fields is decode_object projected."""
+        oid = Oid("db", "c", 7)
+        blob = encode_object(oid, "c", record)
+        names = data.draw(st.sets(st.sampled_from(sorted(record) + ["?"])))
+        text, class_name, values = decode_fields(blob, names)
+        assert (parse_oid(text), class_name) == (oid, "c")
+        assert values == {key: value for key, value in record.items()
+                          if key in names}
+        assert decode_fields(blob, None)[2] == decode_object(blob)[2]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_VALUES, st.integers(min_value=0, max_value=100_000),
+           st.integers(min_value=1, max_value=255))
+    def test_single_byte_corruption_of_fields_is_typed_or_consistent(
+            self, value, position, flip):
+        blob = bytearray(encode_object(Oid("db", "c", 7), "c",
+                                       {"v": value, "w": 1}))
+        position %= len(blob)
+        blob[position] ^= flip
+        for names in (None, (), ("v",), ("w",)):
+            _assert_fields_consistent(bytes(blob), names)
 
 
 class TestPageCorruption:

@@ -228,3 +228,180 @@ class TestTransactions:
         oid = manager.new_object("employee", {"name": "tx"})
         manager.abort()
         assert not manager.exists(oid)
+
+
+def _compiled(manager, source, privileged=False):
+    from repro.ode.opp.predicate import PredicateEvaluator
+
+    return PredicateEvaluator(manager, privileged=privileged).compile_source(
+        source)
+
+
+def _outcome(rows):
+    """The oids a selection yields, or the error type it stops with."""
+    try:
+        return [buffer.oid for buffer in rows]
+    except (AccessError, ObjectNotFoundError) as exc:
+        return type(exc)
+
+
+def _full_buffer_outcome(manager, class_name, predicate):
+    """The reference: build every buffer, then apply the predicate."""
+    return _outcome(buffer for buffer in manager.select(class_name)
+                    if predicate(buffer))
+
+
+@pytest.fixture
+def staff(manager):
+    research = manager.new_object("department", {"dname": "research"})
+    sales = manager.new_object("department", {"dname": "sales"})
+    for index, dept in enumerate([research, sales, None, research, sales]):
+        manager.new_object("employee", {
+            "name": f"e{index}", "id": index, "dept": dept,
+            "salary": 100 * index})
+    return manager
+
+
+class TestFilteredScan:
+    """A scan decodes only what the predicate reads; what it yields and
+    the errors it raises are those of evaluating full buffers."""
+
+    @pytest.mark.parametrize("source, privileged, expected", [
+        ("salary > 150", False, AccessError),
+        ("salary > 150", True, [2, 3, 4]),
+        ("double_id == 6", False, [3]),
+        ('dept->dname == "research"', False, [0, 3]),
+        ('name == "e1" || id > 3', False, [1, 4]),
+    ])
+    def test_matches_full_buffer_evaluation(self, staff, source, privileged,
+                                            expected):
+        predicate = _compiled(staff, source, privileged)
+        got = _outcome(staff.select("employee", predicate))
+        assert got == _full_buffer_outcome(staff, "employee", predicate)
+        if isinstance(expected, list):
+            got = [oid.number for oid in got]
+        assert got == expected
+
+    def test_foreign_identity_raises_mid_scan(self, staff):
+        from repro.ode.codec import encode_object
+
+        victim = Oid("db", "employee", 3)
+        impostor = Oid("db", "employee", 99)
+        staff.store.put(victim, encode_object(impostor, "employee", {
+            "name": "e3", "id": 3, "dept": None, "salary": 0}))
+        predicate = _compiled(staff, "id >= 0")
+        rows = staff.select("employee", predicate)
+        assert [next(rows).oid.number for _ in range(3)] == [0, 1, 2]
+        with pytest.raises(ObjectNotFoundError, match="claims identity"):
+            next(rows)
+        assert _full_buffer_outcome(staff, "employee",
+                                    predicate) is ObjectNotFoundError
+
+    def test_record_of_another_class_uses_its_own_layout(self, manager):
+        from repro.ode.codec import encode_object
+
+        oid = manager.new_object("employee")
+        manager.store.put(oid, encode_object(oid, "department",
+                                             {"dname": "x", "employees": []}))
+        predicate = _compiled(manager, 'dname == "x"')
+        assert _outcome(manager.select("employee", predicate)) == [oid]
+        assert _full_buffer_outcome(manager, "employee", predicate) == [oid]
+
+    def test_replace_class_privacy_reaches_scan_and_buffer(self, staff):
+        predicate = _compiled(staff, 'name == "e2"')
+        assert [b.oid.number for b in staff.select("employee",
+                                                   predicate)] == [2]
+        cls = staff.schema.get_class("employee")
+        staff.schema.replace_class(OdeClass("employee", attributes=tuple(
+            Attribute(a.name, a.type_spec,
+                      Access.PRIVATE if a.name == "name" else a.access)
+            for a in cls.attributes), methods=cls.methods))
+        buffer = staff.get_buffer(Oid("db", "employee", 2))
+        assert "name" not in buffer.public_names
+        with pytest.raises(AccessError):
+            buffer.value("name")
+        assert _outcome(staff.select("employee", predicate)) is AccessError
+
+
+class TestSavedWork:
+    """Exact counts of the work a selection does."""
+
+    @pytest.mark.parametrize("source, full_decodes", [
+        ("id >= 3", 2),
+        ('dept->dname == "sales" && id > 0', 2),
+        ("double_id >= 6", 5),   # a computed method needs every buffer
+    ])
+    def test_filtered_scan_fully_decodes_only_the_matches(
+            self, staff, monkeypatch, source, full_decodes):
+        import repro.ode.objectmanager as objectmanager
+
+        full = []
+        decode = objectmanager.decode_fields
+
+        def counting(data, names):
+            if names is None:
+                full.append(data)
+            return decode(data, names)
+
+        predicate = _compiled(staff, source)
+        monkeypatch.setattr(objectmanager, "decode_fields", counting)
+        rows = list(staff.select("employee", predicate))
+        assert len(rows) == 2 and staff.count("employee") == 5
+        # each "->" follows one reference: one more full decode per row
+        # that reaches it
+        follows = 4 if "->" in source else 0
+        assert len(full) == full_decodes + follows
+        del full[:]
+        cursor = staff.cursor("employee", predicate)
+        assert [cursor.next(), cursor.next(), cursor.next()][2] is None
+        assert len(full) == full_decodes + follows
+
+    def test_index_probe_reads_each_candidate_once(self, tmp_path):
+        from repro.core.queryplan import SelectionPlanner
+        from repro.data.synthetic import make_synthetic_database
+        from repro.obs import get_registry
+        from repro.ode.opp.parser import parse_expression
+
+        database = make_synthetic_database(tmp_path, readings=160)
+        try:
+            database.create_index("reading", "tag")
+            planner = SelectionPlanner(database)
+            expr = parse_expression('tag == "t3"')
+            reads = get_registry().counter("mvcc.snapshot_reads")
+            with database.objects.pinned():
+                plan = planner.plan("reading", expr, force="index")
+                before = reads.value
+                rows = list(planner.execute(plan))
+                spent = reads.value - before
+            assert plan.access == "index-eq"
+            assert len(plan.candidates) == len(rows) == 10
+            assert spent == len(plan.candidates)
+        finally:
+            database.close()
+
+    def test_index_candidate_absent_is_skipped_foreign_raises(self, tmp_path):
+        from dataclasses import replace
+
+        from repro.core.queryplan import SelectionPlanner
+        from repro.data.synthetic import make_synthetic_database
+        from repro.ode.codec import encode_object
+        from repro.ode.opp.parser import parse_expression
+
+        database = make_synthetic_database(tmp_path, readings=40)
+        try:
+            database.create_index("reading", "tag")
+            planner = SelectionPlanner(database)
+            plan = planner.plan("reading", parse_expression('tag == "t3"'),
+                                force="index")
+            assert plan.candidates == [3, 19, 35]
+            gone = replace(plan, candidates=[3, 999, 19])
+            assert [b.oid.number for b in planner.execute(gone)] == [3, 19]
+            objects = database.objects
+            values = dict(objects.get_buffer(Oid("synthetic", "reading",
+                                                 19)).values)
+            objects.store.put(Oid("synthetic", "reading", 19), encode_object(
+                Oid("synthetic", "reading", 20), "reading", values))
+            with pytest.raises(ObjectNotFoundError, match="claims identity"):
+                list(planner.execute(plan))
+        finally:
+            database.close()
