@@ -35,6 +35,8 @@ from typing import Any, Dict, Optional
 
 from repro.errors import NetworkError, ProtocolError
 from repro.ode.codec import decode_value, encode_value
+from repro.ode.objectmanager import ObjectBuffer
+from repro.ode.oid import Oid
 
 #: Protocol version exchanged in HELLO; bumped on incompatible changes.
 PROTOCOL_VERSION = 1
@@ -79,9 +81,15 @@ OP_COMMIT = 0x31
 OP_ABORT = 0x32
 
 OP_CURSOR_OPEN = 0x40
+#: ``{"cursor", "from": number | None, "limit"?}`` -> ``{"numbers",
+#: "epoch"}``: one window of member numbers past ``from``, nearest
+#: first, from the cursor's pinned snapshot; the client holds the
+#: position and steps through the window.
 OP_CURSOR_NEXT = 0x41
 OP_CURSOR_PREVIOUS = 0x42
 OP_CURSOR_RESET = 0x43
+#: Reserved: the one-step cursor's ``current`` and ``seek``, now local
+#: to the client.  No server handles them; the numbers stay taken.
 OP_CURSOR_CURRENT = 0x44
 OP_CURSOR_SEEK = 0x45
 OP_CURSOR_CLOSE = 0x46
@@ -280,9 +288,6 @@ def buffer_to_value(buffer) -> Dict[str, Any]:
 
 def buffer_from_value(value: Dict[str, Any]):
     """Inverse of :func:`buffer_to_value`."""
-    from repro.ode.objectmanager import ObjectBuffer
-    from repro.ode.oid import Oid
-
     return ObjectBuffer(
         oid=Oid.parse(value["oid"]),
         class_name=value["class"],

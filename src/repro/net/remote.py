@@ -23,10 +23,13 @@ What stays local and what crosses the wire:
   so there is no flush race between an invalidation and an in-flight
   fetch.  Writes inside an open transaction read uncommitted overlay
   state that no epoch can describe, so those paths purge physically;
-* **sequencing cursors** live on the server (they are the
-  object-interactor's cursor) and own a pinned snapshot there; ``reset``
-  refreshes that snapshot and advances the client cache's epoch floor —
-  a resequenced browse re-reads current data.
+* **sequencing cursors** pin a snapshot on the server (they are the
+  object-interactor's cursor); the position lives here, with a window
+  of up to :data:`SCAN_BATCH` member numbers read from that snapshot in
+  one round trip, so ``next``/``previous`` inside the window and
+  ``seek``/``current`` cost none.  ``reset`` refreshes the snapshot and
+  advances the client cache's epoch floor — a resequenced browse
+  re-reads current data.
 
 Cluster scans are batched: ``RemoteCluster.oids()`` pulls the whole
 cluster in :data:`SCAN_BATCH`-sized pages through the object cache, so
@@ -35,6 +38,8 @@ browsing N objects costs N/SCAN_BATCH round trips, not N.
 
 from __future__ import annotations
 
+import bisect
+import math
 import shutil
 import tempfile
 import threading
@@ -45,6 +50,7 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.errors import (
     NetworkError,
+    ObjectNotFoundError,
     SessionLostError,
     StorageError,
     TransactionError,
@@ -55,7 +61,8 @@ from repro.ode.oid import Oid
 from repro.ode.schema import Schema
 from repro.ode.versions import VersionRecord
 
-#: Buffers fetched per SCAN_CLUSTER round trip.
+#: Buffers fetched per SCAN_CLUSTER round trip, and member numbers per
+#: cursor window (at most the server's ``MAX_SCAN_BATCH``).
 SCAN_BATCH = 64
 
 #: Object buffers kept in the client-side cache.
@@ -349,17 +356,30 @@ class RemoteCluster:
         return self.oid(numbers[-1]) if numbers else None
 
 
+#: A window that answers nothing: the open interval (0, 0), no members.
+_NO_WINDOW: Tuple[float, float, List[int]] = (0, 0, [])
+#: What :meth:`RemoteCursor._from_window` says when the window cannot
+#: answer.
+_REFILL = object()
+
+
 class RemoteCursor:
-    """A server-side sequencing cursor, optionally filtered client-side.
+    """A sequencing cursor over a snapshot pinned on the server,
+    optionally filtered client-side.
 
     next/previous/reset/current/seek mirror
-    :class:`~repro.ode.cluster.ClusterCursor`.  A predicate (display
-    functions may push one down) is applied on the client: the cursor
-    advances on the server until a matching buffer is found.  The
-    server-side cursor owns a pinned snapshot; ``epoch`` reports which
-    commit epoch that snapshot serves.  ``reset`` refreshes the snapshot
-    and advances the manager's cache floor — resequencing is the browse
-    starting over, and it must see current data.
+    :class:`~repro.ode.cluster.ClusterCursor`.  The server-side cursor is
+    a pinned snapshot plus a class; the position lives here, next to a
+    *window*: every member number of that snapshot in an open interval
+    ``(lo, hi)``, read in one round trip.  A step the window can answer
+    costs no round trip, so a walk of k steps costs about k/SCAN_BATCH;
+    ``seek`` and ``current`` never cost one.  A predicate (display
+    functions may push one down) is applied on the client, to the
+    buffer of each candidate the walk passes.  ``epoch`` reports which
+    commit epoch the snapshot serves.  ``reset`` refreshes the snapshot,
+    clears the position and the window, and advances the manager's
+    cache floor — resequencing is the browse starting over, and it must
+    see current data.
     """
 
     def __init__(self, manager: "RemoteObjectManager", class_name: str,
@@ -372,57 +392,114 @@ class RemoteCursor:
             {"db": manager.database.name, "class": class_name})
         self._cursor_id = reply["cursor"]
         self.epoch: Optional[int] = reply.get("epoch")
+        self._position: Optional[int] = None   # current member number
+        self._window = _NO_WINDOW
         # The cursor lives in the *server session* it was opened in; if
         # the client reconnects (new generation), that session and this
         # cursor are gone — fail fast rather than asking a fresh
-        # session about a cursor id it never issued.
+        # session about a cursor id it never issued, even for a step
+        # the window could answer.
         self._generation = manager.database.client.generation
 
-    def _call(self, opcode: int,
-              payload: Dict[str, Any]) -> Dict[str, Any]:
+    def _check_session(self) -> None:
         if self._manager.database.client.generation != self._generation:
             raise SessionLostError(
                 "sequencing cursor lost: the connection to the server was "
                 "dropped and its session state discarded; reopen the cursor")
-        reply = self._manager._call(opcode, payload)
-        if isinstance(reply.get("epoch"), int):
-            self.epoch = reply["epoch"]
-        return reply
 
-    def _step(self, opcode: int) -> Optional[Oid]:
-        while True:
-            reply = self._call(opcode, {"cursor": self._cursor_id})
-            text = reply.get("oid")
-            if text is None:
+    def _oid(self, number: int) -> Oid:
+        return Oid(self._manager.database.name, self.class_name, number)
+
+    def _from_window(self, point: float, forward: bool):
+        """The member nearest past *point* in the step's direction,
+        ``None`` past the end, or ``_REFILL`` when the window cannot
+        tell."""
+        lo, hi, members = self._window
+        if forward and lo <= point < hi:
+            index = bisect.bisect_right(members, point)
+            if index < len(members):
+                return members[index]
+            if hi == math.inf:
                 return None
-            oid = Oid.parse(text)
-            if self._predicate is None:
+        elif not forward and lo < point <= hi:
+            index = bisect.bisect_left(members, point)
+            if index:
+                return members[index - 1]
+            if lo == -math.inf:
+                return None
+        return _REFILL
+
+    def _refill(self, point: float, forward: bool) -> None:
+        """Replace the window with the members past *point*: one round
+        trip.  A window shorter than asked for reaches the end."""
+        reply = self._manager._call(
+            P.OP_CURSOR_NEXT if forward else P.OP_CURSOR_PREVIOUS,
+            {"cursor": self._cursor_id,
+             "from": None if math.isinf(point) else point,
+             "limit": SCAN_BATCH})
+        self.epoch = reply["epoch"]
+        numbers = reply["numbers"]
+        full = len(numbers) == SCAN_BATCH
+        if forward:
+            self._window = (point, numbers[-1] + 1 if full else math.inf,
+                            numbers)
+        else:
+            self._window = (numbers[-1] - 1 if full else -math.inf, point,
+                            numbers[::-1])
+
+    def _step(self, forward: bool) -> Optional[Oid]:
+        self._check_session()
+        if self._position is None:
+            if not forward:
+                return None
+            point: float = -math.inf
+        else:
+            point = self._position
+        while True:
+            number = self._from_window(point, forward)
+            if number is _REFILL:
+                self._refill(point, forward)
+                number = self._from_window(point, forward)
+            if number is None:
+                return None
+            oid = self._oid(number)
+            if (self._predicate is None
+                    or self._predicate(self._manager.get_buffer(oid))):
+                self._position = number
                 return oid
-            if self._predicate(self._manager.get_buffer(oid)):
-                return oid
+            point = number
 
     def next(self) -> Optional[Oid]:
-        return self._step(P.OP_CURSOR_NEXT)
+        """Advance to the next matching object; ``None`` at the end."""
+        return self._step(True)
 
     def previous(self) -> Optional[Oid]:
-        return self._step(P.OP_CURSOR_PREVIOUS)
+        """Step back to the previous matching object; ``None`` at the front."""
+        return self._step(False)
 
     def reset(self) -> None:
-        self._call(P.OP_CURSOR_RESET, {"cursor": self._cursor_id})
+        self._check_session()
+        reply = self._manager._call(
+            P.OP_CURSOR_RESET, {"cursor": self._cursor_id})
+        self.epoch = reply["epoch"]
+        self._position = None
+        self._window = _NO_WINDOW
         # The reply reported the refreshed snapshot's epoch (observed by
-        # _call), so advancing the floor kills exactly the entries older
-        # than the state this resequenced browse will see.
+        # the manager), so advancing the floor kills exactly the entries
+        # older than the state this resequenced browse will see.
         self._manager.cache.invalidate()
 
     def current(self) -> Optional[Oid]:
-        reply = self._call(
-            P.OP_CURSOR_CURRENT, {"cursor": self._cursor_id})
-        text = reply.get("oid")
-        return Oid.parse(text) if text else None
+        self._check_session()
+        return None if self._position is None else self._oid(self._position)
 
     def seek(self, oid: Oid) -> None:
-        self._call(
-            P.OP_CURSOR_SEEK, {"cursor": self._cursor_id, "oid": str(oid)})
+        """Position the cursor on a specific object; the window stays."""
+        self._check_session()
+        if oid.cluster != self.class_name:
+            raise StorageError(
+                f"cursor over {self.class_name!r} cannot seek to {oid}")
+        self._position = oid.number
 
     def close(self) -> None:
         if self._manager.database.client.generation != self._generation:
@@ -486,14 +563,29 @@ class RemoteObjectManager:
         return buffer
 
     def get_buffers(self, oids: List[Oid]) -> List[Any]:
-        """Fetch many buffers, one round trip for all cache misses."""
-        missing = [oid for oid in oids if self.cache.get(oid) is None]
-        if missing:
-            reply = self._call(
-                P.OP_GET_OBJECTS, {"oids": [str(oid) for oid in missing]})
+        """Fetch many buffers, one round trip for all cache misses.
+
+        Hits come from the cache and misses from the one reply, so the
+        misses are one pinned read whatever the cache keeps of them.
+        An OID the server does not have raises
+        :class:`~repro.errors.ObjectNotFoundError`.
+        """
+        found: Dict[Oid, Any] = {}
+        for oid in oids:
+            buffer = self.cache.get(oid)
+            if buffer is not None:
+                found[oid] = buffer
+        misses = [str(oid) for oid in dict.fromkeys(oids) if oid not in found]
+        if misses:
+            reply = self._call(P.OP_GET_OBJECTS, {"oids": misses})
+            if reply["missing"]:
+                raise ObjectNotFoundError(f"no object {reply['missing'][0]}")
+            epoch = reply.get("epoch")
             for value in reply["buffers"]:
-                self.cache.put(P.buffer_from_value(value), reply.get("epoch"))
-        return [self.get_buffer(oid) for oid in oids]
+                buffer = P.buffer_from_value(value)
+                self.cache.put(buffer, epoch)
+                found[buffer.oid] = buffer
+        return [found[oid] for oid in oids]
 
     def scan(self, class_name: str) -> List[Any]:
         """The whole cluster, fetched in SCAN_BATCH pages through the cache."""

@@ -13,9 +13,10 @@ Dispatch discipline (MVCC):
   snapshot (one commit epoch) for its duration, so readers never block
   behind a writer and never observe a half-applied transaction.  Every
   read reply reports the ``epoch`` it was served at;
-* server-side sequencing cursors own a pinned snapshot for their whole
-  lifetime — stepping is lock-free and ``reset`` refreshes the snapshot
-  to the newest committed epoch;
+* a server-side sequencing cursor is a pinned snapshot plus a class:
+  a step reads one window of member numbers past the client's position
+  from that snapshot, lock-free, and ``reset`` refreshes the snapshot to
+  the newest committed epoch.  The position lives on the client;
 * a session reading the database *it has an open transaction on* reads
   through the transaction overlay instead (read-your-writes);
 * write opcodes split in two: :meth:`ServerSession.write_prepare` —
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import math
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import (
@@ -57,10 +59,19 @@ from repro.errors import (
 )
 from repro.net import protocol as P
 from repro.obs import get_registry
+from repro.ode.cluster import Cluster
+from repro.ode.mvcc import Snapshot
 from repro.ode.oid import Oid
 
-#: Largest number of buffers one scan batch may carry.
+#: Largest number of buffers one scan batch, or of member numbers one
+#: cursor window, may carry.
 MAX_SCAN_BATCH = 1024
+
+
+def _batch_limit(payload: Dict[str, Any]) -> int:
+    """A request's ``limit`` (64 when absent), clamped to
+    ``[1, MAX_SCAN_BATCH]``."""
+    return max(1, min(int(payload.get("limit", 64)), MAX_SCAN_BATCH))
 
 
 class HostedDatabase:
@@ -88,7 +99,8 @@ class ServerSession:
     def __init__(self, server, session_id: int):
         self.server = server
         self.session_id = session_id
-        self._cursors: Dict[int, Tuple[str, Any]] = {}  # id -> (db, cursor)
+        #: id -> (pinned snapshot, cluster read through it)
+        self._cursors: Dict[int, Tuple[Snapshot, Cluster]] = {}
         self._cursor_ids = itertools.count(1)
         self._tx_database: Optional[str] = None  # db our transaction is on
         self._m_read_lockfree = get_registry().counter("net.read_lockfree")
@@ -123,8 +135,8 @@ class ServerSession:
 
     def close(self) -> None:
         """Connection gone: drop cursors, abort an open transaction."""
-        for _db, cursor in self._cursors.values():
-            cursor.close()  # releases the cursor's snapshot pin
+        for snapshot, _cluster in self._cursors.values():
+            snapshot.close()
         self._cursors.clear()
         if self._tx_database is not None:
             hosted = self.server.hosted(self._tx_database)
@@ -147,7 +159,7 @@ class ServerSession:
             return handler(self, payload)
         if opcode in _CURSOR_OPCODES or opcode == P.OP_CURSOR_OPEN:
             # Lock-free: every server-side cursor owns a pinned store
-            # snapshot, so stepping needs no coordination with writers
+            # snapshot, so a window needs no coordination with writers
             # or vacuum.  Opening must NOT run inside an ambient pin —
             # the cursor has to own (and outlive the request with) its
             # snapshot.
@@ -353,7 +365,7 @@ class ServerSession:
         hosted = self._hosted(payload)
         class_name = payload.get("class", "")
         after = int(payload.get("after", -1))
-        limit = max(1, min(int(payload.get("limit", 64)), MAX_SCAN_BATCH))
+        limit = _batch_limit(payload)
         objects = hosted.database.objects
         cluster = objects.cluster(class_name)
         # One bounded read, one past the batch: a spare number is what
@@ -500,52 +512,53 @@ class ServerSession:
 
     def op_cursor_open(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         hosted = self._hosted(payload)
-        cursor = hosted.database.objects.cursor(payload.get("class", ""))
+        database = hosted.database
+        class_name = payload.get("class", "")
+        database.schema.get_class(class_name)
+        snapshot = database.objects.snapshot()
         cursor_id = next(self._cursor_ids)
-        self._cursors[cursor_id] = (hosted.database.name, cursor)
-        return {"cursor": cursor_id, "epoch": getattr(cursor, "epoch", None)}
+        self._cursors[cursor_id] = (
+            snapshot, Cluster(snapshot, database.name, class_name))
+        return {"cursor": cursor_id, "epoch": snapshot.epoch}
 
-    def _cursor_entry(self, payload: Dict[str, Any]) -> Tuple[str, Any]:
+    def _cursor(self, payload: Dict[str, Any]) -> Tuple[Snapshot, Cluster]:
         cursor_id = payload.get("cursor")
         entry = self._cursors.get(cursor_id)
         if entry is None:
             raise NetworkError(f"no cursor {cursor_id!r} in this session")
         return entry
 
-    def _cursor(self, payload: Dict[str, Any]):
-        return self._cursor_entry(payload)[1]
+    def _cursor_window(self, payload: Dict[str, Any],
+                       forward: bool) -> Dict[str, Any]:
+        """One window of a sequencing walk: up to ``limit`` member
+        numbers past ``from`` in the step's direction, nearest first,
+        read from the cursor's pinned snapshot.  ``from: None`` starts
+        at the end the walk leaves from (the front for ``next``, the
+        back for ``previous``)."""
+        snapshot, cluster = self._cursor(payload)
+        start = payload.get("from")
+        if start is None:
+            start = -1 if forward else math.inf
+        elif type(start) is not int:
+            raise NetworkError(f"cursor window from {start!r}: not an int")
+        return {"numbers": cluster.range(start, _batch_limit(payload),
+                                         forward),
+                "epoch": snapshot.epoch}
 
     def op_cursor_next(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        cursor = self._cursor(payload)
-        oid = cursor.next()
-        return {"oid": str(oid) if oid else None,
-                "epoch": getattr(cursor, "epoch", None)}
+        return self._cursor_window(payload, True)
 
     def op_cursor_previous(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        cursor = self._cursor(payload)
-        oid = cursor.previous()
-        return {"oid": str(oid) if oid else None,
-                "epoch": getattr(cursor, "epoch", None)}
+        return self._cursor_window(payload, False)
 
     def op_cursor_reset(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        cursor = self._cursor(payload)
-        cursor.reset()  # refreshes the cursor's snapshot to the newest epoch
-        return {"epoch": getattr(cursor, "epoch", None)}
-
-    def op_cursor_current(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        cursor = self._cursor(payload)
-        oid = cursor.current()
-        return {"oid": str(oid) if oid else None,
-                "epoch": getattr(cursor, "epoch", None)}
-
-    def op_cursor_seek(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        self._cursor(payload).seek(self._oid(payload))
-        return {}
+        snapshot, _cluster = self._cursor(payload)
+        return {"epoch": snapshot.refresh()}
 
     def op_cursor_close(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         entry = self._cursors.pop(payload.get("cursor"), None)
         if entry is not None:
-            entry[1].close()  # release the cursor's snapshot pin
+            entry[0].close()  # release the cursor's snapshot pin
         return {}
 
     # -- replication -------------------------------------------------------------------
@@ -667,7 +680,6 @@ _AUTOCOMMIT_OPCODES = frozenset({
 #: dispatch lock-free (no "db" payload key, no ambient pin).
 _CURSOR_OPCODES = frozenset({
     P.OP_CURSOR_NEXT, P.OP_CURSOR_PREVIOUS, P.OP_CURSOR_RESET,
-    P.OP_CURSOR_CURRENT, P.OP_CURSOR_SEEK,
 })
 
 #: Replication ops the session serves; they run with no ambient
@@ -704,8 +716,6 @@ _HANDLERS = {
     P.OP_CURSOR_NEXT: ServerSession.op_cursor_next,
     P.OP_CURSOR_PREVIOUS: ServerSession.op_cursor_previous,
     P.OP_CURSOR_RESET: ServerSession.op_cursor_reset,
-    P.OP_CURSOR_CURRENT: ServerSession.op_cursor_current,
-    P.OP_CURSOR_SEEK: ServerSession.op_cursor_seek,
     P.OP_CURSOR_CLOSE: ServerSession.op_cursor_close,
     P.OP_STATS: ServerSession.op_stats,
     P.OP_VACUUM: ServerSession.op_vacuum,

@@ -73,10 +73,14 @@ class Cluster:
         """The previous live OID strictly before *number*, if any."""
         return self._step(number, False)
 
-    def range(self, after: int, limit: int) -> List[int]:
-        """Up to *limit* live OID numbers greater than *after*, ascending
-        (one batch of a scan, without reading the whole membership)."""
-        return self._store.cluster_range(self.class_name, after, limit)
+    def range(self, after: float, limit: int,
+              forward: bool = True) -> List[int]:
+        """Up to *limit* live OID numbers past *after*, nearest first —
+        greater and ascending when *forward*, else smaller and
+        descending (one batch of a scan or a cursor window, without
+        reading the whole membership)."""
+        return self._store.cluster_range(self.class_name, after, limit,
+                                         forward)
 
 
 class ClusterCursor:

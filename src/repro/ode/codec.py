@@ -44,6 +44,11 @@ _TAG_BYTES = 9
 _INT = struct.Struct(">q")
 _FLOAT = struct.Struct(">d")
 _DATE = struct.Struct(">I")
+#: A tag byte and its payload, packed in one call.
+_TAGGED_BYTE = struct.Struct(">BB")
+_TAGGED_INT = struct.Struct(">Bq")
+_TAGGED_FLOAT = struct.Struct(">Bd")
+_TAGGED_DATE = struct.Struct(">BI")
 
 #: Payload width of each fixed-size tag.
 _FIXED_WIDTH = {_TAG_NULL: 0, _TAG_BOOL: 1, _TAG_INT: 8, _TAG_FLOAT: 8,
@@ -54,17 +59,21 @@ _SIZED_TAGS = (_TAG_STRING, _TAG_OID, _TAG_BYTES)
 
 def write_varint(value: int) -> bytes:
     """Encode a non-negative integer as unsigned LEB128."""
+    out = bytearray()
+    _write_varint(out, value)
+    return bytes(out)
+
+
+def _write_varint(out: bytearray, value: int) -> None:
+    if 0 <= value < 0x80:
+        out.append(value)
+        return
     if value < 0:
         raise CodecError(f"varint must be non-negative, got {value}")
-    out = bytearray()
-    while True:
-        byte = value & 0x7F
+    while value >= 0x80:
+        out.append(value & 0x7F | 0x80)
         value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
+    out.append(value)
 
 
 def read_varint(data: bytes, offset: int) -> Tuple[int, int]:
@@ -84,46 +93,107 @@ def read_varint(data: bytes, offset: int) -> Tuple[int, int]:
             raise CodecError("varint too long")
 
 
+def _read_length(data: bytes, offset: int) -> Tuple[int, int]:
+    """A varint length or count, with the one-byte case inline."""
+    if offset < len(data) and data[offset] < 0x80:
+        return data[offset], offset + 1
+    return read_varint(data, offset)
+
+
 def encode_value(value: Any) -> bytes:
     """Encode one attribute value."""
-    if value is None:
-        return bytes([_TAG_NULL])
-    if isinstance(value, bool):
-        return bytes([_TAG_BOOL, 1 if value else 0])
-    if isinstance(value, int):
-        return bytes([_TAG_INT]) + _INT.pack(value)
-    if isinstance(value, float):
-        return bytes([_TAG_FLOAT]) + _FLOAT.pack(value)
-    if isinstance(value, str):
+    out = bytearray()
+    _encode_into(out, value)
+    return bytes(out)
+
+
+def _encode_into(out: bytearray, value: Any) -> None:
+    """Append *value*'s encoding to *out*: the one writer.
+
+    Dispatches on the exact type first, most frequent first; subclasses
+    and rare types take :func:`_encode_other`, which keeps the
+    ``isinstance`` order the format was defined by (``bool`` before
+    ``int``, ``datetime`` refused before ``date``).
+    """
+    kind = type(value)
+    if kind is str:
         payload = value.encode("utf-8")
-        return bytes([_TAG_STRING]) + write_varint(len(payload)) + payload
-    if isinstance(value, (bytes, bytearray)):
-        return bytes([_TAG_BYTES]) + write_varint(len(value)) + bytes(value)
-    if isinstance(value, datetime.datetime):
+        size = len(payload)
+        if size < 0x80:
+            out += _TAGGED_BYTE.pack(_TAG_STRING, size)
+        else:
+            out.append(_TAG_STRING)
+            _write_varint(out, size)
+        out += payload
+    elif kind is int:
+        out += _TAGGED_INT.pack(_TAG_INT, value)
+    elif kind is dict:
+        _encode_struct(out, value)
+    elif kind is list or kind is tuple:
+        _encode_list(out, value)
+    elif value is None:
+        out.append(_TAG_NULL)
+    elif kind is bool:
+        out += _TAGGED_BYTE.pack(_TAG_BOOL, 1 if value else 0)
+    elif kind is float:
+        out += _TAGGED_FLOAT.pack(_TAG_FLOAT, value)
+    elif kind is Oid:
+        _encode_sized(out, _TAG_OID, str(value).encode("utf-8"))
+    else:
+        _encode_other(out, value)
+
+
+def _encode_sized(out: bytearray, tag: int, payload: bytes) -> None:
+    out.append(tag)
+    _write_varint(out, len(payload))
+    out += payload
+
+
+def _encode_list(out: bytearray, items) -> None:
+    out.append(_TAG_LIST)
+    _write_varint(out, len(items))
+    for item in items:
+        _encode_into(out, item)
+
+
+def _encode_struct(out: bytearray, record: Dict[str, Any]) -> None:
+    out.append(_TAG_STRUCT)
+    _write_varint(out, len(record))
+    for key, item in record.items():
+        if type(key) is not str and not isinstance(key, str):
+            raise CodecError(f"struct keys must be str, got {key!r}")
+        key_bytes = key.encode("utf-8")
+        _write_varint(out, len(key_bytes))
+        out += key_bytes
+        _encode_into(out, item)
+
+
+def _encode_other(out: bytearray, value: Any) -> None:
+    """Subclasses and rare types, in the format's defining order."""
+    if isinstance(value, bool):
+        out += _TAGGED_BYTE.pack(_TAG_BOOL, 1 if value else 0)
+    elif isinstance(value, int):
+        out += _TAGGED_INT.pack(_TAG_INT, value)
+    elif isinstance(value, float):
+        out += _TAGGED_FLOAT.pack(_TAG_FLOAT, value)
+    elif isinstance(value, str):
+        _encode_sized(out, _TAG_STRING, value.encode("utf-8"))
+    elif isinstance(value, (bytes, bytearray)):
+        _encode_sized(out, _TAG_BYTES, value)
+    elif isinstance(value, datetime.datetime):
         raise CodecError("datetime values are not supported; use datetime.date")
-    if isinstance(value, datetime.date):
-        return bytes([_TAG_DATE]) + _DATE.pack(value.toordinal())
-    if isinstance(value, Oid):
-        payload = str(value).encode("utf-8")
-        return bytes([_TAG_OID]) + write_varint(len(payload)) + payload
-    if isinstance(value, (list, tuple)):
-        out = bytearray([_TAG_LIST])
-        out += write_varint(len(value))
-        for item in value:
-            out += encode_value(item)
-        return bytes(out)
-    if isinstance(value, dict):
-        out = bytearray([_TAG_STRUCT])
-        out += write_varint(len(value))
-        for key in value:
-            if not isinstance(key, str):
-                raise CodecError(f"struct keys must be str, got {key!r}")
-            key_bytes = key.encode("utf-8")
-            out += write_varint(len(key_bytes))
-            out += key_bytes
-            out += encode_value(value[key])
-        return bytes(out)
-    raise CodecError(f"cannot encode value of type {type(value).__name__}: {value!r}")
+    elif isinstance(value, datetime.date):
+        out += _TAGGED_DATE.pack(_TAG_DATE, value.toordinal())
+    elif isinstance(value, Oid):
+        _encode_sized(out, _TAG_OID, str(value).encode("utf-8"))
+    elif isinstance(value, (list, tuple)):
+        _encode_list(out, value)
+    elif isinstance(value, dict):
+        # Read through the subclass's own iteration and lookup.
+        _encode_struct(out, {key: value[key] for key in value})
+    else:
+        raise CodecError(
+            f"cannot encode value of type {type(value).__name__}: {value!r}")
 
 
 def decode_value(data: bytes, offset: int = 0) -> Tuple[Any, int]:
@@ -132,27 +202,36 @@ def decode_value(data: bytes, offset: int = 0) -> Tuple[Any, int]:
         raise CodecError("truncated value")
     tag = data[offset]
     offset += 1
+    if tag == _TAG_STRING:
+        return _read_text(data, offset, "string payload")
+    if tag == _TAG_INT:
+        end = offset + 8
+        if end > len(data):
+            raise CodecError("truncated int")
+        return _INT.unpack_from(data, offset)[0], end
+    if tag == _TAG_STRUCT:
+        return _decode_struct(data, offset)
+    if tag == _TAG_LIST:
+        count, offset = _read_length(data, offset)
+        items = []
+        for _ in range(count):
+            item, offset = decode_value(data, offset)
+            items.append(item)
+        return items, offset
     if tag == _TAG_NULL:
         return None, offset
     if tag == _TAG_BOOL:
         if offset >= len(data):
             raise CodecError("truncated bool")
         return bool(data[offset]), offset + 1
-    if tag == _TAG_INT:
-        end = offset + 8
-        if end > len(data):
-            raise CodecError("truncated int")
-        return _INT.unpack_from(data, offset)[0], end
     if tag == _TAG_FLOAT:
         end = offset + 8
         if end > len(data):
             raise CodecError("truncated float")
         return _FLOAT.unpack_from(data, offset)[0], end
-    if tag == _TAG_STRING or tag == _TAG_OID:
+    if tag == _TAG_OID:
         text, end = _read_text(data, offset, "string payload")
-        if tag == _TAG_OID:
-            return parse_oid(text), end
-        return text, end
+        return parse_oid(text), end
     if tag == _TAG_BYTES:
         length, offset = read_varint(data, offset)
         end = offset + length
@@ -168,21 +247,37 @@ def decode_value(data: bytes, offset: int = 0) -> Tuple[Any, int]:
             return datetime.date.fromordinal(ordinal), end
         except (ValueError, OverflowError) as exc:
             raise CodecError(f"bad date ordinal {ordinal}") from exc
-    if tag == _TAG_LIST:
-        count, offset = read_varint(data, offset)
-        items = []
-        for _ in range(count):
-            item, offset = decode_value(data, offset)
-            items.append(item)
-        return items, offset
-    if tag == _TAG_STRUCT:
-        count, offset = read_varint(data, offset)
-        record: Dict[str, Any] = {}
-        for _ in range(count):
-            key, offset = _read_text(data, offset, "struct key")
-            record[key], offset = decode_value(data, offset)
-        return record, offset
     raise CodecError(f"unknown value tag {tag}")
+
+
+def _decode_struct(data: bytes, offset: int) -> Tuple[Dict[str, Any], int]:
+    count, offset = _read_length(data, offset)
+    record: Dict[str, Any] = {}
+    size = len(data)
+    for _ in range(count):
+        # A key of a one-byte length, the rule, without a call.
+        if offset < size and data[offset] < 0x80:
+            end = offset + 1 + data[offset]
+            if end > size:
+                raise CodecError("truncated struct key")
+            try:
+                key = data[offset + 1:end].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CodecError(f"invalid UTF-8 in struct key: {exc}") from exc
+            offset = end
+        else:
+            key, offset = _read_text(data, offset, "struct key")
+        # So too an int or a string attribute.
+        tag = data[offset] if offset < size else None
+        if tag == _TAG_INT and offset + 9 <= size:
+            record[key] = _INT.unpack_from(data, offset + 1)[0]
+            offset += 9
+        elif tag == _TAG_STRING:
+            record[key], offset = _read_text(data, offset + 1,
+                                             "string payload")
+        else:
+            record[key], offset = decode_value(data, offset)
+    return record, offset
 
 
 def skip_value(data: bytes, offset: int = 0) -> int:
@@ -238,11 +333,11 @@ def _read_text(data: bytes, offset: int, what: str) -> Tuple[str, int]:
 
 def encode_object(oid: Oid, class_name: str, values: Dict[str, Any]) -> bytes:
     """Encode a whole object record (the page-resident form)."""
-    out = bytearray([OBJECT_MAGIC])
-    out += write_varint(FORMAT_VERSION)
-    out += encode_value(str(oid))
-    out += encode_value(class_name)
-    out += encode_value(values)
+    out = bytearray((OBJECT_MAGIC,))
+    _write_varint(out, FORMAT_VERSION)
+    _encode_into(out, str(oid))
+    _encode_into(out, class_name)
+    _encode_into(out, values)
     return bytes(out)
 
 

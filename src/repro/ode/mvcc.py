@@ -237,12 +237,16 @@ class _MembershipReads:
                 epoch, number, forward), None)
 
     def cluster_range(self, cluster: str, after: float,
-                      limit: Optional[int] = None) -> List[int]:
-        """Up to *limit* member numbers greater than *after*, ascending."""
+                      limit: Optional[int] = None,
+                      forward: bool = True) -> List[int]:
+        """Up to *limit* member numbers past *after*, nearest first:
+        greater and ascending when *forward*, else smaller and
+        descending."""
         view, epoch = self._reading()
         with view._lock:
             return list(itertools.islice(
-                view._members.get(cluster, _NO_MEMBERS).walk(epoch, after),
+                view._members.get(cluster, _NO_MEMBERS).walk(
+                    epoch, after, forward),
                 limit))
 
     def oids(self) -> List[Oid]:

@@ -14,7 +14,7 @@ from repro.errors import (
 )
 from repro.net import protocol as P
 from repro.net.client import OdeClient
-from repro.net.remote import RemoteDatabase
+from repro.net.remote import CACHE_CAPACITY, RemoteDatabase
 from repro.net.server import OdeServer
 from repro.ode.oid import Oid
 
@@ -86,6 +86,46 @@ class TestReads:
         oids = [Oid("lab", "employee", n) for n in (0, 1, 2)]
         buffers = remote_lab.objects.get_buffers(oids)
         assert [b.oid for b in buffers] == oids
+
+    def test_get_buffers_is_one_call_past_the_cache_capacity(
+            self, remote_staff, count_calls):
+        oids = [Oid("lab", "employee", n) for n in range(600)]
+        assert len(oids) > CACHE_CAPACITY
+        calls = count_calls(remote_staff)
+        buffers = remote_staff.objects.get_buffers(oids)
+        assert [b.oid for b in buffers] == oids
+        assert [b.value("id") for b in buffers[55:]] == list(range(55, 600))
+        assert [opcode for opcode, _p in calls] == [P.OP_GET_OBJECTS]
+
+    def test_get_buffers_asks_only_for_misses(self, remote_lab, count_calls):
+        objects = remote_lab.objects
+        cached = objects.get_buffer(Oid("lab", "employee", 1))
+        calls = count_calls(remote_lab)
+        oids = [Oid("lab", "employee", n) for n in (0, 1, 2, 0)]
+        buffers = objects.get_buffers(oids)
+        assert buffers[1] is cached
+        assert [b.oid for b in buffers] == oids
+        assert calls == [(P.OP_GET_OBJECTS, {
+            "db": "lab", "oids": ["lab:employee:0", "lab:employee:2"]})]
+
+    def test_get_buffers_serves_a_reply_the_cache_refuses(
+            self, remote_lab, count_calls):
+        """A floor above the reply's epoch keeps the buffers out of the
+        cache, not out of the answer: no re-fetch at a newer epoch."""
+        objects = remote_lab.objects
+        objects.cache.floor = 1 << 40
+        calls = count_calls(remote_lab)
+        oids = [Oid("lab", "employee", n) for n in range(5)]
+        assert [b.oid for b in objects.get_buffers(oids)] == oids
+        assert len(calls) == 1 and len(objects.cache) == 0
+
+    def test_get_buffers_missing_raises_after_one_call(
+            self, remote_lab, count_calls):
+        calls = count_calls(remote_lab)
+        with pytest.raises(ObjectNotFoundError, match="lab:employee:9999"):
+            remote_lab.objects.get_buffers(
+                [Oid("lab", "employee", 0), Oid("lab", "employee", 9999)])
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("limit, sizes", [
         (11, [11, 11, 11, 11, 11]),     # the last batch exactly fills limit

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import TransactionError
+from repro.errors import NetworkError, TransactionError
 from repro.net import protocol as P
 from repro.net.session import ServerSession
 
@@ -75,11 +75,34 @@ def test_abort_leaves_no_trace(session):
 
 
 def test_cursor_steps_in_sequencing_order(session):
-    first, second = _employees(session, 2)
-    cursor = session.dispatch(
-        P.OP_CURSOR_OPEN, {"db": "lab", "class": "employee"})["cursor"]
-    assert session.dispatch(P.OP_CURSOR_NEXT, {"cursor": cursor})["oid"] == first
-    assert session.dispatch(P.OP_CURSOR_NEXT, {"cursor": cursor})["oid"] == second
+    """A cursor step replies with a window of member numbers past
+    ``from``, nearest first, in sequencing order either way."""
+    numbers = session.dispatch(
+        P.OP_CLUSTER_NUMBERS, {"db": "lab", "class": "employee"})["numbers"]
+    opened = session.dispatch(
+        P.OP_CURSOR_OPEN, {"db": "lab", "class": "employee"})
+    cursor = opened["cursor"]
+
+    def window(opcode, start, **extra):
+        reply = session.dispatch(
+            opcode, {"cursor": cursor, "from": start, **extra})
+        assert reply["epoch"] == opened["epoch"]
+        return reply["numbers"]
+
+    assert window(P.OP_CURSOR_NEXT, None) == numbers   # 55 < one window
+    assert window(P.OP_CURSOR_NEXT, numbers[1], limit=2) == numbers[2:4]
+    assert window(P.OP_CURSOR_NEXT, numbers[-1]) == []
+    assert window(P.OP_CURSOR_PREVIOUS, numbers[3]) == numbers[2::-1]
+    assert window(P.OP_CURSOR_PREVIOUS, None, limit=2) == numbers[:-3:-1]
+    assert window(P.OP_CURSOR_PREVIOUS, numbers[0]) == []
+    # the server clamps the count, and refuses a position of another type
+    assert window(P.OP_CURSOR_NEXT, None, limit=0) == numbers[:1]
+    with pytest.raises(NetworkError, match="not an int"):
+        window(P.OP_CURSOR_NEXT, "lab:employee:1")
+    # current and seek are the client's; their opcodes have no handler
+    for opcode in (P.OP_CURSOR_CURRENT, P.OP_CURSOR_SEEK):
+        with pytest.raises(NetworkError, match="unknown opcode"):
+            session.dispatch(opcode, {"cursor": cursor})
 
 
 def test_close_aborts_an_open_transaction(served_lab):

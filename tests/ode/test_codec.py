@@ -1,6 +1,8 @@
 """Tests for the binary object codec."""
 
+import collections
 import datetime
+import enum
 
 import pytest
 from hypothesis import given, strategies as st
@@ -284,3 +286,125 @@ class TestBytes:
     def test_roundtrip_property(self, value):
         decoded, _offset = decode_value(encode_value(value), 0)
         assert decoded == value
+
+
+class _Level(enum.IntEnum):
+    HIGH = 300
+
+
+class _Name(str):
+    pass
+
+
+#: (id, value, hex of ``encode_value``): the format pinned byte for byte,
+#: so the writer can change without pages, the WAL or frames changing.
+_GOLDEN = [
+    ("null", None, "00"),
+    ("true", True, "0301"),
+    ("false", False, "0300"),
+    ("zero", 0, "010000000000000000"),
+    ("minus_one", -1, "01ffffffffffffffff"),
+    ("int_max", 2**63 - 1, "017fffffffffffffff"),
+    ("int_min", -(2**63), "018000000000000000"),
+    ("int_enum", _Level.HIGH, "01000000000000012c"),
+    ("float", 1.5, "023ff8000000000000"),
+    ("neg_zero", -0.0, "028000000000000000"),
+    ("empty_str", "", "0400"),
+    ("ascii", "rakesh", "040672616b657368"),
+    ("utf8", "é☃", "0405c3a9e29883"),
+    ("str_subclass", _Name("ode"), "04036f6465"),
+    ("bytes", b"\x00\xff", "090200ff"),
+    ("bytearray", bytearray(b"ab"), "09026162"),
+    ("date", datetime.date(1990, 5, 23), "05000b1652"),
+    ("oid", Oid("lab", "employee", 7), "080e6c61623a656d706c6f7965653a37"),
+    ("empty_list", [], "0600"),
+    ("list", [1, "a", None], "060301000000000000000104016100"),
+    ("tuple", (1, "a", None), "060301000000000000000104016100"),
+    ("nested_list", [[True], [2.0, [b""]]],
+     "060206010301060202400000000000000006010900"),
+    ("empty_struct", {}, "0700"),
+    ("struct", {"name": "rakesh", "id": 7},
+     "0702046e616d65040672616b657368026964010000000000000007"),
+    ("ordered_dict", collections.OrderedDict([("b", 1), ("a", False)]),
+     "0702016201000000000000000101610300"),
+    ("nested_struct",
+     {"dept": {"staff": [Oid("lab", "employee", 1), {"x": None}]}},
+     "0701046465707407010573746166660602080e6c61623a656d706c6f7965653a31"
+     "0701017800"),
+    # 1-, 2- and 3-byte varint lengths, counts and key lengths
+    ("str_127", "x" * 127, "047f" + "78" * 127),
+    ("str_128", "x" * 128, "048001" + "78" * 128),
+    ("str_16383", "x" * 16383, "04ff7f" + "78" * 16383),
+    ("str_16384", "x" * 16384, "04808001" + "78" * 16384),
+    ("list_128", [None] * 128, "068001" + "00" * 128),
+    ("key_128", {"k" * 128: None}, "0701" + "8001" + "6b" * 128 + "00"),
+]
+
+
+class TestGoldenVectors:
+    @pytest.mark.parametrize("value, expected",
+                             [(value, hex_) for _id, value, hex_ in _GOLDEN],
+                             ids=[id_ for id_, _v, _h in _GOLDEN])
+    def test_encode_value(self, value, expected):
+        assert encode_value(value).hex() == expected
+        decoded, offset = decode_value(bytes.fromhex(expected))
+        assert offset == len(expected) // 2
+        assert decoded == (list(value) if isinstance(value, tuple)
+                           else value)
+
+    def test_encode_object(self):
+        data = encode_object(
+            Oid("lab", "employee", 3), "employee",
+            {"name": "rakesh", "id": 3, "dept": Oid("lab", "department", 0)})
+        assert data.hex() == (
+            "b001040e6c61623a656d706c6f7965653a330408656d706c6f7965650703"
+            "046e616d65040672616b657368026964010000000000000003046465707408"
+            "106c61623a6465706172746d656e743a30")
+
+
+class TestEveryCodecError:
+    """Each refusal of the codec, on both sides, stays a CodecError."""
+
+    @pytest.mark.parametrize("value", [
+        {1: "x"},                                   # non-str key
+        {"ok": {2: "x"}},                           # nested
+        collections.OrderedDict([(b"k", 1)]),       # subclass, bytes key
+        datetime.datetime(1990, 1, 1),
+        [datetime.datetime(1990, 1, 1)],
+        object(),
+        {1, 2},
+        ["fine", object()],
+    ], ids=["key", "nested_key", "ordered_key", "datetime", "list_datetime",
+            "object", "set", "list_object"])
+    def test_encode_refuses(self, value):
+        with pytest.raises(CodecError):
+            encode_value(value)
+
+    def test_negative_varint(self):
+        with pytest.raises(CodecError, match="non-negative"):
+            write_varint(-1)
+
+    @pytest.mark.parametrize("data, message", [
+        (b"", "truncated value"),
+        (b"\xfa", "unknown value tag 250"),
+        (b"\x01\x00\x00", "truncated int"),
+        (b"\x02\x00", "truncated float"),
+        (b"\x03", "truncated bool"),
+        (b"\x05\x00", "truncated date"),
+        (b"\x05\xff\xff\xff\xff", "bad date ordinal"),
+        (b"\x04\x05ab", "truncated string payload"),
+        (b"\x04\x80", "truncated varint"),
+        (b"\x04" + b"\xff" * 10, "varint too long"),
+        (b"\x04\x02\xc3\x28", "invalid UTF-8 in string payload"),
+        (b"\x09\x03ab", "truncated bytes"),
+        (b"\x06\x02\x00", "truncated value"),
+        (b"\x06\x81", "truncated varint"),
+        (b"\x07\x01\x05ab", "truncated struct key"),
+        (b"\x07\x01\x02\xc3\x28\x00", "invalid UTF-8 in struct key"),
+        (b"\x07\x01\x01k", "truncated value"),
+        (b"\x07\x01\x01k\x01\x00", "truncated int"),
+        (b"\x08\x03a:b", "malformed OID payload"),
+    ])
+    def test_decode_refuses(self, data, message):
+        with pytest.raises(CodecError, match=message):
+            decode_value(data)
