@@ -261,8 +261,10 @@ def make_lab_database(root: Union[str, Path], name: str = "lab") -> Database:
     # synthesized fallback of paper §4.1.
 
     objects = database.objects
-    # Departments first (employees reference them); manager refs are
-    # patched in afterwards.
+    # One transaction, as make_synthetic_database: one commit, not one per
+    # object.  Departments first (employees reference them); manager refs
+    # are patched in afterwards.
+    objects.begin()
     department_oids: List[Oid] = []
     for index, (dname, location) in enumerate(_DEPARTMENTS):
         department_oids.append(
@@ -316,6 +318,7 @@ def make_lab_database(root: Union[str, Path], name: str = "lab") -> Database:
             "employees": members[dept_oid],
             "mgr": manager_oids[index % LAB_MANAGER_COUNT],
         })
+    objects.commit()
 
     database.schema.validate()
     return database

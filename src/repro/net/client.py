@@ -98,9 +98,8 @@ REPLICA_COOLDOWN_SECONDS = 1.0
 #: socket for unsolicited push frames while no request is in flight.
 PUSH_POLL_SECONDS = 0.2
 
-#: Socket timeout while the pump drains a frame it believes is there.
-#: Short: if a concurrent caller consumed the bytes first, the pump's
-#: read must give up quickly (IdleTimeout) and release the lock.
+#: Socket timeout while the pump drains a frame it has seen arrive (under
+#: the request lock, so no caller can take the bytes first).
 PUSH_READ_TIMEOUT = 0.25
 
 
@@ -698,9 +697,10 @@ class OdeClient:
         """Deliver push frames while no request is in flight.
 
         Waits on ``select`` *without* the request lock (so callers are
-        never blocked by an idle pump), then takes the lock and reads
-        with a short timeout: if a concurrent caller consumed the bytes
-        first, the read idles out harmlessly at the frame boundary.
+        never blocked by an idle pump), then takes the lock and checks
+        again without waiting: a concurrent caller may have consumed the
+        bytes (its own reply) meanwhile, and a read then would hold the
+        lock for ``PUSH_READ_TIMEOUT`` in front of the next call.
         """
         while not self._pump_stop.is_set():
             sock = self._sock  # racy peek; re-verified under the lock
@@ -719,6 +719,8 @@ class OdeClient:
                 if self._sock is not sock:
                     continue  # the connection churned while we waited
                 try:
+                    if not select.select([sock], [], [], 0)[0]:
+                        continue  # a caller took the bytes first
                     sock.settimeout(PUSH_READ_TIMEOUT)
                     try:
                         frame = P.read_frame(sock, idle_ok=True)
@@ -726,10 +728,11 @@ class OdeClient:
                         if self._sock is sock:
                             sock.settimeout(self.timeout)
                 except P.IdleTimeout:
-                    continue  # a caller beat us to the bytes; benign
-                except (NetworkError, OSError):
-                    # OSError: the descriptor died between the select
-                    # and the read (close from another thread)
+                    continue  # nothing arrived after all; benign
+                except (NetworkError, OSError, ValueError):
+                    # OSError/ValueError: the descriptor died between the
+                    # selects or before the read (close from another
+                    # thread)
                     self._drop_locked()
                     continue
                 self._m_bytes_in.inc(frame.wire_size)

@@ -11,6 +11,7 @@ Pixels are one byte each, 0 (black) .. 255 (white), row-major.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Sequence
@@ -18,6 +19,10 @@ from typing import List, Sequence
 from repro.errors import RasterError
 
 _ASCII_RAMP = "#%*+=-:. "  # dark .. light
+
+#: Portraits kept by :func:`procedural_portrait`; a 12x12 one is 144 bytes,
+#: and the lab database draws 55.
+_PORTRAIT_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -132,13 +137,15 @@ def _clamp(value: int) -> int:
     return max(0, min(255, int(value)))
 
 
+@functools.lru_cache(maxsize=_PORTRAIT_CACHE_SIZE)
 def procedural_portrait(seed: int, size: int = 16) -> RasterImage:
     """A deterministic 'photo' for an employee object's picture display.
 
     The lab database has no real bitmaps, so each employee gets a
     procedurally drawn face varying with *seed*: head outline, eyes, and a
     mouth whose shape depends on the seed bits.  Deterministic, so figure
-    renderings are stable.
+    renderings are stable, and each ``(seed, size)`` is drawn once: callers
+    share the returned (immutable) image.
     """
     if size < 8:
         raise RasterError("portrait size must be at least 8")

@@ -17,7 +17,7 @@ that the user, not OdeView, picks window placement (§4.6).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional, Set
 
 from repro.errors import LayoutError, WindowError
 from repro.windowing.events import Click, Drag, Event, EventLoop, MenuSelect
@@ -42,6 +42,11 @@ class Screen:
         self.tree = WindowTree()
         self.events = EventLoop()
         self._dragged: Dict[str, tuple] = {}
+        # State of the layout pass in progress (None outside one): natural
+        # sizes by window id, and the sibling groups already solved, keyed
+        # by parent id (0 for the top-level group).
+        self._sizes: Optional[Dict[int, tuple]] = None
+        self._solved: Optional[Set[int]] = None
         self.events.on_any(self._handle_builtin)
 
     # -- window lifecycle ------------------------------------------------------
@@ -157,6 +162,16 @@ class Screen:
             natural_w = max(natural_w, len(spec.title) + 3)
         return (width or natural_w, height or natural_h)
 
+    def _size(self, window: Window) -> tuple:
+        """:meth:`natural_size`, computed once per window per layout pass."""
+        sizes = self._sizes
+        if sizes is None:
+            return self.natural_size(window)
+        size = sizes.get(window.id)
+        if size is None:
+            size = sizes[window.id] = self.natural_size(window)
+        return size
+
     def _panel_extent(self, panel: Window) -> tuple:
         """Bounding box of the panel's laid-out (open) children."""
         self._layout_children(panel)
@@ -173,8 +188,17 @@ class Screen:
         """Solve placements of one sibling group into *relative* coordinates.
 
         Children coordinates are relative to the parent's content origin;
-        top-level windows are relative to the screen.
+        top-level windows are relative to the screen.  Within a layout
+        pass each group is solved once: a panel's group is solved when its
+        extent is measured, or here when a fixed width and height meant it
+        never was.
         """
+        solved = self._solved
+        if solved is not None:
+            key = parent.id if parent else 0
+            if key in solved:
+                return
+            solved.add(key)
         siblings = parent.children if parent else self.tree.roots()
         placed: Dict[str, Window] = {}
         flow_x, flow_y, row_height = 0, 0, 0
@@ -182,7 +206,7 @@ class Screen:
             if not window.is_open:
                 placed[window.name] = window
                 continue
-            width, height = self.natural_size(window)
+            width, height = self._size(window)
             outer_w, outer_h = width + _BORDER, height + _BORDER
             placement = window.spec.placement
             if window.name in self._dragged:
@@ -197,7 +221,7 @@ class Screen:
                         f"window {window.name!r} anchored to missing or closed "
                         f"sibling {placement.anchor!r}"
                     )
-                anchor_w, anchor_h = self.natural_size(anchor)
+                anchor_w, anchor_h = self._size(anchor)
                 if placement.relation is Relation.BELOW:
                     window.geometry.x = anchor.geometry.x + placement.dx
                     window.geometry.y = (anchor.geometry.y + anchor_h + _BORDER
@@ -222,7 +246,11 @@ class Screen:
 
     def layout(self) -> None:
         """Solve geometry for the whole tree (relative coordinates)."""
-        self._layout_children(None)
+        self._sizes, self._solved = {}, set()
+        try:
+            self._layout_children(None)
+        finally:
+            self._sizes = self._solved = None
 
     # -- rendering ------------------------------------------------------------------
 

@@ -24,8 +24,6 @@ from repro.windowing.raster import RasterImage
 from repro.windowing.window import Window, WindowTree
 from repro.windowing.wintypes import WindowKind
 
-_BORDER = 1
-
 
 class TextBackend:
     """Deterministic ASCII renderer."""
@@ -47,10 +45,7 @@ class TextBackend:
 
         canvas = [[" "] * max_right for _ in range(max_bottom)]
         for x, y, lines in boxes:
-            for row, line in enumerate(lines):
-                for col, char in enumerate(line):
-                    if 0 <= y + row < max_bottom and 0 <= x + col < max_right:
-                        canvas[y + row][x + col] = char
+            _blit(canvas, x, y, lines)
         rendered = [("".join(row)).rstrip() for row in canvas]
 
         closed = tree.closed_roots()
@@ -118,10 +113,22 @@ class TextBackend:
         for child in panel.children:
             if not child.is_open:
                 continue
-            lines = self._draw_window(child)
-            x, y = child.geometry.x, child.geometry.y
-            for row, line in enumerate(lines):
-                for col, char in enumerate(line):
-                    if 0 <= y + row < height and 0 <= x + col < width:
-                        grid[y + row][x + col] = char
+            _blit(grid, child.geometry.x, child.geometry.y,
+                  self._draw_window(child))
         return ["".join(row).rstrip() for row in grid]
+
+
+def _blit(canvas: List[List[str]], x: int, y: int, lines: List[str]) -> None:
+    """Copy *lines* onto *canvas* at ``(x, y)``, clipped to its edges.
+
+    One slice assignment per row; later calls overwrite earlier ones, so
+    callers blit back to front.
+    """
+    height = len(canvas)
+    width = len(canvas[0]) if canvas else 0
+    skip = max(0, -x)
+    for row in range(max(0, -y), min(len(lines), height - y)):
+        line = lines[row]
+        end = min(len(line), width - x)
+        if end > skip:
+            canvas[y + row][x + skip:x + end] = line[skip:end]

@@ -136,6 +136,32 @@ class TestPushDelivery:
         finally:
             client.close()
 
+    def test_subscribed_calls_leave_the_pump_no_idle_read(self, served_lab,
+                                                          monkeypatch):
+        """The pump sees a caller's reply arrive, then waits for the
+        request lock.  By the time it holds the lock the caller has taken
+        those bytes; a read then idles out under the lock and the next
+        call waits ``PUSH_READ_TIMEOUT`` behind it.  Counted, not timed."""
+        idle_outs = []
+        read_frame = P.read_frame
+
+        def counting(sock, idle_ok=False):
+            try:
+                return read_frame(sock, idle_ok=idle_ok)
+            except P.IdleTimeout:
+                idle_outs.append(sock)
+                raise
+
+        monkeypatch.setattr(P, "read_frame", counting)
+        client = OdeClient("127.0.0.1", served_lab.port).connect()
+        try:
+            with client.subscribe("lab"):
+                for _ in range(100):
+                    client.call(P.OP_PING)
+        finally:
+            client.close()
+        assert idle_outs == []
+
 
 class TestCommitPathIsolation:
     def test_dead_subscriber_never_stalls_commits(self, served_lab,

@@ -87,6 +87,25 @@ class TestBehaviours:
                 database.objects.new_object("employee", {"id": -1})
 
 
+class TestBuild:
+    def test_built_in_one_commit(self, tmp_path):
+        """All 69 objects and the 7 back-patches land as one transaction:
+        one epoch, one fsync."""
+        from repro.data.labdb import make_lab_database
+        from repro.obs import get_registry
+
+        syncs = get_registry().counter("wal.group.syncs")
+        before = syncs.value
+        database = make_lab_database(tmp_path)
+        try:
+            assert database.objects.store.epoch == 1
+            assert syncs.value - before == 1
+            departments = database.objects.select("department")
+            assert all(buffer.value("mgr") for buffer in departments)
+        finally:
+            database.close()
+
+
 class TestDeterminism:
     def test_two_builds_identical(self, tmp_path):
         from repro.data.labdb import make_lab_database

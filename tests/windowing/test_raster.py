@@ -129,6 +129,11 @@ class TestPortrait:
     def test_varies_with_seed(self):
         assert procedural_portrait(1).pixels != procedural_portrait(2).pixels
 
+    def test_built_once_per_seed_and_size(self):
+        """The picture display asks for the same portrait on every click."""
+        assert procedural_portrait(9, 12) is procedural_portrait(9, 12)
+        assert procedural_portrait(9, 12) is not procedural_portrait(9, 14)
+
     def test_size(self):
         image = procedural_portrait(1, size=20)
         assert (image.width, image.height) == (20, 20)
