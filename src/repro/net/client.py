@@ -494,12 +494,20 @@ class OdeClient:
         promoted (highest-term) primary and re-sends there, writes
         included.  At most one failover per call; any later failure
         follows the normal policy.
+
+        An object read's stored records are decoded here, on receipt
+        (:func:`~repro.net.protocol.decode_records`).
         """
         self._count_request(opcode)
         if self._routable(opcode):
             reply = self._route_read(opcode, payload)
             if reply is not None:
                 return reply
+        return P.decode_records(opcode, self._call_primary(opcode, payload))
+
+    def _call_primary(self, opcode: int,
+                      payload: Optional[Dict[str, Any]]) -> Dict[str, Any]:
+        """:meth:`call` without the replica route, the reply as sent."""
         attempts = 1 + (self.retries if opcode in P.READ_OPCODES else 0)
         delay = RETRY_BACKOFF_SECONDS
         failed_over = False
@@ -602,7 +610,8 @@ class OdeClient:
                     _raise_remote(error)
                 for result in results:
                     self._observe_epoch(result.get("epoch"))
-                return results
+        return [P.decode_records(opcode, result)
+                for (opcode, _payload), result in zip(requests, results)]
 
     # -- server push (CDC) --------------------------------------------------------
 

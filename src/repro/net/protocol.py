@@ -31,15 +31,15 @@ import socket
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import NetworkError, ProtocolError
-from repro.ode.codec import decode_value, encode_value
-from repro.ode.objectmanager import ObjectBuffer
+from repro.ode.codec import decode_fields, decode_value, encode_value, parse_oid
+from repro.ode.objectmanager import ObjectBuffer, check_identity
 from repro.ode.oid import Oid
 
 #: Protocol version exchanged in HELLO; bumped on incompatible changes.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Upper bound on a single frame's payload; a header asking for more is
 #: treated as corruption, not an allocation request.
@@ -268,33 +268,94 @@ class FrameReassembler:
         return Frame(request_id, opcode, payload, wire_size=end)
 
 
-# -- object-buffer marshalling --------------------------------------------------
+# -- object records --------------------------------------------------------------
 
-def buffer_to_value(buffer) -> Dict[str, Any]:
-    """The codec-dict form of an :class:`~repro.ode.objectmanager.ObjectBuffer`.
+def records_reply(rows: Iterable[Tuple[bytes, str, Sequence[str],
+                                       Optional[Dict[str, Any]]]],
+                  missing: Sequence[str] = ()) -> Dict[str, Any]:
+    """The reply of an object read: each record's stored bytes
+    (:func:`~repro.ode.codec.encode_object`), once per class its public
+    names, and — only when some record has them — its computed values.
 
-    Computed attributes travel pre-evaluated: behaviours and display
-    methods run on the server, next to the data, exactly as the paper's
-    object manager evaluates computed attributes for OdeView (§5.1).
+    *rows* are ``(record, class name, public names, computed)``, with
+    ``computed`` ``None`` for a class without computed methods.
+    Computed attributes travel pre-evaluated: behaviours run on the
+    server, next to the data, as the paper's object manager evaluates
+    them for OdeView (§5.1).  Public names come from the server's
+    schema, so a client's stale schema cannot widen encapsulation.
     """
-    return {
-        "oid": str(buffer.oid),
-        "class": buffer.class_name,
-        "values": dict(buffer.values),
-        "public": list(buffer.public_names),
-        "computed": dict(buffer.computed),
-    }
+    records: List[bytes] = []
+    public: Dict[str, List[str]] = {}
+    computed: List[Optional[Dict[str, Any]]] = []
+    for record, class_name, names, values in rows:
+        records.append(record)
+        if class_name not in public:
+            public[class_name] = list(names)
+        computed.append(values)
+    reply: Dict[str, Any] = {"records": records, "public": public,
+                             "missing": list(missing)}
+    if any(values is not None for values in computed):
+        reply["computed"] = computed
+    return reply
 
 
-def buffer_from_value(value: Dict[str, Any]):
-    """Inverse of :func:`buffer_to_value`."""
-    return ObjectBuffer(
-        oid=Oid.parse(value["oid"]),
-        class_name=value["class"],
-        values=value["values"],
-        public_names=tuple(value["public"]),
-        computed=value.get("computed", {}),
-    )
+#: Object reads whose reply is one object: ``"buffer"``, not ``"buffers"``.
+_ONE_OBJECT_OPCODES = frozenset({OP_GET_OBJECT, OP_UPDATE})
+
+
+def decode_records(opcode: int, reply: Dict[str, Any]) -> Dict[str, Any]:
+    """A :func:`records_reply` as the client receives it, each record
+    decoded once.
+
+    Decoding checks each record as a local read does (magic, version,
+    framing, no trailing bytes).  ``records``, ``public`` and
+    ``computed`` give way to the objects a caller of ``OdeClient.call``
+    reads — ``"buffer"`` for get_object and update, else ``"buffers"``
+    — each ``{"oid", "class", "values", "public",
+    "computed"}`` with the OID as its stored text.  A reply without
+    records comes back as it is.
+    """
+    records = reply.pop("records", None)
+    if records is None:
+        return reply
+    public = {name: tuple(names)
+              for name, names in reply.pop("public").items()}
+    computed = reply.pop("computed", None)
+    if computed is not None and len(computed) != len(records):
+        raise ProtocolError("computed values do not align with records")
+    objects = []
+    for index, record in enumerate(records):
+        oid_text, class_name, values = decode_fields(record, None)
+        names = public.get(class_name)
+        if names is None:
+            raise ProtocolError(f"reply names no public attributes of "
+                                f"class {class_name!r}")
+        extra = computed[index] if computed is not None else None
+        objects.append({"oid": oid_text, "class": class_name,
+                        "values": values, "public": names,
+                        "computed": extra or {}})
+    if opcode not in _ONE_OBJECT_OPCODES:
+        reply["buffers"] = objects
+    elif len(objects) == 1:
+        reply["buffer"] = objects[0]
+    else:
+        raise ProtocolError(f"{len(objects)} records in a one-object reply")
+    return reply
+
+
+def buffer_from_object(value: Dict[str, Any],
+                       oid: Optional[Oid] = None) -> ObjectBuffer:
+    """The buffer of one object of a :func:`decode_records` reply.
+
+    With *oid* — what the request asked for — the stored OID must name
+    it; otherwise the stored OID text is parsed.
+    """
+    if oid is None:
+        oid = parse_oid(value["oid"])
+    else:
+        check_identity(oid, value["oid"])
+    return ObjectBuffer(oid, value["class"], value["values"],
+                        tuple(value["public"]), value["computed"])
 
 
 # -- stream I/O ----------------------------------------------------------------

@@ -14,10 +14,12 @@ What stays local and what crosses the wire:
   dynamic linker loads and runs display functions exactly as it does
   locally (the paper's object-interactor loads display code into *its*
   address space, not the server's);
-* **object buffers** cross the wire with computed attributes already
-  evaluated server-side, and land in a bounded client cache.  The cache
-  is **epoch-keyed**: every server reply reports the commit epoch it was
-  served at, every cached buffer is tagged with that epoch, and
+* **object buffers** cross the wire as their stored records, decoded
+  once as the client receives them, with the class's public names and — for a class that has
+  them — computed attributes evaluated server-side; they land in a
+  bounded client cache.  The cache is **epoch-keyed**: every server
+  reply reports the commit epoch it was served at, every cached buffer
+  is tagged with that epoch, and
   invalidation advances an epoch *floor* instead of flushing — a buffer
   fetched at the still-current epoch is provably not stale and survives,
   so there is no flush race between an invalidation and an in-flight
@@ -558,7 +560,7 @@ class RemoteObjectManager:
         if cached is not None:
             return cached
         reply = self._call(P.OP_GET_OBJECT, {"oid": str(oid)})
-        buffer = P.buffer_from_value(reply["buffer"])
+        buffer = P.buffer_from_object(reply["buffer"], oid)
         self.cache.put(buffer, reply.get("epoch"))
         return buffer
 
@@ -575,14 +577,15 @@ class RemoteObjectManager:
             buffer = self.cache.get(oid)
             if buffer is not None:
                 found[oid] = buffer
-        misses = [str(oid) for oid in dict.fromkeys(oids) if oid not in found]
+        misses = [oid for oid in dict.fromkeys(oids) if oid not in found]
         if misses:
-            reply = self._call(P.OP_GET_OBJECTS, {"oids": misses})
+            reply = self._call(P.OP_GET_OBJECTS,
+                               {"oids": [str(oid) for oid in misses]})
             if reply["missing"]:
                 raise ObjectNotFoundError(f"no object {reply['missing'][0]}")
             epoch = reply.get("epoch")
-            for value in reply["buffers"]:
-                buffer = P.buffer_from_value(value)
+            for value, oid in zip(reply["buffers"], misses):
+                buffer = P.buffer_from_object(value, oid)
                 self.cache.put(buffer, epoch)
                 found[buffer.oid] = buffer
         return [found[oid] for oid in oids]
@@ -596,7 +599,7 @@ class RemoteObjectManager:
                 "class": class_name, "after": after, "limit": SCAN_BATCH,
             })
             for value in reply["buffers"]:
-                buffer = P.buffer_from_value(value)
+                buffer = P.buffer_from_object(value)
                 self.cache.put(buffer, reply.get("epoch"))
                 buffers.append(buffer)
             after = reply["after"]
@@ -680,7 +683,7 @@ class RemoteObjectManager:
         self.last_explain = reply.get("explain")
         buffers = []
         for value in reply["buffers"]:
-            buffer = P.buffer_from_value(value)
+            buffer = P.buffer_from_object(value)
             self.cache.put(buffer, reply.get("epoch"))
             buffers.append(buffer)
         return buffers
@@ -735,7 +738,7 @@ class RemoteObjectManager:
         # transaction the new state is uncommitted overlay data that no
         # epoch describes — purge physically rather than by epoch.
         self.cache.purge()
-        buffer = P.buffer_from_value(reply["buffer"])
+        buffer = P.buffer_from_object(reply["buffer"], oid)
         self.cache.put(buffer)
         return buffer
 

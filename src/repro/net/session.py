@@ -60,6 +60,7 @@ from repro.errors import (
 from repro.net import protocol as P
 from repro.obs import get_registry
 from repro.ode.cluster import Cluster
+from repro.ode.codec import encode_object
 from repro.ode.mvcc import Snapshot
 from repro.ode.oid import Oid
 
@@ -338,27 +339,25 @@ class ServerSession:
 
     def op_get_object(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         hosted = self._hosted(payload)
-        buffer = hosted.database.objects.get_buffer(self._oid(payload))
-        return {"buffer": P.buffer_to_value(buffer)}
+        oid = self._oid(payload)
+        objects = hosted.database.objects
+        (record,) = objects.find_records([oid])
+        if record is None:
+            raise ObjectNotFoundError(f"no object {oid}")
+        return _records_reply(objects, [oid], [record])
 
     def op_get_objects(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         hosted = self._hosted(payload)
         objects = hosted.database.objects
-        buffers = []
-        missing = []
-        for text in payload.get("oids", []):
-            oid = Oid.parse(text) if isinstance(text, str) else text
-            try:
-                buffers.append(P.buffer_to_value(objects.get_buffer(oid)))
-            except ObjectNotFoundError:
-                missing.append(str(oid))
-        return {"buffers": buffers, "missing": missing}
+        oids = [Oid.parse(text) if isinstance(text, str) else text
+                for text in payload.get("oids", [])]
+        return _records_reply(objects, oids, objects.find_records(oids))
 
     def op_scan_cluster(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """One batch of a cluster scan, keyed by OID number.
 
         ``after`` is the last OID number the client has seen (-1 to start);
-        the batch carries up to ``limit`` buffers with larger numbers, in
+        the batch carries up to ``limit`` records with larger numbers, in
         sequencing order, so a scan stays correct even if the cluster
         changes between batches.
         """
@@ -373,15 +372,14 @@ class ServerSession:
         numbers = cluster.range(after, limit + 1)
         done = len(numbers) <= limit
         del numbers[limit:]
-        buffers = [
-            P.buffer_to_value(objects.get_buffer(cluster.oid(number)))
-            for number in numbers
-        ]
-        return {
-            "buffers": buffers,
-            "done": done,
-            "after": numbers[-1] if numbers else after,
-        }
+        oids = [cluster.oid(number) for number in numbers]
+        records = objects.find_records(oids)
+        if None in records:
+            missing = oids[records.index(None)]
+            raise ObjectNotFoundError(f"no object {missing}")
+        reply = _records_reply(objects, oids, records)
+        reply.update(done=done, after=numbers[-1] if numbers else after)
+        return reply
 
     def op_cluster_numbers(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         hosted = self._hosted(payload)
@@ -435,9 +433,9 @@ class ServerSession:
         EXPLAIN text of the plan that produced them."""
         hosted = self._hosted(payload)
         planner, plan = self._planned(hosted, payload)
-        buffers = [P.buffer_to_value(b) for b in planner.execute(plan)]
-        return {"buffers": buffers, "access": plan.access,
-                "explain": plan.explain()}
+        reply = _buffers_reply(planner.execute(plan))
+        reply.update(access=plan.access, explain=plan.explain())
+        return reply
 
     def op_explain(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """Plan only — the wire face of EXPLAIN."""
@@ -467,7 +465,7 @@ class ServerSession:
         hosted = self._hosted(payload)
         buffer = hosted.database.objects.update(
             self._oid(payload), payload.get("updates") or {})
-        return {"buffer": P.buffer_to_value(buffer)}
+        return _buffers_reply([buffer])
 
     def op_delete(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         hosted = self._hosted(payload)
@@ -661,6 +659,28 @@ class ServerSession:
         sent, so a client that sees this ack may rely on the fence.
         """
         return {"role": self.server.role, "terms": self.server.promote()}
+
+
+def _records_reply(objects, oids, records) -> Dict[str, Any]:
+    """The reply to a read of *oids*, whose stored *records* (``None``
+    where absent) ship as they are; see :func:`protocol.records_reply`."""
+    rows = []
+    missing = []
+    for oid, record in zip(oids, records):
+        if record is None:
+            missing.append(str(oid))
+        else:
+            rows.append((record, *objects.shipped(oid, record)))
+    return P.records_reply(rows, missing)
+
+
+def _buffers_reply(buffers) -> Dict[str, Any]:
+    """The same reply for buffers already built (a selection's matches,
+    an update's result), each re-encoded as its stored form."""
+    return P.records_reply(
+        (encode_object(buffer.oid, buffer.class_name, buffer.values),
+         buffer.class_name, buffer.public_names, buffer.computed or None)
+        for buffer in buffers)
 
 
 #: Opcodes handled without touching a specific database (no lock).

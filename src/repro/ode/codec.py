@@ -139,6 +139,8 @@ def _encode_into(out: bytearray, value: Any) -> None:
         out += _TAGGED_FLOAT.pack(_TAG_FLOAT, value)
     elif kind is Oid:
         _encode_sized(out, _TAG_OID, str(value).encode("utf-8"))
+    elif kind is bytes:
+        _encode_sized(out, _TAG_BYTES, value)
     else:
         _encode_other(out, value)
 
@@ -347,16 +349,14 @@ def decode_object(data: bytes) -> Tuple[Oid, str, Dict[str, Any]]:
     return parse_oid(oid_text), class_name, values
 
 
-def decode_fields(data: bytes, names: Optional[Container[str]]
-                  ) -> Tuple[str, str, Dict[str, Any]]:
-    """Decode a record's header and the attributes in *names* (every
-    attribute when ``None``): the one record walker.
+def decode_header(data: bytes) -> Tuple[str, str, int]:
+    """Check a record's header and return ``(oid text, class name,
+    offset of its values)`` without reading a value.
 
-    The other attributes are skipped by tag (:func:`skip_value`); the
-    record is checked as :func:`decode_object` checks it — magic, format
-    version, header types, struct framing, no trailing bytes.  The OID
-    comes back as its stored text, for a caller to compare with the OID
-    it asked for; :func:`parse_oid` makes it an :class:`Oid`.
+    Checks magic, format version, the header's types and that a struct
+    of values follows; the values themselves are
+    :func:`decode_fields`' to check.  A server shipping the stored
+    bytes reads this much to check the record's identity.
     """
     if not data or data[0] != OBJECT_MAGIC:
         raise CodecError("not an object record (bad magic)")
@@ -369,6 +369,21 @@ def decode_fields(data: bytes, names: Optional[Container[str]]
         raise CodecError("truncated value")
     if data[offset] != _TAG_STRUCT:
         raise CodecError("object values must decode to a dict")
+    return oid_text, class_name, offset
+
+
+def decode_fields(data: bytes, names: Optional[Container[str]]
+                  ) -> Tuple[str, str, Dict[str, Any]]:
+    """Decode a record's header and the attributes in *names* (every
+    attribute when ``None``): the one record walker.
+
+    The other attributes are skipped by tag (:func:`skip_value`); the
+    record is checked as :func:`decode_object` checks it — magic, format
+    version, header types, struct framing, no trailing bytes.  The OID
+    comes back as its stored text, for a caller to compare with the OID
+    it asked for; :func:`parse_oid` makes it an :class:`Oid`.
+    """
+    oid_text, class_name, offset = decode_header(data)
     count, offset = read_varint(data, offset + 1)
     values: Dict[str, Any] = {}
     for _ in range(count):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ObjectNotFoundError, StorageError
 from repro.obs import get_registry
@@ -180,18 +180,26 @@ class MvccState:
 
     # -- lookup ------------------------------------------------------------------
 
-    def lookup(self, oid: Oid,
-               epoch: int) -> Optional[Tuple[int, Optional[bytes]]]:
-        """The newest chain entry of *oid* at or below *epoch*, or
-        ``None`` on a miss — which means the OID is unmodified since the
-        watermark (every modification creates a chain; pruning only
-        removes what no live snapshot needs), so the pages hold it."""
+    def lookup_many(self, oids: Sequence[Oid], epoch: int
+                    ) -> List[Optional[Tuple[int, Optional[bytes]]]]:
+        """The newest chain entry of each of *oids* at or below *epoch*,
+        in one lock hold; ``None`` is a miss — the OID is unmodified
+        since the watermark (every modification creates a chain; pruning
+        only removes what no live snapshot needs), so the pages hold it."""
+        if not self._chains:   # nothing modified since the watermark
+            return [None] * len(oids)
         with self._lock:
-            chain = self._chains.get(oid, ())
-            for index in range(len(chain) - 1, -1, -1):
-                if chain[index][0] <= epoch:
-                    return chain[index]
-            return None
+            chains = self._chains
+            return [_newest(chains.get(oid, ()), epoch) for oid in oids]
+
+
+def _newest(chain: Chain,
+            epoch: int) -> Optional[Tuple[int, Optional[bytes]]]:
+    """The newest entry of *chain* at or below *epoch*, else ``None``."""
+    for index in range(len(chain) - 1, -1, -1):
+        if chain[index][0] <= epoch:
+            return chain[index]
+    return None
 
 
 class _MembershipReads:
@@ -279,9 +287,11 @@ class Snapshot(_MembershipReads):
     __slots__ = ("_view", "_lookup", "_epoch", "_closed")
 
     def __init__(self, view: MvccState,
-                 lookup: Callable[[Oid, int], Optional[bytes]]):
+                 lookup: Callable[[Sequence[Oid], int],
+                                  List[Optional[bytes]]]):
         self._view = view
-        #: The store's committed-value read (chain, else pages).
+        #: The store's committed-value read of a batch of OIDs (chain,
+        #: else pages).
         self._lookup = lookup
         self._epoch = view.pin()
         self._closed = False
@@ -313,7 +323,13 @@ class Snapshot(_MembershipReads):
     def find(self, oid: Oid) -> Optional[bytes]:
         """The record of *oid* at this epoch, ``None`` when absent."""
         self._check_open()
-        return self._lookup(oid, self._epoch)
+        return self._lookup([oid], self._epoch)[0]
+
+    def find_many(self, oids: Sequence[Oid]) -> List[Optional[bytes]]:
+        """:meth:`find` of each of *oids*: the chains in one lock hold,
+        the misses in one store-lock hold that reads each page once."""
+        self._check_open()
+        return self._lookup(oids, self._epoch)
 
     def exists(self, oid: Oid) -> bool:
         return self.find(oid) is not None

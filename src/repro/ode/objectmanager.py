@@ -32,17 +32,24 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Sequence,
     Tuple,
 )
 
 from repro.errors import (
     AccessError,
     ObjectNotFoundError,
+    OdeError,
     SchemaError,
 )
 from repro.ode.classdef import MemberFunction, OdeClass
 from repro.ode.cluster import Cluster, ClusterCursor, SnapshotCursor
-from repro.ode.codec import decode_fields, encode_object, parse_oid
+from repro.ode.codec import (
+    decode_fields,
+    decode_header,
+    encode_object,
+    parse_oid,
+)
 from repro.ode.constraints import BehaviourRegistry
 from repro.ode.mvcc import Snapshot
 from repro.ode.oid import Oid
@@ -98,6 +105,21 @@ class ObjectBuffer:
         if privileged:
             names += [n for n in self.values if n not in self.public_names]
         return names
+
+
+def check_identity(oid: Oid, stored: str) -> None:
+    """Raise unless a record's stored OID text names *oid*."""
+    if stored == str(oid):
+        return
+    stored_oid = parse_oid(stored)   # CodecError when malformed
+    if stored_oid != oid:
+        raise ObjectNotFoundError(
+            f"record under {oid} claims identity {stored_oid}"
+        )
+
+
+#: Records a cluster scan reads per :meth:`Snapshot.find_many`.
+_READ_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -314,32 +336,58 @@ class ObjectManager:
     def _build_buffer(self, oid: Oid, data: bytes) -> ObjectBuffer:
         self._m_buffers.inc()
         stored, class_name, values = decode_fields(data, None)
-        self._check_identity(oid, stored)
+        check_identity(oid, stored)
         layout = self._layout(class_name)
+        return ObjectBuffer(
+            oid=oid,
+            class_name=class_name,
+            values=values,
+            public_names=layout.public_names,
+            computed=self._computed(class_name, layout, values),
+        )
+
+    def _computed(self, class_name: str, layout: "_ClassLayout",
+                  values: Mapping[str, Any]) -> Dict[str, Any]:
         computed: Dict[str, Any] = {}
         bound = self.behaviours.methods.get(class_name, {})
         for method in layout.methods:
             fn = method.fn or bound.get(method.name)
             if fn is not None:
                 computed[method.name] = fn(values)
-        return ObjectBuffer(
-            oid=oid,
-            class_name=class_name,
-            values=values,
-            public_names=layout.public_names,
-            computed=computed,
-        )
+        return computed
 
-    @staticmethod
-    def _check_identity(oid: Oid, stored: str) -> None:
-        """Raise unless the record's stored OID text names *oid*."""
-        if stored == str(oid):
-            return
-        stored_oid = parse_oid(stored)   # CodecError when malformed
-        if stored_oid != oid:
-            raise ObjectNotFoundError(
-                f"record under {oid} claims identity {stored_oid}"
-            )
+    def find_records(self, oids: Sequence[Oid]) -> List[Optional[bytes]]:
+        """The stored records of *oids*, ``None`` where absent, read as
+        :meth:`find_buffer` reads one: from the pinned snapshot in one
+        batch, else through the open transaction's overlay."""
+        reader = self._current_snapshot()
+        if reader is not None:
+            return reader.find_many(oids)
+        return [self._store.find(oid) for oid in oids]
+
+    def shipped(self, oid: Oid, data: bytes
+                ) -> Tuple[str, Tuple[str, ...], Optional[Dict[str, Any]]]:
+        """What a remote reader needs beside the stored record of *oid*:
+        its class, the class's public names, and its computed values —
+        ``None`` for a class with no computed methods.
+
+        Only the header is read, and the identity checked, unless the
+        class has computed methods: those are evaluated here, next to
+        the data (paper §5.1), so that record alone is decoded.
+        """
+        stored, class_name, _offset = decode_header(data)
+        try:
+            check_identity(oid, stored)
+            layout = self._layout(class_name)
+        except OdeError:
+            # Fail as a local read does: it walks the values first.
+            decode_fields(data, None)
+            raise
+        if not layout.methods:
+            return class_name, layout.public_names, None
+        _stored, _class, values = decode_fields(data, None)
+        return (class_name, layout.public_names,
+                self._computed(class_name, layout, values))
 
     def _layout(self, class_name: str) -> "_ClassLayout":
         """The class's public names and computed methods, resolved once
@@ -436,11 +484,26 @@ class ObjectManager:
     def _select_from(self, snapshot: Snapshot, class_name: str,
                      predicate: Optional[Predicate]) -> Iterator[ObjectBuffer]:
         matching = self._matcher(class_name, predicate)
-        for number in snapshot.cluster_numbers(class_name):
-            oid = Oid(self.database, class_name, number)
-            buffer = matching(oid, snapshot.get(oid))
+        for oid, data in self._members(snapshot, class_name):
+            buffer = matching(oid, data)
             if buffer is not None:
                 yield buffer
+
+    def _members(self, snapshot: Snapshot, class_name: str
+                 ) -> Iterator[Tuple[Oid, bytes]]:
+        """``(oid, record)`` of every member of a cluster at *snapshot*,
+        in sequencing order, read :data:`_READ_BATCH` records per
+        :meth:`Snapshot.find_many` — one store-lock hold and one fetch
+        per page for each batch, not one per row."""
+        numbers = snapshot.cluster_numbers(class_name)
+        for start in range(0, len(numbers), _READ_BATCH):
+            oids = [Oid(self.database, class_name, number)
+                    for number in numbers[start:start + _READ_BATCH]]
+            for oid, data in zip(oids, snapshot.find_many(oids)):
+                if data is None:
+                    raise ObjectNotFoundError(
+                        f"no object {oid} at epoch {snapshot.epoch}")
+                yield oid, data
 
     def _matcher(self, class_name: str, predicate: Optional[Predicate]
                  ) -> Callable[[Oid, bytes], Optional[ObjectBuffer]]:
@@ -469,7 +532,7 @@ class ObjectManager:
 
         def probe_first(oid: Oid, data: bytes) -> Optional[ObjectBuffer]:
             stored, stored_class, values = decode_fields(data, reads)
-            self._check_identity(oid, stored)
+            check_identity(oid, stored)
             if stored_class != class_name:
                 return full(oid, data)
             probe = ObjectBuffer(oid, class_name, values, layout.public_names)
@@ -482,11 +545,9 @@ class ObjectManager:
         """``(oid, values)`` for every member of a cluster, decoding only
         the attributes in *names*, from one snapshot (index upkeep)."""
         with self.pinned() as snapshot:
-            for number in snapshot.cluster_numbers(class_name):
-                oid = Oid(self.database, class_name, number)
-                stored, _class, values = decode_fields(
-                    snapshot.get(oid), names)
-                self._check_identity(oid, stored)
+            for oid, data in self._members(snapshot, class_name):
+                stored, _class, values = decode_fields(data, names)
+                check_identity(oid, stored)
                 yield oid, values
 
     # -- transactions -----------------------------------------------------------------

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import itertools
 from pathlib import Path
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import (Any, Callable, Dict, FrozenSet, List, Optional, Sequence,
+                    Tuple)
 
 from repro.errors import StorageError
 from repro.ode.bufferpool import BufferPool
@@ -196,6 +197,31 @@ class Placement:
             _oid, _index, _total, chunk = _decode_fragment(record)
             parts.append(chunk)
         return b"".join(parts)
+
+    def read_many(self, oids: Sequence[Oid]) -> List[Optional[bytes]]:
+        """:meth:`read` of each of *oids*, fetching each page once: the
+        single-slot records are grouped by page, a fragmented one is
+        read alone."""
+        records: List[Optional[bytes]] = [None] * len(oids)
+        by_page: Dict[int, List[Tuple[int, int]]] = {}
+        for index, oid in enumerate(oids):
+            location = self._table.get(oid)
+            if location is None:
+                continue
+            if len(location) == 1:
+                page_no, slot = location[0]
+                by_page.setdefault(page_no, []).append((index, slot))
+            else:
+                records[index] = self.read(oid)
+        for page_no, slots in by_page.items():
+            page = self.pool.fetch(page_no)
+            for index, slot in slots:
+                record = page.read(slot)
+                if record and record[0] != _FRAGMENT_MAGIC:
+                    records[index] = record
+                else:
+                    records[index] = self.read(oids[index])
+        return records
 
     # -- maintenance -------------------------------------------------------------------
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import (
     GroupCommitError,
@@ -622,27 +622,41 @@ class ObjectStore(_MembershipReads):
         """Pin the current epoch and return a consistent read view."""
         return Snapshot(self._mvcc, self._snapshot_lookup)
 
-    def _snapshot_lookup(self, oid: Oid, epoch: int) -> Optional[bytes]:
-        """Committed value of *oid* at *epoch* (``None`` = absent).
+    def _snapshot_lookup(self, oids: Sequence[Oid],
+                         epoch: int) -> List[Optional[bytes]]:
+        """Committed value of each of *oids* at *epoch* (``None`` =
+        absent).
 
-        Fast path: the version chain, without the store lock.  A miss
-        means the pages hold the right answer — read them, through the
-        buffer pool, under the store lock.
+        Fast path: the version chains, in one MVCC lock hold, without
+        the store lock.  A miss means the pages hold the right answer —
+        the misses are read under one store-lock acquisition, each page
+        fetched once through the buffer pool.
         """
-        self._m_snapshot_reads.inc()
-        entry = self._mvcc.lookup(oid, epoch)
-        if entry is not None:
-            return entry[1]
-        self._m_read_fallbacks.inc()
+        self._m_snapshot_reads.inc(len(oids))
+        entries = self._mvcc.lookup_many(oids, epoch)
+        records = [None if entry is None else entry[1] for entry in entries]
+        misses = [index for index, entry in enumerate(entries)
+                  if entry is None]
+        if not misses:
+            return records
+        self._m_read_fallbacks.inc(len(misses))
         with self._lock:
             # Re-check under the store lock: the commit leader applies
             # the pages and publishes the chain (with the pre-image we
-            # need) under it, so a commit that overwrote this OID while
-            # we waited has its chain in place by now.
-            entry = self._mvcc.lookup(oid, epoch)
-            if entry is not None:
-                return entry[1]
-            return self._placement.read(oid)
+            # need) under it, so a commit that overwrote one of these
+            # OIDs while we waited has its chain in place by now.
+            rechecked = self._mvcc.lookup_many(
+                [oids[index] for index in misses], epoch)
+            unread = []
+            for index, entry in zip(misses, rechecked):
+                if entry is None:
+                    unread.append(index)
+                else:
+                    records[index] = entry[1]
+            read = self._placement.read_many([oids[index] for index in unread])
+        for index, record in zip(unread, read):
+            records[index] = record
+        return records
 
     def _reading(self) -> Tuple[MvccState, None]:
         return self._mvcc, None

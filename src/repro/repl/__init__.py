@@ -29,7 +29,6 @@ resurrected old primary's lower term is rejected everywhere
 from repro.repl.feed import fetch, units_from_wire, units_to_wire
 from repro.repl.promote import (
     PromotionResult,
-    find_primary,
     promote_store,
     salvage_units,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "PromotionResult",
     "bootstrap_replica",
     "fetch",
-    "find_primary",
     "promote_store",
     "salvage_units",
     "units_from_wire",

@@ -27,18 +27,14 @@ first write of the new reign can be accepted, so a node (or client)
 comparing terms can always tell the reigning primary from a resurrected
 old one — progress across the cluster is ordered by ``(term, epoch)``
 lexicographically, and an epoch may only rewind when the term rises.
-
-:func:`find_primary` is the discovery half used by clients and appliers:
-probe a set of addresses and return the live primary with the highest
-term.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
-from repro.errors import OdeError, ReplicationError
+from repro.errors import ReplicationError
 from repro.ode.store import ObjectStore
 from repro.ode.wal import WalRecord, WriteAheadLog
 
@@ -103,41 +99,3 @@ def promote_store(store: ObjectStore,
     term = store.promote_term()
     return PromotionResult(term=term, epoch=store.epoch,
                            salvaged_units=salvaged)
-
-
-def find_primary(addresses: Sequence[Tuple[str, int]],
-                 database: Optional[str] = None,
-                 minimum_term: int = 0,
-                 ) -> Optional[Tuple[str, int, int]]:
-    """Probe *addresses* for the live primary with the highest term.
-
-    Returns ``(host, port, term)`` or ``None`` when no reachable node
-    serves as primary at ``minimum_term`` or above.  ``database``
-    selects that database's per-db term from the hello when given;
-    otherwise the node's headline (max) term is compared.  Dead or
-    replica nodes are skipped silently — discovery runs exactly when
-    the cluster is degraded.
-    """
-    from repro.net import protocol as P
-    from repro.net.client import OdeClient
-
-    best: Optional[Tuple[str, int, int]] = None
-    for host, port in addresses:
-        probe = OdeClient(host, port, retries=0)
-        try:
-            info = probe.call(P.OP_HELLO, {"version": P.PROTOCOL_VERSION})
-        except OdeError:
-            continue
-        finally:
-            probe.close()
-        if info.get("role") != "primary":
-            continue
-        term = info.get("term")
-        if database is not None:
-            term = (info.get("terms") or {}).get(database, term)
-        term = term if isinstance(term, int) and term > 0 else 1
-        if term < minimum_term:
-            continue
-        if best is None or term > best[2]:
-            best = (host, port, term)
-    return best

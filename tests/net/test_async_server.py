@@ -90,7 +90,7 @@ class TestWriterSerialization:
             thread.join(timeout=5.0)
             assert landed
             reply = a.call(P.OP_GET_OBJECT, {"db": "lab", "oid": oid})
-            assert P.buffer_from_value(reply["buffer"]).value("name") == "tx-b"
+            assert P.buffer_from_object(reply["buffer"]).value("name") == "tx-b"
         finally:
             a.close()
             b.close()
@@ -129,7 +129,7 @@ class TestWriterSerialization:
         for number in numbers:
             reply = oid_client.call(
                 P.OP_GET_OBJECT, {"db": "lab", "oid": f"lab:employee:{number}"})
-            assert P.buffer_from_value(
+            assert P.buffer_from_object(
                 reply["buffer"]).value("name") == f"w{number}-2"
         oid_client.close()
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ProtocolError
 from repro.net import protocol as P
+from repro.ode.codec import encode_object
 from repro.ode.objectmanager import ObjectBuffer
 from repro.ode.oid import Oid
 
@@ -95,10 +96,17 @@ class TestBufferMarshalling:
             computed={"years_service": 4},
         )
 
+    def _reply(self, original):
+        record = encode_object(original.oid, original.class_name,
+                               original.values)
+        return P.records_reply([(record, original.class_name,
+                                 original.public_names,
+                                 dict(original.computed))])
+
     def test_roundtrip(self):
         original = self._buffer()
-        value = P.buffer_to_value(original)
-        restored = P.buffer_from_value(value)
+        value = P.decode_records(P.OP_GET_OBJECT, self._reply(original))
+        restored = P.buffer_from_object(value["buffer"])
         assert restored.oid == original.oid
         assert restored.class_name == original.class_name
         assert dict(restored.values) == dict(original.values)
@@ -108,8 +116,9 @@ class TestBufferMarshalling:
     def test_roundtrip_over_the_wire(self):
         original = self._buffer()
         frame = _decode(
-            P.encode_frame(5, P.OP_REPLY, {"buffer": P.buffer_to_value(original)}))
-        restored = P.buffer_from_value(frame.payload["buffer"])
+            P.encode_frame(5, P.OP_REPLY, self._reply(original)))
+        reply = P.decode_records(P.OP_GET_OBJECTS, frame.payload)
+        restored = P.buffer_from_object(reply["buffers"][0], original.oid)
         assert restored.value("name") == "kk"
         assert restored.value("years_service") == 4
 

@@ -139,7 +139,7 @@ class TestReads:
         while not replies or not replies[-1]["done"]:
             replies.append(remote_lab.objects._call(P.OP_SCAN_CLUSTER, {
                 "class": "employee", "after": after, "limit": limit}))
-            seen += [P.buffer_from_value(value).oid.number
+            seen += [P.buffer_from_object(value).oid.number
                      for value in replies[-1]["buffers"]]
             after = replies[-1]["after"]
         assert [len(reply["buffers"]) for reply in replies] == sizes
@@ -160,7 +160,7 @@ class TestReads:
         objects.delete(gone)
         reply = objects._call(
             P.OP_GET_OBJECTS, {"oids": [str(first), str(gone), str(last)]})
-        assert [P.buffer_from_value(value).oid
+        assert [P.buffer_from_object(value).oid
                 for value in reply["buffers"]] == [first, last]
         assert reply["missing"] == [str(gone)]
 

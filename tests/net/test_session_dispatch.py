@@ -31,13 +31,14 @@ def _employees(session, count):
 
 
 def _name(session, oid):
-    reply = session.dispatch(P.OP_GET_OBJECT, {"db": "lab", "oid": oid})
-    return P.buffer_from_value(reply["buffer"]).value("name"), reply["epoch"]
+    reply = P.decode_records(P.OP_GET_OBJECT, session.dispatch(
+        P.OP_GET_OBJECT, {"db": "lab", "oid": oid}))
+    return P.buffer_from_object(reply["buffer"]).value("name"), reply["epoch"]
 
 
 def _update(session, oid, name):
-    return session.dispatch(P.OP_UPDATE, {
-        "db": "lab", "oid": oid, "updates": {"name": name}})
+    return P.decode_records(P.OP_UPDATE, session.dispatch(P.OP_UPDATE, {
+        "db": "lab", "oid": oid, "updates": {"name": name}}))
 
 
 def test_autocommit_update_advances_the_reply_epoch(session):
@@ -45,7 +46,7 @@ def test_autocommit_update_advances_the_reply_epoch(session):
     _old, before = _name(session, oid)
     reply = _update(session, oid, "auto")
     assert reply["epoch"] == before + 1
-    assert P.buffer_from_value(reply["buffer"]).value("name") == "auto"
+    assert P.buffer_from_object(reply["buffer"]).value("name") == "auto"
     assert _name(session, oid) == ("auto", before + 1)
 
 

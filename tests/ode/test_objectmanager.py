@@ -379,6 +379,36 @@ class TestSavedWork:
         finally:
             database.close()
 
+    def test_a_scan_reads_64_rows_per_store_lock_hold(self, tmp_path):
+        from repro.data.synthetic import make_synthetic_database
+        from repro.ode.database import Database
+
+        make_synthetic_database(tmp_path, readings=300).close()
+        database = Database.open(tmp_path / "synthetic.odb")
+        store = database.store
+        inner = store._lock
+        taken = []
+
+        class Counting:
+            def __enter__(self):
+                taken.append(1)
+                return inner.__enter__()
+
+            def __exit__(self, *exc):
+                return inner.__exit__(*exc)
+
+        store._lock = Counting()
+        try:
+            rows = list(database.objects.select("reading"))
+            values = list(database.objects.scan_values("reading", {"seq"}))
+        finally:
+            store._lock = inner
+            database.close()
+        assert len(rows) == 300
+        assert [buffer.values["seq"] for buffer in rows] == [
+            value["seq"] for _oid, value in values]
+        assert len(taken) == 2 * 5   # ceil(300 / 64) holds per scan
+
     def test_index_candidate_absent_is_skipped_foreign_raises(self, tmp_path):
         from dataclasses import replace
 

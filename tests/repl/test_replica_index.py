@@ -103,7 +103,7 @@ class TestApplierMaintainsEntries:
             reply = client.call(P.OP_SELECT, {
                 "db": "lab", "class": "employee",
                 "condition": "id == 990", "force": "index"})
-        assert [P.buffer_from_value(v).oid
+        assert [P.buffer_from_object(v).oid
                 for v in reply["buffers"]] == [oid]
 
     def test_paused_replica_probes_at_its_held_epoch(self, indexed_primary,
