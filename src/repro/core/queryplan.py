@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.ode.database import Database
-from repro.ode.objectmanager import ObjectBuffer
+from repro.ode.objectmanager import READ_BATCH, ObjectBuffer
 from repro.ode.oid import Oid
 from repro.ode.opp import ast
 from repro.ode.opp.predicate import PredicateEvaluator
@@ -183,17 +183,8 @@ class SelectionPlanner:
         other.
         """
         objects = self.database.objects
-        # A RemoteObjectManager has no local statistics, store, or
-        # ambient pin — the server plans for it (select_pushdown); a
-        # planner built against one anyway degrades to head-epoch
-        # scans with a throwaway catalog.
-        stats = getattr(objects, "statistics", None)
-        if stats is None:
-            from repro.core.statistics import StatisticsCatalog
-
-            stats = StatisticsCatalog(objects)
-        ambient = getattr(objects, "ambient_snapshot", None)
-        snapshot = ambient() if ambient is not None else None
+        stats = objects.statistics
+        snapshot = objects.ambient_snapshot()
         epoch = snapshot.epoch if snapshot is not None else None
         cardinality = stats.cardinality(class_name)
         scan_cost = cardinality * SCAN_ROW_COST
@@ -210,7 +201,7 @@ class SelectionPlanner:
 
         if force == "scan":
             return scan("forced scan")
-        if getattr(getattr(objects, "store", None), "in_transaction", False):
+        if objects.store.in_transaction:
             # The commit-driven index cannot see this transaction's
             # uncommitted overlay; only the scan path reads through it.
             return scan("open transaction: uncommitted writes "
@@ -294,13 +285,15 @@ class SelectionPlanner:
         # the caller's current view, and raw store mutations can bypass
         # the commit-driven maintenance entirely.
         check = plan.expr if plan.expr is not None else plan.residual
-        for number in plan.candidates or ():
-            buffer = objects.find_buffer(
-                Oid(database_name, plan.class_name, number))
-            if buffer is None:
-                continue  # index may lag a raw store mutation
-            if check is None or self._evaluator.matches(check, buffer):
-                yield buffer
+        numbers = plan.candidates or []
+        for start in range(0, len(numbers), READ_BATCH):
+            oids = [Oid(database_name, plan.class_name, number)
+                    for number in numbers[start:start + READ_BATCH]]
+            for buffer in objects.find_buffers(oids):
+                if buffer is None:
+                    continue  # index may lag a raw store mutation
+                if check is None or self._evaluator.matches(check, buffer):
+                    yield buffer
 
     def select(self, class_name: str, expr: ast.Expr,
                force: Optional[str] = None) -> List[ObjectBuffer]:
@@ -313,8 +306,7 @@ class SelectionPlanner:
         forward to head — the opposite of what the caller pinned for).
         """
         objects = self.database.objects
-        ambient = getattr(objects, "ambient_snapshot", None)
-        if ambient is not None and ambient() is not None:
+        if objects.ambient_snapshot() is not None:
             return list(self.execute(self.plan(class_name, expr,
                                                force=force)))
         with objects.pinned():

@@ -141,9 +141,14 @@ class SelectionBuilder:
     # -- index-aware execution ---------------------------------------------------
 
     def plan(self, force: Optional[str] = None):
-        """An index-aware :class:`~repro.core.queryplan.QueryPlan`."""
+        """An index-aware :class:`~repro.core.queryplan.QueryPlan` of a
+        local database.  A remote database's server plans its
+        selections: ask it with :meth:`explain`."""
         from repro.core.queryplan import SelectionPlanner
 
+        if getattr(self.database, "remote", False):
+            raise SelectionError(
+                "a remote database plans on its server; use explain()")
         expr = self.expression()
         self._validate(expr)
         planner = SelectionPlanner(self.database, privileged=self.privileged)

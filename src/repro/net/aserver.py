@@ -52,12 +52,6 @@ from repro.repl.feed import MAX_WAIT_SECONDS, fetch
 if TYPE_CHECKING:  # the server imports this module
     from repro.net.server import OdeServer
 
-#: Bytes asked of the transport per reader iteration.  Large enough
-#: that a bulk reply's worth of requests arrives in few syscalls, small
-#: enough not to hoard buffers per connection.
-_READ_CHUNK = 64 * 1024
-
-
 def _fetch_field(payload: Dict[str, Any], key: str, default: int,
                  minimum: int) -> int:
     """An integer ``OP_REPL_FETCH`` field, or a NetworkError naming it."""
@@ -114,7 +108,7 @@ class _AsyncConnection:
         reassembler = P.FrameReassembler()
         try:
             while not self._closing and not server._stopping.is_set():
-                data = await self._reader.read(_READ_CHUNK)
+                data = await self._reader.read(P.READ_CHUNK)
                 if not data:
                     break  # peer closed; EOF, not a poll timeout
                 server._m_wakeups.inc()

@@ -1,13 +1,11 @@
 """OdeClient: one connection from a front end to an OdeServer.
 
 The client owns a single socket, hands out monotonically increasing
-request ids, and matches replies to requests by id.  Two calling
-conventions:
-
-* :meth:`call` — one request, one reply (the common case);
-* :meth:`call_many` — pipelining: write every request frame before
-  reading any reply, so a batched cluster scan pays one round trip's
-  latency instead of one per object.
+request ids, and matches each :meth:`call`'s reply to its request by id.
+Every frame it reads — the HELLO reply, replies and pushes — goes
+through one :class:`~repro.net.protocol.FrameReassembler` per
+connection, the parser the server uses, so a partial frame waits in its
+buffer for whichever reader comes next.
 
 Failure policy: requests whose opcode is in
 :data:`~repro.net.protocol.READ_OPCODES` are idempotent and are retried
@@ -98,10 +96,6 @@ REPLICA_COOLDOWN_SECONDS = 1.0
 #: socket for unsolicited push frames while no request is in flight.
 PUSH_POLL_SECONDS = 0.2
 
-#: Socket timeout while the pump drains a frame it has seen arrive (under
-#: the request lock, so no caller can take the bytes first).
-PUSH_READ_TIMEOUT = 0.25
-
 
 class _ReplicaEndpoint:
     """One replica the client may route reads to."""
@@ -145,6 +139,9 @@ class OdeClient:
         self.timeout = timeout
         self.retries = max(0, retries)
         self._sock: Optional[socket.socket] = None
+        # The connection's frame parser; lives and dies with _sock, so a
+        # fresh session never inherits a stale partial frame.
+        self._frames: Optional[P.FrameReassembler] = None
         # itertools.count, NOT iter(range(...)): a long-lived client
         # must never exhaust its id space mid-session (StopIteration
         # out of an exchange would be indistinguishable from a bug).
@@ -220,6 +217,7 @@ class OdeClient:
             raise failure from exc
         sock.settimeout(self.timeout)
         self._sock = sock
+        self._frames = P.FrameReassembler()
         try:
             self.server_info = self._exchange_locked(
                 P.OP_HELLO, {"version": P.PROTOCOL_VERSION})
@@ -258,6 +256,7 @@ class OdeClient:
             except OSError:
                 get_registry().counter("net.teardown_error").inc()
             self._sock = None
+            self._frames = None
             self.generation += 1
             # Subscriptions are session-affine: the server side died
             # with the connection, so every local one is now lost.
@@ -449,17 +448,35 @@ class OdeClient:
     def _read_reply_locked(self) -> P.Frame:
         """Read the next *reply* frame, dispatching any push frames.
 
-        Unsolicited ``OP_CDC_EVENT`` frames interleave with pipelined
-        replies on the same socket; every reply reader must demux by
-        opcode, not assume the next frame answers its request.
+        Unsolicited ``OP_CDC_EVENT`` frames interleave with replies on
+        the same socket; the reader demuxes by opcode, not assuming the
+        next frame answers its request.  Frames that arrived behind the
+        reply are dispatched before it returns.
         """
         while True:
-            frame = P.read_frame(self._sock)
+            frame = P.recv_frame(self._sock, self._frames)
             self._m_bytes_in.inc(frame.wire_size)
             if frame.opcode in P.PUSH_OPCODES:
                 self._dispatch_push(frame)
                 continue
+            self._dispatch_buffered_locked()
             return frame
+
+    def _dispatch_buffered_locked(self) -> None:
+        """Dispatch every complete frame buffered; only pushes may be
+        there.  A reply nobody is waiting for means the stream is out of
+        step: any later exchange would pair requests with the wrong
+        replies, so it raises and the connection must be dropped."""
+        while True:
+            frame = self._frames.next_frame()
+            if frame is None:
+                return
+            self._m_bytes_in.inc(frame.wire_size)
+            if frame.opcode not in P.PUSH_OPCODES:
+                raise errors.ProtocolError(
+                    f"unsolicited {P.opcode_name(frame.opcode)} frame for "
+                    f"request {frame.request_id}: stream out of step")
+            self._dispatch_push(frame)
 
     def _exchange_locked(self, opcode: int,
                          payload: Optional[Dict[str, Any]]) -> Dict[str, Any]:
@@ -549,69 +566,6 @@ class OdeClient:
                         self._m_reconnects.inc()
                         time.sleep(delay)
                         delay *= 2
-
-    def call_many(self, requests: Sequence[Tuple[int, Dict[str, Any]]]
-                  ) -> List[Dict[str, Any]]:
-        """Pipeline several requests: write all frames, then read all replies.
-
-        Replies are returned in request order.  A server-side error in
-        any request raises after all replies are drained, so the
-        connection stays usable.  Not retried: a batch may mix opcodes.
-        """
-        if not requests:
-            return []
-        for opcode, _payload in requests:
-            self._count_request(opcode)
-        with self._m_request_seconds.time():
-            with self._lock:
-                self._connect_locked()
-                self._check_session_locked()
-                ids = []
-                try:
-                    for opcode, payload in requests:
-                        request_id = next(self._request_ids)
-                        ids.append(request_id)
-                        sent = P.write_frame(
-                            self._sock, request_id, opcode, payload)
-                        self._m_bytes_out.inc(sent)
-                    by_id: Dict[int, P.Frame] = {}
-                    for _ in ids:
-                        frame = self._read_reply_locked()
-                        by_id[frame.request_id] = frame
-                except NetworkError as exc:
-                    self._drop_locked()
-                    if self._session_resources:
-                        raise SessionLostError(
-                            "connection lost with a transaction open; "
-                            "the server rolled it back") from exc
-                    raise
-                if set(by_id) != set(ids):
-                    # The reply stream is out of step with the request
-                    # stream (a reply missing, or an id never sent).
-                    # Later exchanges on this socket would pair requests
-                    # with the wrong replies, so the connection must die
-                    # with the batch.
-                    self._drop_locked()
-                    missing = sorted(set(ids) - set(by_id))
-                    unknown = sorted(set(by_id) - set(ids))
-                    raise errors.ProtocolError(
-                        f"pipelined reply stream out of step: "
-                        f"missing ids {missing}, unknown ids {unknown}")
-                results: List[Dict[str, Any]] = []
-                error: Optional[Dict[str, Any]] = None
-                for request_id in ids:
-                    frame = by_id[request_id]
-                    if frame.opcode == P.OP_ERROR:
-                        error = error or frame.payload
-                        results.append({})
-                    else:
-                        results.append(frame.payload)
-                if error is not None:
-                    _raise_remote(error)
-                for result in results:
-                    self._observe_epoch(result.get("epoch"))
-        return [P.decode_records(opcode, result)
-                for (opcode, _payload), result in zip(requests, results)]
 
     # -- server push (CDC) --------------------------------------------------------
 
@@ -708,8 +662,9 @@ class OdeClient:
         Waits on ``select`` *without* the request lock (so callers are
         never blocked by an idle pump), then takes the lock and checks
         again without waiting: a concurrent caller may have consumed the
-        bytes (its own reply) meanwhile, and a read then would hold the
-        lock for ``PUSH_READ_TIMEOUT`` in front of the next call.
+        bytes (its own reply) meanwhile.  The one ``recv`` it then makes
+        cannot block; a partial frame stays in the reassembler for the
+        next reader, pump or caller.
         """
         while not self._pump_stop.is_set():
             sock = self._sock  # racy peek; re-verified under the lock
@@ -730,28 +685,16 @@ class OdeClient:
                 try:
                     if not select.select([sock], [], [], 0)[0]:
                         continue  # a caller took the bytes first
-                    sock.settimeout(PUSH_READ_TIMEOUT)
-                    try:
-                        frame = P.read_frame(sock, idle_ok=True)
-                    finally:
-                        if self._sock is sock:
-                            sock.settimeout(self.timeout)
-                except P.IdleTimeout:
-                    continue  # nothing arrived after all; benign
+                    data = sock.recv(P.READ_CHUNK)
+                    if data:
+                        self._frames.feed(data)
+                        self._dispatch_buffered_locked()
+                        continue
                 except (NetworkError, OSError, ValueError):
-                    # OSError/ValueError: the descriptor died between the
-                    # selects or before the read (close from another
-                    # thread)
-                    self._drop_locked()
-                    continue
-                self._m_bytes_in.inc(frame.wire_size)
-                if frame.opcode in P.PUSH_OPCODES:
-                    self._dispatch_push(frame)
-                else:
-                    # A reply nobody is waiting for: the stream is out
-                    # of step and any future exchange would mispair
-                    # requests with replies.  The connection must die.
-                    self._drop_locked()
+                    pass
+                # EOF, a corrupt or out-of-step stream, or a descriptor
+                # closed from another thread between the selects.
+                self._drop_locked()
 
     def _count_request(self, opcode: int) -> None:
         counter = self._m_requests.get(opcode)

@@ -212,19 +212,20 @@ def encode_frame(request_id: int, opcode: int,
 
 
 class FrameReassembler:
-    """Incremental frame decoder for non-blocking readers.
+    """Incremental frame decoder: the one frame parser on both ends.
 
-    The event-loop server reads whatever the socket has and feeds it
-    here; ``next_frame`` yields complete frames as they form, holding
-    partial bytes across feeds.  Unlike :func:`read_frame` there is no
-    blocking and no timeout policy — pacing belongs to the reader.
+    A reader — the event-loop server, the client's :func:`recv_frame`,
+    its push pump — feeds whatever the socket has; ``next_frame`` yields
+    complete frames as they form, holding partial bytes across feeds.
+    There is no blocking and no timeout policy — pacing belongs to the
+    reader.
 
-    Corruption policy matches the blocking path: an oversized length
-    prefix is rejected the moment the header is visible (a 2 GiB claim
-    is treated as corruption, never as an allocation request), and a
-    CRC mismatch raises :class:`~repro.errors.ProtocolError`.  After
-    any error the stream is desynced and the connection must be
-    dropped; the reassembler makes no attempt to resynchronize.
+    An oversized length prefix is rejected the moment the header is
+    visible (a 2 GiB claim is treated as corruption, never as an
+    allocation request), and a CRC mismatch raises
+    :class:`~repro.errors.ProtocolError`.  After any error the stream is
+    desynced and the connection must be dropped; the reassembler makes
+    no attempt to resynchronize.
     """
 
     def __init__(self) -> None:
@@ -360,84 +361,41 @@ def buffer_from_object(value: Dict[str, Any],
 
 # -- stream I/O ----------------------------------------------------------------
 
-#: Consecutive no-progress recv timeouts tolerated once a frame has
-#: started arriving, before the peer is declared stalled.  A large frame
-#: trickling in keeps resetting the count; a wedged peer is dropped
-#: after at most this many timeout intervals.
-_MAX_STALLED_POLLS = 2
-
-
-def _recv_exact(sock: socket.socket, count: int, idle_ok: bool = False,
-                mid_frame: bool = False) -> bytes:
-    """Read exactly *count* bytes; '' mid-message is a protocol error.
-
-    A timeout before the first byte raises :class:`IdleTimeout` when
-    *idle_ok* is set (the caller is polling between frames and no data
-    was consumed — it is safe to retry).  Once any bytes have been read
-    — or when *mid_frame* says earlier bytes of the same frame were —
-    a timeout can no longer be treated as idle: returning to a fresh
-    ``read_frame`` would parse mid-frame bytes as a header and desync
-    the stream.  Slow-but-live peers are tolerated as long as bytes
-    keep arriving; a stalled peer raises :class:`NetworkError`.
-    """
-    chunks = []
-    remaining = count
-    stalled = 0
-    while remaining:
-        try:
-            chunk = sock.recv(remaining)
-        except socket.timeout as exc:
-            if not mid_frame and remaining == count:
-                if idle_ok:
-                    raise IdleTimeout(
-                        "no frame arrived within the poll interval") from exc
-                raise NetworkError("timed out waiting for a frame") from exc
-            stalled += 1
-            if stalled >= _MAX_STALLED_POLLS:
-                raise NetworkError("peer stalled mid-frame") from exc
-            continue
-        except OSError as exc:
-            raise NetworkError(f"connection lost: {exc}") from exc
-        if not chunk:
-            if not mid_frame and remaining == count:
-                raise ConnectionClosed("peer closed the connection")
-            raise ProtocolError("connection closed mid-frame")
-        stalled = 0
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+#: Bytes asked of a socket per read, on both ends of the wire.  Large
+#: enough that a bulk reply arrives in few syscalls, small enough not to
+#: hoard buffers per connection.
+READ_CHUNK = 64 * 1024
 
 
 class ConnectionClosed(NetworkError):
     """The peer closed the connection cleanly between frames."""
 
 
-class IdleTimeout(NetworkError):
-    """A polling read timed out with zero bytes of a frame consumed.
+def recv_frame(sock: socket.socket, frames: FrameReassembler) -> Frame:
+    """The next frame off a blocking socket, parsed by *frames*.
 
-    The one timeout that is safe to swallow and retry: the stream is
-    still at a frame boundary.
+    A frame already buffered in *frames* comes back without a read.
+    Otherwise each ``recv`` waits at most the socket's timeout: a
+    trickling peer is read whole, because every ``recv`` that returns
+    bytes restarts the wait, and a peer that stalls fails the read after
+    one timeout.  Bytes past the frame stay in *frames* for the next
+    reader.
     """
-
-
-def read_frame(sock: socket.socket, idle_ok: bool = False) -> Frame:
-    """Read one complete frame from a socket (blocking, honours timeout).
-
-    With *idle_ok*, a timeout with no bytes read raises
-    :class:`IdleTimeout`; once the header starts arriving the rest of
-    the frame must follow (trickling is fine, stalling is an error).
-    """
-    header = _recv_exact(sock, _HEADER.size, idle_ok=idle_ok)
-    length, request_id, opcode, crc = _HEADER.unpack(header)
-    if length > MAX_PAYLOAD:
-        raise ProtocolError(f"frame claims {length} payload bytes")
-    body = _recv_exact(sock, length, mid_frame=True) if length else b""
-    if zlib.crc32(body) != crc:
-        raise ProtocolError("frame CRC mismatch")
-    payload, consumed = decode_value(body, 0) if length else ({}, 0)
-    if consumed != length or not isinstance(payload, dict):
-        raise ProtocolError("frame payload is not a single codec dict")
-    return Frame(request_id, opcode, payload, wire_size=_HEADER.size + length)
+    while True:
+        frame = frames.next_frame()
+        if frame is not None:
+            return frame
+        try:
+            data = sock.recv(READ_CHUNK)
+        except socket.timeout as exc:
+            raise NetworkError("timed out waiting for a frame") from exc
+        except OSError as exc:
+            raise NetworkError(f"connection lost: {exc}") from exc
+        if not data:
+            if frames.pending_bytes:
+                raise ProtocolError("connection closed mid-frame")
+            raise ConnectionClosed("peer closed the connection")
+        frames.feed(data)
 
 
 def write_frame(sock: socket.socket, request_id: int, opcode: int,

@@ -154,10 +154,6 @@ class BufferCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
 
-    def evict(self, oid: Oid) -> None:
-        with self._lock:
-            self._entries.pop(oid, None)
-
     def invalidate(self) -> None:
         """Advance the floor: entries older than ``latest`` stop serving."""
         with self._lock:
@@ -254,10 +250,9 @@ class RemoteIndexManager:
     Index *structures and maintenance* live on the server, inside the
     object manager that applies the writes; the client sees definitions
     and sizes (for the statistics window) and creates/drops indexes with
-    one round trip.  A client-side planner plans scans (``get`` returns
-    no probe-able structure) — index-accelerated selection crosses the
-    wire whole via :meth:`RemoteObjectManager.select_pushdown`, where
-    the *server's* cost model picks probe vs scan.
+    one round trip.  Selection crosses the wire whole via
+    :meth:`RemoteObjectManager.select_pushdown`, where the *server's*
+    cost model picks probe vs scan.
     """
 
     def __init__(self, manager: "RemoteObjectManager"):
@@ -273,9 +268,6 @@ class RemoteIndexManager:
     def has_index(self, class_name: str, attribute: str) -> bool:
         return any(d["class"] == class_name and d["attribute"] == attribute
                    for d in self._definitions())
-
-    def get(self, class_name: str, attribute: str) -> None:
-        return None  # no client-side index structure: planner falls back to scan
 
     def create_index(self, class_name: str, attribute: str) -> None:
         self._manager._call(P.OP_CREATE_INDEX,

@@ -118,8 +118,9 @@ def check_identity(oid: Oid, stored: str) -> None:
         )
 
 
-#: Records a cluster scan reads per :meth:`Snapshot.find_many`.
-_READ_BATCH = 64
+#: Records read per :meth:`Snapshot.find_many` by a cluster scan and by
+#: an index probe's candidate reads.
+READ_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -217,15 +218,6 @@ class ObjectManager:
         """The per-cluster/per-attribute statistics catalog the planner
         costs plans against (see :mod:`repro.core.statistics`)."""
         return self.indexes.statistics
-
-    def _find_record(self, oid: Oid,
-                     snapshot: Optional[Snapshot] = None) -> Optional[bytes]:
-        reader = snapshot or self._current_snapshot()
-        if reader is not None:
-            return reader.find(oid)
-        # No pin: read through the store, which honours the open
-        # transaction's overlay (read-your-writes).
-        return self._store.find(oid)
 
     def _versions(self):
         if self._version_manager is None:
@@ -330,8 +322,15 @@ class ObjectManager:
         raises :class:`ObjectNotFoundError`.
         """
         with self._m_buffer_time.time():
-            data = self._find_record(oid, snapshot)
-            return None if data is None else self._build_buffer(oid, data)
+            return self.find_buffers([oid], snapshot)[0]
+
+    def find_buffers(self, oids: Sequence[Oid],
+                     snapshot: Optional[Snapshot] = None
+                     ) -> List[Optional[ObjectBuffer]]:
+        """:meth:`find_buffer` of each of *oids*, from one batch read of
+        :meth:`find_records`."""
+        return [None if data is None else self._build_buffer(oid, data)
+                for oid, data in zip(oids, self.find_records(oids, snapshot))]
 
     def _build_buffer(self, oid: Oid, data: bytes) -> ObjectBuffer:
         self._m_buffers.inc()
@@ -356,11 +355,14 @@ class ObjectManager:
                 computed[method.name] = fn(values)
         return computed
 
-    def find_records(self, oids: Sequence[Oid]) -> List[Optional[bytes]]:
-        """The stored records of *oids*, ``None`` where absent, read as
-        :meth:`find_buffer` reads one: from the pinned snapshot in one
-        batch, else through the open transaction's overlay."""
-        reader = self._current_snapshot()
+    def find_records(self, oids: Sequence[Oid],
+                     snapshot: Optional[Snapshot] = None
+                     ) -> List[Optional[bytes]]:
+        """The stored records of *oids*, ``None`` where absent: from
+        *snapshot* or the pinned one in one batch, else through the
+        store, which honours the open transaction's overlay
+        (read-your-writes)."""
+        reader = snapshot or self._current_snapshot()
         if reader is not None:
             return reader.find_many(oids)
         return [self._store.find(oid) for oid in oids]
@@ -492,13 +494,13 @@ class ObjectManager:
     def _members(self, snapshot: Snapshot, class_name: str
                  ) -> Iterator[Tuple[Oid, bytes]]:
         """``(oid, record)`` of every member of a cluster at *snapshot*,
-        in sequencing order, read :data:`_READ_BATCH` records per
+        in sequencing order, read :data:`READ_BATCH` records per
         :meth:`Snapshot.find_many` — one store-lock hold and one fetch
         per page for each batch, not one per row."""
         numbers = snapshot.cluster_numbers(class_name)
-        for start in range(0, len(numbers), _READ_BATCH):
+        for start in range(0, len(numbers), READ_BATCH):
             oids = [Oid(self.database, class_name, number)
-                    for number in numbers[start:start + _READ_BATCH]]
+                    for number in numbers[start:start + READ_BATCH]]
             for oid, data in zip(oids, snapshot.find_many(oids)):
                 if data is None:
                     raise ObjectNotFoundError(

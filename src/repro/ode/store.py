@@ -129,14 +129,13 @@ class ObjectStore(_MembershipReads):
     def _load_stable(self) -> None:
         """Rebuild every volatile structure from the pages and the log,
         exactly as a reopen decides, and checkpoint."""
-        operations = self._wal.committed_operations()
+        replay = self._wal.replay()
         self._placement.load(purge=frozenset(
-            record.oid for record in operations))
-        # COMMIT, CHECKPOINT and TERM records carry the epoch and term;
-        # pre-term logs decode as term 0, hence the store's floor of 1.
-        epoch = max(self._mvcc.epoch, self._wal.max_epoch())
-        self._term = max(self._term, self._wal.max_term())
-        for record in operations:
+            record.oid for record in replay.operations))
+        # Pre-term logs replay as term 0, hence the store's floor of 1.
+        epoch = max(self._mvcc.epoch, replay.epoch)
+        self._term = max(self._term, replay.term)
+        for record in replay.operations:
             oid = Oid.parse(record.oid)
             if record.op == OP_PUT:
                 self._placement.put(oid, record.payload)

@@ -117,6 +117,26 @@ class WalRecord:
         )
 
 
+@dataclass(frozen=True)
+class WalReplay:
+    """The log as a reopen reads it (:meth:`WriteAheadLog.replay`)."""
+
+    #: PUT/DELETE records of committed transactions since the last
+    #: checkpoint, in log order.
+    operations: List[WalRecord]
+    #: Highest commit epoch recorded (0 for pre-MVCC logs).  COMMIT
+    #: records carry the epoch their transaction published; CHECKPOINT
+    #: records the epoch current at truncation, so the counter survives
+    #: a checkpoint that empties the log.
+    epoch: int
+    #: Highest primary term recorded (0 for older logs).  TERM records
+    #: are the durable mint at promotion; COMMIT records carry the term
+    #: each commit was accepted under (replicated commits included, so a
+    #: replica's adopted term survives its own restarts); CHECKPOINT
+    #: records the term current at truncation.
+    term: int
+
+
 class WriteAheadLog:
     """Append-only log with CRC framing and torn-tail recovery."""
 
@@ -257,11 +277,16 @@ class WriteAheadLog:
             yield WalRecord.from_value(value)
             offset = end
 
-    def committed_operations(self) -> List[WalRecord]:
-        """PUT/DELETE records of committed transactions since the last checkpoint."""
+    def replay(self) -> WalReplay:
+        """What reopening a store needs from the log, in one pass."""
         pending: Dict[int, List[WalRecord]] = {}
         committed: List[WalRecord] = []
+        epoch = term = 0
         for record in self.records():
+            if record.op in (OP_COMMIT, OP_CHECKPOINT):
+                epoch = max(epoch, record.epoch)
+            if record.op in (OP_TERM, OP_COMMIT, OP_CHECKPOINT):
+                term = max(term, record.term)
             if record.op == OP_CHECKPOINT:
                 pending.clear()
                 committed.clear()
@@ -273,7 +298,7 @@ class WriteAheadLog:
                 committed.extend(pending.pop(record.txid, ()))
             elif record.op == OP_ABORT:
                 pending.pop(record.txid, None)
-        return committed
+        return WalReplay(committed, epoch, term)
 
     def committed_units(
             self, after_epoch: int,
@@ -319,35 +344,6 @@ class WriteAheadLog:
             elif record.op == OP_ABORT:
                 pending.pop(record.txid, None)
         return units, floor
-
-    def max_epoch(self) -> int:
-        """Highest commit epoch recorded in the log (0 for pre-MVCC logs).
-
-        COMMIT records carry the epoch their transaction published;
-        CHECKPOINT records carry the epoch current at truncation time,
-        so the counter survives a checkpoint that empties the log.
-        """
-        highest = 0
-        for record in self.records():
-            if record.op in (OP_COMMIT, OP_CHECKPOINT):
-                highest = max(highest, record.epoch)
-        return highest
-
-    def max_term(self) -> int:
-        """Highest primary term recorded in the log (0 for older logs).
-
-        TERM records are the durable mint at promotion; COMMIT records
-        carry the term each commit was accepted under (including
-        replicated commits, whose frames land here verbatim — so a
-        replica's adopted term survives its own restarts); CHECKPOINT
-        records carry the term current at truncation, so the counter
-        survives a checkpoint that empties the log.
-        """
-        highest = 0
-        for record in self.records():
-            if record.op in (OP_TERM, OP_COMMIT, OP_CHECKPOINT):
-                highest = max(highest, record.term)
-        return highest
 
     def mint_term(self, term: int) -> None:
         """Durably record a newly minted (or adopted) primary term.

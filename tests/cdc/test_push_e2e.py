@@ -8,6 +8,8 @@ dead and wedged subscribers, and session teardown.
 
 from __future__ import annotations
 
+import select
+import threading
 import time
 
 import pytest
@@ -80,7 +82,7 @@ class TestPushDelivery:
 
     def test_push_interleaves_with_pipelined_replies(self, remote_lab,
                                                      writer_lab):
-        """A batch of pipelined reads drains correctly even while the
+        """Back-to-back reads pair with their own replies even while the
         server is pushing events onto the same socket."""
         employees = remote_lab.objects.count("employee")
         departments = remote_lab.objects.count("department")
@@ -88,10 +90,10 @@ class TestPushDelivery:
             oid = writer_lab.objects.cluster("employee").first()
             for _ in range(10):
                 _touch(writer_lab, oid)
-                replies = remote_lab.client.call_many([
-                    (P.OP_COUNT, {"db": "lab", "class": "employee"}),
-                    (P.OP_COUNT, {"db": "lab", "class": "department"}),
-                ])
+                replies = [
+                    remote_lab.client.call(
+                        P.OP_COUNT, {"db": "lab", "class": name})
+                    for name in ("employee", "department")]
                 # replies pair with their requests despite interleaved
                 # pushes on the same socket
                 assert [r["count"] for r in replies] == [
@@ -136,31 +138,36 @@ class TestPushDelivery:
         finally:
             client.close()
 
-    def test_subscribed_calls_leave_the_pump_no_idle_read(self, served_lab,
-                                                          monkeypatch):
+    def test_subscribed_calls_leave_the_pump_no_idle_read(self, served_lab):
         """The pump sees a caller's reply arrive, then waits for the
         request lock.  By the time it holds the lock the caller has taken
-        those bytes; a read then idles out under the lock and the next
-        call waits ``PUSH_READ_TIMEOUT`` behind it.  Counted, not timed."""
-        idle_outs = []
-        read_frame = P.read_frame
+        those bytes; a read then would wait under the lock in front of
+        the next call.  Every pump ``recv`` must find bytes waiting.
+        Counted, not timed."""
+        idle_reads = []
 
-        def counting(sock, idle_ok=False):
-            try:
-                return read_frame(sock, idle_ok=idle_ok)
-            except P.IdleTimeout:
-                idle_outs.append(sock)
-                raise
+        class CountingSocket:
+            def __init__(self, sock):
+                self._sock = sock
 
-        monkeypatch.setattr(P, "read_frame", counting)
+            def recv(self, size):
+                if (threading.current_thread().name == "ode-client-push"
+                        and not select.select([self._sock], [], [], 0)[0]):
+                    idle_reads.append(size)
+                return self._sock.recv(size)
+
+            def __getattr__(self, name):
+                return getattr(self._sock, name)
+
         client = OdeClient("127.0.0.1", served_lab.port).connect()
+        client._sock = CountingSocket(client._sock)
         try:
             with client.subscribe("lab"):
                 for _ in range(100):
                     client.call(P.OP_PING)
         finally:
             client.close()
-        assert idle_outs == []
+        assert idle_reads == []
 
 
 class TestCommitPathIsolation:

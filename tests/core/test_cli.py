@@ -205,6 +205,50 @@ class TestVacuum:
         assert "rakesh" in out
 
 
+class TestConnect:
+    """The CLI's remote path: a database served in-process browses to
+    the same screens as a local copy of it."""
+
+    @pytest.fixture
+    def clis(self, tmp_path):
+        import shutil
+
+        from repro.data.labdb import make_lab_database
+        from repro.net.server import OdeServer
+
+        make_lab_database(tmp_path / "served").close()
+        shutil.copytree(tmp_path / "served", tmp_path / "local")
+        (tmp_path / "client").mkdir()
+        server = OdeServer(tmp_path / "served")
+        server.start()
+        local = OdeViewCli(str(tmp_path / "local"), screen_width=200)
+        remote = OdeViewCli(str(tmp_path / "client"), screen_width=200)
+        try:
+            yield local, remote, server.port
+        finally:
+            remote.app.shutdown()
+            local.app.shutdown()
+            server.shutdown()
+
+    def test_connect_lists_the_served_classes(self, clis):
+        local, remote, port = clis
+        out = remote.execute(f"connect 127.0.0.1 {port} lab")
+        assert out.startswith(f"connected to lab at 127.0.0.1:{port}; ")
+        assert out.endswith(local.execute("open lab").split(": ", 1)[1])
+
+    def test_remote_screens_match_the_local_copy(self, clis):
+        local, remote, port = clis
+        local.execute("open lab")
+        remote.execute(f"connect 127.0.0.1 {port} lab")
+        for line in ("objects lab employee", "next", "follow dept"):
+            assert remote.execute(line) == local.execute(line), line
+
+    def test_non_numeric_port_rejected(self, clis):
+        _local, remote, _port = clis
+        with pytest.raises(CommandError, match="port must be a number"):
+            remote.execute("connect 127.0.0.1 http lab")
+
+
 class TestServeArguments:
     def test_positionals_and_defaults(self):
         assert _parse_serve_args(["/data"]) == {

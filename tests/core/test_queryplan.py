@@ -118,6 +118,43 @@ class TestPlanner:
         assert "full cluster scan" in plan.explain()
 
 
+class TestCandidateReads:
+    def test_index_candidates_are_read_by_the_batch(self, tmp_path,
+                                                    monkeypatch):
+        """1 000 index candidates are read 64 per store lookup — 16
+        page-grouped lookups, not one per candidate — and an absent
+        candidate is still skipped."""
+        from repro.data.synthetic import make_synthetic_database
+        from repro.ode.store import ObjectStore
+
+        database = make_synthetic_database(tmp_path, readings=1000,
+                                           sensors=2)
+        try:
+            database.objects.indexes.create_index("reading", "seq")
+            gone = database.objects.cluster("reading").first()
+            lookups = []
+            snapshot_lookup = ObjectStore._snapshot_lookup
+
+            def counting(store, oids, epoch):
+                lookups.append(len(oids))
+                return snapshot_lookup(store, oids, epoch)
+
+            monkeypatch.setattr(ObjectStore, "_snapshot_lookup", counting)
+            planner = SelectionPlanner(database)
+            expr = parse_expression("seq < 1000 && value >= 0")
+            plan = planner.plan("reading", expr, force="index")
+            assert plan.access == "index-range"
+            assert len(plan.candidates) == 1000
+            # delete behind the plan's back (store-level, index not notified)
+            database.store.delete(gone)
+            with database.objects.pinned():
+                rows = list(planner.execute(plan))
+            assert len(rows) == 999 and gone not in [b.oid for b in rows]
+            assert lookups == [64] * 15 + [40]
+        finally:
+            database.close()
+
+
 class TestBuilderIntegration:
     def test_builder_plan_and_execute(self, lab_db):
         lab_db.objects.indexes.create_index("employee", "id")

@@ -162,7 +162,8 @@ class TestIdleCost:
                     ("127.0.0.1", served_lab.port), timeout=10.0)
                 idle.append(sock)
                 sock.sendall(hello)
-                assert P.read_frame(sock).opcode == P.OP_REPLY
+                reply = P.recv_frame(sock, P.FrameReassembler())
+                assert reply.opcode == P.OP_REPLY
             counter = get_registry().counter("net.server.wakeups")
             before = counter.value
             time.sleep(1.0)

@@ -19,7 +19,7 @@ def _decode(data: bytes) -> P.Frame:
         sender.sendall(data)
         sender.close()
         receiver.settimeout(1.0)
-        return P.read_frame(receiver)
+        return P.recv_frame(receiver, P.FrameReassembler())
     finally:
         receiver.close()
 
@@ -124,7 +124,8 @@ class TestBufferMarshalling:
 
 
 class TestStreamTimeouts:
-    """Idle polls vs. slow peers: only a zero-byte timeout is idle."""
+    """A timeout is a NetworkError wherever it falls; bytes that did
+    arrive stay buffered, so no read resumes mid-frame as a header."""
 
     @staticmethod
     def _pair(timeout=0.05):
@@ -132,53 +133,47 @@ class TestStreamTimeouts:
         b.settimeout(timeout)
         return a, b
 
-    def test_idle_timeout_when_no_bytes_arrived(self):
-        sender, receiver = self._pair()
-        try:
-            with pytest.raises(P.IdleTimeout):
-                P.read_frame(receiver, idle_ok=True)
-        finally:
-            sender.close()
-            receiver.close()
-
     def test_timeout_without_idle_ok_is_plain_network_error(self):
         from repro.errors import NetworkError
 
         sender, receiver = self._pair()
         try:
-            with pytest.raises(NetworkError) as excinfo:
-                P.read_frame(receiver)
-            assert not isinstance(excinfo.value, P.IdleTimeout)
+            with pytest.raises(NetworkError, match="timed out"):
+                P.recv_frame(receiver, P.FrameReassembler())
         finally:
             sender.close()
             receiver.close()
 
     def test_partial_header_timeout_is_not_idle(self):
-        """Bytes were consumed: swallowing the timeout would desync."""
+        """Bytes were consumed: they stay buffered, not re-read."""
         from repro.errors import NetworkError
 
         sender, receiver = self._pair()
+        frames = P.FrameReassembler()
         try:
             frame = P.encode_frame(1, P.OP_PING)
             sender.sendall(frame[:5])  # header is 13 bytes; stall mid-header
-            with pytest.raises(NetworkError) as excinfo:
-                P.read_frame(receiver, idle_ok=True)
-            assert not isinstance(excinfo.value, P.IdleTimeout)
+            with pytest.raises(NetworkError, match="timed out"):
+                P.recv_frame(receiver, frames)
+            assert frames.pending_bytes == 5
+            sender.sendall(frame[5:])
+            assert P.recv_frame(receiver, frames).request_id == 1
         finally:
             sender.close()
             receiver.close()
 
     def test_slow_body_after_header_is_not_idle(self):
-        """A complete header with a stalled body must not look idle."""
+        """A complete header with a stalled body times out once."""
         from repro.errors import NetworkError
 
         sender, receiver = self._pair()
+        frames = P.FrameReassembler()
         try:
             frame = P.encode_frame(2, P.OP_GET_OBJECT, {"oid": "a:b:1"})
             sender.sendall(frame[:15])  # full header + 2 body bytes
-            with pytest.raises(NetworkError) as excinfo:
-                P.read_frame(receiver, idle_ok=True)
-            assert not isinstance(excinfo.value, P.IdleTimeout)
+            with pytest.raises(NetworkError, match="timed out"):
+                P.recv_frame(receiver, frames)
+            assert frames.pending_bytes == 15
         finally:
             sender.close()
             receiver.close()
@@ -199,10 +194,24 @@ class TestStreamTimeouts:
 
             thread = threading.Thread(target=trickle)
             thread.start()
-            decoded = P.read_frame(receiver, idle_ok=True)
+            decoded = P.recv_frame(receiver, P.FrameReassembler())
             thread.join(5)
             assert decoded.request_id == 3
             assert decoded.payload == {"n": 42}
         finally:
             sender.close()
+            receiver.close()
+
+    def test_frames_behind_the_first_stay_buffered(self):
+        """One write carrying two frames: the second is returned by the
+        next call without a read."""
+        sender, receiver = self._pair()
+        frames = P.FrameReassembler()
+        try:
+            sender.sendall(P.encode_frame(1, P.OP_REPLY, {"a": 1})
+                           + P.encode_frame(0, P.OP_CDC_EVENT, {"b": 2}))
+            assert P.recv_frame(receiver, frames).payload == {"a": 1}
+            sender.close()  # a read now would see EOF, not the frame
+            assert P.recv_frame(receiver, frames).payload == {"b": 2}
+        finally:
             receiver.close()

@@ -10,8 +10,9 @@ and ``explain`` must report the plan the server would run.
 import pytest
 
 from repro.core.queryplan import SelectionPlanner
+from repro.core.selection import SelectionBuilder
 from repro.data.labdb import make_lab_database
-from repro.errors import AccessError
+from repro.errors import AccessError, SelectionError
 from repro.net.remote import RemoteDatabase
 from repro.net.server import OdeServer
 from repro.ode.opp.parser import parse_expression
@@ -92,3 +93,19 @@ def test_a_private_attribute_needs_privileged_mode(indexed_lab):
     assert shipped == local and local
     # privileged reads the private attribute; it does not publish it
     assert all("salary" not in buffer.public_names for buffer in shipped)
+
+
+def test_a_remote_builder_refuses_to_plan_locally(indexed_lab):
+    """The client has no statistics or indexes to plan with: ``plan``
+    names ``explain``, which asks the server, and ``execute`` still
+    ships the selection."""
+    database, remote = indexed_lab
+    builder = SelectionBuilder(remote, "employee")
+    builder.set_condition("id == 7")
+    with pytest.raises(SelectionError, match=r"explain\(\)"):
+        builder.plan()
+    with database.objects.pinned():
+        plan = SelectionPlanner(database).plan(
+            "employee", parse_expression("id == 7"))
+    assert builder.explain() == plan.explain()
+    assert [buffer.value("id") for buffer in builder.execute()] == [7]

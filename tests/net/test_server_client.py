@@ -276,27 +276,6 @@ class TestWrites:
             remote_lab.objects.new_object("department", {"bogus": 1})
 
 
-class TestPipelining:
-    def test_call_many_in_order(self, remote_lab):
-        requests = [
-            (P.OP_COUNT, {"db": "lab", "class": name})
-            for name in ("employee", "department", "manager")
-        ]
-        replies = remote_lab.client.call_many(requests)
-        assert [r["count"] for r in replies] == [55, 7, 7]
-
-    def test_call_many_surfaces_errors_after_draining(self, remote_lab):
-        requests = [
-            (P.OP_COUNT, {"db": "lab", "class": "employee"}),
-            (P.OP_COUNT, {"db": "lab", "class": "nosuch"}),
-            (P.OP_COUNT, {"db": "lab", "class": "manager"}),
-        ]
-        with pytest.raises(SchemaError):
-            remote_lab.client.call_many(requests)
-        # the connection survived the error
-        assert remote_lab.objects.count("employee") == 55
-
-
 class TestResilience:
     def test_read_retries_after_connection_drop(self, remote_lab):
         remote_lab.objects.cache.purge()

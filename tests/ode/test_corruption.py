@@ -250,7 +250,7 @@ class TestWalCorruption:
         path = tmp_path / "wal.log"
         path.write_bytes(bytes(range(256)) * 4)
         with WriteAheadLog(path) as wal:
-            assert wal.committed_operations() == []
+            assert wal.replay().operations == []
 
     def test_bitflip_anywhere_never_crashes(self, tmp_path):
         oid = Oid("db", "c", 0)
@@ -271,7 +271,7 @@ class TestWalCorruption:
             corrupted[position] ^= 1 << rng.randrange(8)
             base.write_bytes(bytes(corrupted))
             with WriteAheadLog(base) as wal:
-                operations = wal.committed_operations()
+                operations = wal.replay().operations
                 # either the record survived (flip was after commit frame)
                 # or it was dropped; never a wrong payload
                 for record in operations:

@@ -43,21 +43,21 @@ def test_binary_payload_roundtrip(wal):
 
 def test_committed_operations_includes_committed(wal):
     _tx(wal, 1, (OP_PUT, "db:c:0", b"a"), (OP_DELETE, "db:c:1", b""))
-    ops = wal.committed_operations()
+    ops = wal.replay().operations
     assert [(r.op, r.oid) for r in ops] == [
         (OP_PUT, "db:c:0"), (OP_DELETE, "db:c:1")]
 
 
 def test_aborted_transaction_excluded(wal):
     _tx(wal, 1, (OP_PUT, "db:c:0", b"a"), outcome=OP_ABORT)
-    assert wal.committed_operations() == []
+    assert wal.replay().operations == []
 
 
 def test_uncommitted_transaction_excluded(wal):
     wal.append(WalRecord(op=OP_BEGIN, txid=1))
     wal.append(WalRecord(op=OP_PUT, txid=1, oid="db:c:0", payload=b"a"))
     wal.sync()
-    assert wal.committed_operations() == []
+    assert wal.replay().operations == []
 
 
 def test_interleaved_transactions(wal):
@@ -67,16 +67,45 @@ def test_interleaved_transactions(wal):
     wal.append(WalRecord(op=OP_PUT, txid=2, oid="db:c:1", payload=b"two"))
     wal.append(WalRecord(op=OP_COMMIT, txid=2))
     wal.append(WalRecord(op=OP_ABORT, txid=1), sync=True)
-    ops = wal.committed_operations()
+    ops = wal.replay().operations
     assert [(r.txid, r.oid) for r in ops] == [(2, "db:c:1")]
 
 
 def test_checkpoint_truncates(wal):
     _tx(wal, 1, (OP_PUT, "db:c:0", b"a"))
     wal.checkpoint()
-    assert wal.committed_operations() == []
+    assert wal.replay().operations == []
     records = list(wal.records())
     assert [r.op for r in records] == ["checkpoint"]
+
+
+def test_replay_reads_the_highest_epoch_and_term(wal):
+    """Epochs come from COMMIT and CHECKPOINT records, terms also from
+    TERM records; a checkpoint that empties the log keeps both."""
+    wal.append(WalRecord(op=OP_BEGIN, txid=1))
+    wal.append(WalRecord(op=OP_COMMIT, txid=1, epoch=4, term=2))
+    wal.mint_term(3)
+    replay = wal.replay()
+    assert (replay.epoch, replay.term) == (4, 3)
+    wal.checkpoint(epoch=6, term=3)
+    replay = wal.replay()
+    assert (replay.operations, replay.epoch, replay.term) == ([], 6, 3)
+
+
+def test_opening_a_store_reads_the_log_once(tmp_path, monkeypatch):
+    from repro.ode.store import ObjectStore
+
+    ObjectStore(tmp_path / "store").close()
+    reads = []
+    records = WriteAheadLog.records
+
+    def counting(log):
+        reads.append(log.path)
+        return records(log)
+
+    monkeypatch.setattr(WriteAheadLog, "records", counting)
+    ObjectStore(tmp_path / "store").close()
+    assert len(reads) == 1
 
 
 def test_torn_tail_ignored(tmp_path):
@@ -86,7 +115,7 @@ def test_torn_tail_ignored(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data + b"\x00\x00\x00\x50garbage")  # torn frame
     with WriteAheadLog(path) as log:
-        ops = log.committed_operations()
+        ops = log.replay().operations
         assert [(r.op, r.payload) for r in ops] == [(OP_PUT, b"good")]
 
 
@@ -99,7 +128,7 @@ def test_corrupt_crc_stops_replay(tmp_path):
     data[-3] ^= 0xFF  # flip a bit in the final frame
     path.write_bytes(bytes(data))
     with WriteAheadLog(path) as log:
-        oids = [r.oid for r in log.committed_operations()]
+        oids = [r.oid for r in log.replay().operations]
         assert "db:c:0" in oids
         assert "db:c:1" not in oids
 
@@ -114,7 +143,7 @@ def test_survives_reopen(tmp_path):
     with WriteAheadLog(path) as log:
         _tx(log, 1, (OP_PUT, "db:c:0", b"persisted"))
     with WriteAheadLog(path) as log:
-        assert len(log.committed_operations()) == 1
+        assert len(log.replay().operations) == 1
 
 
 _records = st.lists(
@@ -234,5 +263,5 @@ class TestNativeBytesPayloads:
         with WriteAheadLog(path) as log:
             _tx(log, 1, (OP_PUT, "db:c:0", payload))
         with WriteAheadLog(path) as log:
-            records = log.committed_operations()
+            records = log.replay().operations
             assert records[0].payload == payload
