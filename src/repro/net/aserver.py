@@ -5,19 +5,23 @@ Connections are coroutines, so their cost is a file descriptor and a
 small heap object — the connection-count ceiling is the fd limit, not
 how many OS threads the box can stand.
 
-Division of labour around the loop:
+Division of labour around the loop, by each opcode's rule in
+:data:`~repro.net.protocol.OPCODES`:
 
-reads
-    dispatched inline on the loop.  MVCC makes them lock-free (each
+pinned reads, cursors, session-local work
+    dispatched inline on the loop.  MVCC makes reads lock-free (each
     request pins a snapshot), so there is nothing to wait on and a hop
     to another thread would only add latency.
-writes
+writes (and autocommit writes)
     serialized per database by an ``asyncio.Lock`` and run on a small
     thread pool in two steps: ``write_prepare`` — overlay apply plus
     ``commit_stage`` — under the lock, then ``commit_wait`` with the
     lock *released*, so the loop never blocks on an fsync and
     concurrent sessions' commits batch into one ``wal.group.sync``.
-change-log readers
+executor
+    a replication snapshot's copy-out and a promotion's fsyncs run on
+    the pool with no lock.
+on-loop streams: change-log readers
     a CDC subscription and a replication long-poll are both a cursor
     over the database's change log (:class:`~repro.ode.changelog.ChangeLog`)
     read inline on the loop.  A commit appends once and posts one
@@ -195,24 +199,20 @@ class _AsyncConnection:
 
     async def _dispatch(self, opcode: int,
                         payload: Dict[str, Any]) -> Dict[str, Any]:
-        session = self._session
-        if opcode == P.OP_CDC_SUBSCRIBE:
-            return await self._cdc_subscribe(payload)
-        if opcode == P.OP_CDC_UNSUBSCRIBE:
-            return await self._cdc_unsubscribe(payload)
-        if opcode == P.OP_REPL_FETCH:
-            return await self._repl_fetch(payload)
-        if opcode in (P.OP_REPL_SNAPSHOT, P.OP_REPL_PROMOTE):
-            # Snapshot: a full-state copy-out, too much CPU for the
-            # loop.  Promote: fsyncs a TERM record per database — the
-            # loop must never block on an fsync.
-            return await asyncio.get_running_loop().run_in_executor(
-                self._server._executor, session.dispatch, opcode, payload)
-        if opcode in P.WRITE_OPCODES:
-            return await self._dispatch_write(opcode, payload)
-        # Everything else is a lock-free snapshot read (or session-local
-        # cursor work): inline on the loop, no hop.
-        return session.dispatch(opcode, payload)
+        match P.opcode_info(opcode).rule:
+            case P.Rule.WRITE | P.Rule.AUTOCOMMIT:
+                return await self._dispatch_write(opcode, payload)
+            case P.Rule.EXECUTOR:
+                # A full-state copy-out is too much CPU for the loop, and
+                # a promotion fsyncs: the loop never blocks on an fsync.
+                return await asyncio.get_running_loop().run_in_executor(
+                    self._server._executor, self._session.dispatch, opcode,
+                    payload)
+            case P.Rule.ON_LOOP:
+                return await _STREAMS[opcode](self, payload)
+        # A lock-free snapshot read or session-local work: inline on the
+        # loop, no hop.  The session refuses what it does not serve.
+        return self._session.dispatch(opcode, payload)
 
     # -- writes ------------------------------------------------------------------
 
@@ -222,7 +222,7 @@ class _AsyncConnection:
         loop = asyncio.get_running_loop()
         lock = self._tx_lock
         if lock is None:
-            hosted = session.resolve_hosted(payload)
+            hosted = session.hosted(payload)
             lock = self._server._write_lock_for(hosted.database.name)
             await lock.acquire()
         staged: Optional[int] = None
@@ -251,7 +251,7 @@ class _AsyncConnection:
     # -- change-log readers ------------------------------------------------------
 
     async def _repl_fetch(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        hosted = self._session.resolve_hosted(payload)
+        hosted = self._session.hosted(payload)
         store = hosted.database.store
         after = _fetch_field(payload, "after", 0, 0)
         max_units = _fetch_field(payload, "max", 64, 1)
@@ -272,7 +272,7 @@ class _AsyncConnection:
                 pass  # the next round replies with no units
 
     async def _cdc_subscribe(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        hosted = self._session.resolve_hosted(payload)
+        hosted = self._session.hosted(payload)
         database = hosted.database
         clusters = payload.get("clusters")
         if clusters is not None:
@@ -327,3 +327,9 @@ class _AsyncConnection:
                 self._drop_subscription(sub.sub_id)
                 return
             await changed.wait()
+
+
+#: ``_AsyncConnection._<name>`` for every on-loop stream row of the
+#: opcode table; a row without one fails the import.
+_STREAMS = {row.code: getattr(_AsyncConnection, f"_{row.name}")
+            for row in P.OPCODES.values() if row.rule is P.Rule.ON_LOOP}

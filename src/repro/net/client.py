@@ -7,19 +7,20 @@ through one :class:`~repro.net.protocol.FrameReassembler` per
 connection, the parser the server uses, so a partial frame waits in its
 buffer for whichever reader comes next.
 
-Failure policy: requests whose opcode is in
-:data:`~repro.net.protocol.READ_OPCODES` are idempotent and are retried
-after a connection failure — bounded attempts, exponential backoff,
-reconnecting in between.  Writes are never retried automatically: the
-frame may have been applied before the connection died, and replaying it
-would double-apply.  The one exception is a failed *connect* — the frame
-provably never left this process — which triggers primary failover when
-a replica set is configured: the client probes the replicas for the
-highest-term node now serving as primary (``OP_REPL_PROMOTE`` made one),
-re-points at it, keeps its epoch floor (read-your-writes survives the
-switch) and re-sends.  A resurrected old primary is refused at the
-handshake with :class:`~repro.errors.StalePrimaryError`: its fenced term
-is below one this session has already observed.
+Failure policy: requests whose row in the opcode table
+(:data:`~repro.net.protocol.OPCODES`) says ``retry`` are idempotent and
+are retried after a connection failure — bounded attempts, exponential
+backoff, reconnecting in between.  Writes are never retried
+automatically: the frame may have been applied before the connection
+died, and replaying it would double-apply.  The one exception is a failed
+*connect* — the frame provably never left this process — which triggers
+primary failover when a replica set is configured: the client probes the
+replicas for the highest-term node now serving as primary
+(``OP_REPL_PROMOTE`` made one), re-points at it, keeps its epoch floor
+(read-your-writes survives the switch) and re-sends.  A resurrected old
+primary is refused at the handshake with
+:class:`~repro.errors.StalePrimaryError`: its fenced term is below one
+this session has already observed.
 
 Reconnecting creates a *new server session*, and session-affine state
 (an open transaction, sequencing cursors) does not survive: the server
@@ -35,14 +36,16 @@ using is gone.
 
 Server-reported failures arrive as ``OP_ERROR`` frames carrying the
 exception's class name; the client re-raises the matching class from
-:mod:`repro.errors`, so remote failures look exactly like local ones.
+:mod:`repro.errors`, or the builtin lookup, arithmetic, value, type and
+attribute errors a computed method may raise, so remote failures look
+exactly like local ones.
 Re-raised remote errors are tagged ``remote=True``: even when the class
 is a :class:`~repro.errors.NetworkError` subclass (the server validates
 requests with it), the connection itself is healthy and is not dropped
 or retried.
 
 Replica routing.  Constructed with ``replicas=[(host, port), ...]``,
-the client spreads per-object reads across the replica set, rotating
+the client spreads ``routed`` reads across the replica set, rotating
 round-robin, with the primary as the fallback of last resort.  The
 session invariant is *monotonic reads with read-your-writes*: the
 client tracks an **epoch floor** — the highest epoch any reply it has
@@ -76,16 +79,6 @@ from repro.errors import (
 from repro.net import protocol as P
 from repro.obs.metrics import get_registry
 
-#: Read opcodes the client may serve from a replica: per-object /
-#: per-cluster data reads, where "which epoch answered" is well defined
-#: and carried in the reply.  Catalog and maintenance reads (hello,
-#: stats, display modules, ...) describe *a particular server* and
-#: always go where the client points.
-ROUTED_OPCODES = frozenset({
-    P.OP_GET_OBJECT, P.OP_GET_OBJECTS, P.OP_SCAN_CLUSTER,
-    P.OP_CLUSTER_NUMBERS, P.OP_COUNT, P.OP_EXISTS, P.OP_VERSION_HISTORY,
-})
-
 #: First delay before a read retry; doubles per attempt.
 RETRY_BACKOFF_SECONDS = 0.05
 
@@ -109,8 +102,20 @@ class _ReplicaEndpoint:
         self.down_until = 0.0
 
 
+#: The builtin exceptions a server error keeps its class as: the
+#: lookup, arithmetic, value, type and attribute families, those built
+#: from a message alone.  A computed method that raises ``KeyError`` on
+#: the server raises ``KeyError`` at a remote reader, as at a local one.
+_BUILTIN_ERRORS = {cls.__name__: cls for cls in (
+    LookupError, KeyError, IndexError,
+    ArithmeticError, ZeroDivisionError, OverflowError, FloatingPointError,
+    ValueError, UnicodeError, TypeError, AttributeError)}
+
+
 def _raise_remote(payload: Dict[str, Any]) -> None:
-    """Re-raise an OP_ERROR payload as its local exception class.
+    """Re-raise an OP_ERROR payload as its local exception class: one
+    of :mod:`repro.errors` or of :data:`_BUILTIN_ERRORS`, else
+    :class:`~repro.errors.RemoteError` naming the kind.
 
     The exception is tagged ``remote=True``: it reports the *server's*
     verdict on a request the connection delivered fine.  The retry loop
@@ -122,6 +127,8 @@ def _raise_remote(payload: Dict[str, Any]) -> None:
     cls = getattr(errors, kind, None)
     if isinstance(cls, type) and issubclass(cls, OdeError):
         exc = cls(message)
+    elif kind in _BUILTIN_ERRORS:
+        exc = _BUILTIN_ERRORS[kind](message)
     else:
         exc = RemoteError(kind, message)
     exc.remote = True
@@ -388,7 +395,7 @@ class OdeClient:
 
     def _routable(self, opcode: int) -> bool:
         return (bool(self._replicas)
-                and opcode in ROUTED_OPCODES
+                and P.opcode_info(opcode).routed
                 # Transaction open: reads must see the session's own
                 # uncommitted writes, which live only on the primary.
                 and not self._session_resources)
@@ -433,6 +440,10 @@ class OdeClient:
                 # replica that may simply not have applied the commit
                 # yet: only the primary can refuse authoritatively.
                 continue
+            except tuple(_BUILTIN_ERRORS.values()) as exc:
+                if not getattr(exc, "remote", False):
+                    raise
+                continue  # the same, from a replica's computed method
             epoch = reply.get("epoch")
             if isinstance(epoch, int) and epoch < floor:
                 self._m_route_stale.inc()
@@ -456,7 +467,7 @@ class OdeClient:
         while True:
             frame = P.recv_frame(self._sock, self._frames)
             self._m_bytes_in.inc(frame.wire_size)
-            if frame.opcode in P.PUSH_OPCODES:
+            if P.opcode_info(frame.opcode).rule is P.Rule.PUSH:
                 self._dispatch_push(frame)
                 continue
             self._dispatch_buffered_locked()
@@ -472,7 +483,7 @@ class OdeClient:
             if frame is None:
                 return
             self._m_bytes_in.inc(frame.wire_size)
-            if frame.opcode not in P.PUSH_OPCODES:
+            if P.opcode_info(frame.opcode).rule is not P.Rule.PUSH:
                 raise errors.ProtocolError(
                     f"unsolicited {P.opcode_name(frame.opcode)} frame for "
                     f"request {frame.request_id}: stream out of step")
@@ -525,7 +536,7 @@ class OdeClient:
     def _call_primary(self, opcode: int,
                       payload: Optional[Dict[str, Any]]) -> Dict[str, Any]:
         """:meth:`call` without the replica route, the reply as sent."""
-        attempts = 1 + (self.retries if opcode in P.READ_OPCODES else 0)
+        attempts = 1 + (self.retries if P.opcode_info(opcode).retry else 0)
         delay = RETRY_BACKOFF_SECONDS
         failed_over = False
         with self._m_request_seconds.time():

@@ -21,17 +21,19 @@ into a request.
 
 Replies use ``OP_REPLY`` with the result dict, or ``OP_ERROR`` with
 ``{"kind": <exception class name>, "message": str}``; the client
-re-raises the matching :mod:`repro.errors` class so remote failures are
-indistinguishable from local ones to calling code.
+re-raises the matching :mod:`repro.errors` (or builtin) class so remote
+failures are indistinguishable from local ones to calling code.
 """
 
 from __future__ import annotations
 
+import enum
 import socket
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Any, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from repro.errors import NetworkError, ProtocolError
 from repro.ode.codec import decode_fields, decode_value, encode_value, parse_oid
@@ -54,137 +56,156 @@ HEADER_SIZE = _HEADER.size
 
 # -- opcodes -------------------------------------------------------------------
 
-OP_HELLO = 0x01
-OP_LIST_DATABASES = 0x02
-OP_OPEN_DATABASE = 0x03
-OP_GET_DISPLAY_MODULES = 0x04
-OP_PING = 0x05
+class Rule(enum.Enum):
+    """How the server serves an opcode — the one decision the session,
+    the event loop and the client read from :data:`OPCODES`."""
 
-OP_GET_OBJECT = 0x10
-OP_GET_OBJECTS = 0x11
-OP_SCAN_CLUSTER = 0x12
-OP_CLUSTER_NUMBERS = 0x13
-OP_COUNT = 0x14
-OP_EXISTS = 0x15
-OP_VERSION_HISTORY = 0x16
-OP_SELECT = 0x17
-OP_EXPLAIN = 0x18
+    #: Session work that names no database: no pin, no lock.
+    NO_DATABASE = "no database"
+    #: A read from a store snapshot pinned for the request (or through
+    #: the session's own transaction overlay), inline on the loop.
+    PINNED_READ = "pinned read"
+    #: A sequencing-cursor request, lock-free on the cursor's own pinned
+    #: snapshot; opening one must not run inside an ambient pin.
+    CURSOR = "cursor"
+    #: Runs on the executor under the database's writer lock (held
+    #: across an explicit transaction from ``begin`` to its end).
+    WRITE = "write"
+    #: A write in its own transaction: begin, the op and commit staging
+    #: under the writer lock, the fsync wait after it is released.
+    AUTOCOMMIT = "autocommit write"
+    #: Session work too heavy for the loop (a full-state copy, an
+    #: fsync), on the executor with no lock and no ambient pin.
+    EXECUTOR = "executor"
+    #: A change-log reader the connection layer serves on the loop
+    #: itself; it may park until the next commit.
+    ON_LOOP = "on-loop stream"
+    #: An unsolicited server push, sent with request id 0: never a
+    #: request and never a reply.
+    PUSH = "push"
+    #: A reply frame.
+    REPLY = "reply"
+    #: A number kept taken that no server serves.
+    RESERVED = "reserved"
 
-OP_NEW_OBJECT = 0x20
-OP_UPDATE = 0x21
-OP_DELETE = 0x22
-OP_CREATE_INDEX = 0x23
-OP_DROP_INDEX = 0x24
 
-OP_BEGIN = 0x30
-OP_COMMIT = 0x31
-OP_ABORT = 0x32
+class Opcode(NamedTuple):
+    """One row of the opcode table."""
 
-OP_CURSOR_OPEN = 0x40
+    code: int
+    #: The metric suffix (``net.server.requests.<name>``) and, for a
+    #: session-served row, the handler ``ServerSession.op_<name>``.
+    name: str
+    rule: Rule
+    #: Never changes server state, so the client retries it after a
+    #: connection failure (at-most-once semantics are preserved).
+    retry: bool = False
+    #: A per-object or per-cluster data read the client may serve from
+    #: a replica: which epoch answered is well defined and in the reply.
+    routed: bool = False
+    #: An object read whose reply is one object: ``"buffer"``, not
+    #: ``"buffers"``.
+    one_object: bool = False
+
+
+#: The opcode table: every opcode the wire knows, by number.
+OPCODES: Dict[int, Opcode] = {}
+
+
+def _opcode(code: int, name: str, rule: Rule, **facts: bool) -> int:
+    """Declare one opcode's row; returns its number."""
+    if code in OPCODES:
+        raise ValueError(f"opcode {code:#04x} declared twice")
+    OPCODES[code] = Opcode(code, name, rule, **facts)
+    return code
+
+
+OP_HELLO = _opcode(0x01, "hello", Rule.NO_DATABASE, retry=True)
+OP_LIST_DATABASES = _opcode(0x02, "list_databases", Rule.NO_DATABASE,
+                            retry=True)
+OP_OPEN_DATABASE = _opcode(0x03, "open_database", Rule.PINNED_READ,
+                           retry=True)
+OP_GET_DISPLAY_MODULES = _opcode(0x04, "get_display_modules",
+                                 Rule.PINNED_READ, retry=True)
+OP_PING = _opcode(0x05, "ping", Rule.NO_DATABASE, retry=True)
+
+OP_GET_OBJECT = _opcode(0x10, "get_object", Rule.PINNED_READ, retry=True,
+                        routed=True, one_object=True)
+OP_GET_OBJECTS = _opcode(0x11, "get_objects", Rule.PINNED_READ, retry=True,
+                         routed=True)
+OP_SCAN_CLUSTER = _opcode(0x12, "scan_cluster", Rule.PINNED_READ, retry=True,
+                          routed=True)
+OP_CLUSTER_NUMBERS = _opcode(0x13, "cluster_numbers", Rule.PINNED_READ,
+                             retry=True, routed=True)
+OP_COUNT = _opcode(0x14, "count", Rule.PINNED_READ, retry=True, routed=True)
+OP_EXISTS = _opcode(0x15, "exists", Rule.PINNED_READ, retry=True, routed=True)
+OP_VERSION_HISTORY = _opcode(0x16, "version_history", Rule.PINNED_READ,
+                             retry=True, routed=True)
+OP_SELECT = _opcode(0x17, "select", Rule.PINNED_READ, retry=True)
+OP_EXPLAIN = _opcode(0x18, "explain", Rule.PINNED_READ, retry=True)
+
+OP_NEW_OBJECT = _opcode(0x20, "new_object", Rule.AUTOCOMMIT)
+OP_UPDATE = _opcode(0x21, "update", Rule.AUTOCOMMIT, one_object=True)
+OP_DELETE = _opcode(0x22, "delete", Rule.AUTOCOMMIT)
+OP_CREATE_INDEX = _opcode(0x23, "create_index", Rule.WRITE)
+OP_DROP_INDEX = _opcode(0x24, "drop_index", Rule.WRITE)
+
+OP_BEGIN = _opcode(0x30, "begin", Rule.WRITE)
+OP_COMMIT = _opcode(0x31, "commit", Rule.WRITE)
+OP_ABORT = _opcode(0x32, "abort", Rule.WRITE)
+
+OP_CURSOR_OPEN = _opcode(0x40, "cursor_open", Rule.CURSOR)
 #: ``{"cursor", "from": number | None, "limit"?}`` -> ``{"numbers",
 #: "epoch"}``: one window of member numbers past ``from``, nearest
 #: first, from the cursor's pinned snapshot; the client holds the
 #: position and steps through the window.
-OP_CURSOR_NEXT = 0x41
-OP_CURSOR_PREVIOUS = 0x42
-OP_CURSOR_RESET = 0x43
+OP_CURSOR_NEXT = _opcode(0x41, "cursor_next", Rule.CURSOR)
+OP_CURSOR_PREVIOUS = _opcode(0x42, "cursor_previous", Rule.CURSOR)
+OP_CURSOR_RESET = _opcode(0x43, "cursor_reset", Rule.CURSOR)
 #: Reserved: the one-step cursor's ``current`` and ``seek``, now local
 #: to the client.  No server handles them; the numbers stay taken.
-OP_CURSOR_CURRENT = 0x44
-OP_CURSOR_SEEK = 0x45
-OP_CURSOR_CLOSE = 0x46
+OP_CURSOR_CURRENT = _opcode(0x44, "cursor_current", Rule.RESERVED)
+OP_CURSOR_SEEK = _opcode(0x45, "cursor_seek", Rule.RESERVED)
+#: Only pops a session-local entry, so it names no database.
+OP_CURSOR_CLOSE = _opcode(0x46, "cursor_close", Rule.NO_DATABASE)
 
-OP_STATS = 0x50
-OP_VACUUM = 0x51
+OP_STATS = _opcode(0x50, "stats", Rule.PINNED_READ, retry=True)
+OP_VACUUM = _opcode(0x51, "vacuum", Rule.WRITE)
 
-OP_REPL_FETCH = 0x60
-OP_REPL_SNAPSHOT = 0x61
+OP_REPL_FETCH = _opcode(0x60, "repl_fetch", Rule.ON_LOOP, retry=True)
+OP_REPL_SNAPSHOT = _opcode(0x61, "repl_snapshot", Rule.EXECUTOR,
+                           retry=True)
 #: Admin: promote this (replica) server to primary — stop its appliers
 #: and durably mint the next fenced primary term in every database's
-#: WAL.  Deliberately in neither READ_OPCODES (not idempotent: each call
-#: mints a term) nor WRITE_OPCODES (no database write lock; it must cut
-#: in even while writers are blocked on a dead upstream).
-OP_REPL_PROMOTE = 0x62
+#: WAL.  Not retried (each call mints a term) and not a write (no
+#: database writer lock: it must cut in even while writers are blocked
+#: on a dead upstream).
+OP_REPL_PROMOTE = _opcode(0x62, "repl_promote", Rule.EXECUTOR)
 
-OP_CDC_SUBSCRIBE = 0x70
-OP_CDC_UNSUBSCRIBE = 0x71
-#: Unsolicited server push: a change-data-capture event.  Always sent
-#: with request id 0 (no request to echo); interleaves freely with
-#: replies on the same connection, and the client demultiplexes by
-#: opcode before matching request ids.
-OP_CDC_EVENT = 0x72
+#: Not retried: a subscription is session-affine state, and
+#: transparently retrying it on a fresh session would fake a continuity
+#: the delta stream lost.
+OP_CDC_SUBSCRIBE = _opcode(0x70, "cdc_subscribe", Rule.ON_LOOP)
+OP_CDC_UNSUBSCRIBE = _opcode(0x71, "cdc_unsubscribe", Rule.ON_LOOP)
+#: A change-data-capture event.  Interleaves freely with replies on the
+#: same connection; the client demultiplexes by rule before matching
+#: request ids.
+OP_CDC_EVENT = _opcode(0x72, "cdc_event", Rule.PUSH)
 
-OP_REPLY = 0x7E
-OP_ERROR = 0x7F
+OP_REPLY = _opcode(0x7E, "reply", Rule.REPLY)
+OP_ERROR = _opcode(0x7F, "error", Rule.REPLY)
 
-OPCODE_NAMES: Dict[int, str] = {
-    OP_HELLO: "hello",
-    OP_LIST_DATABASES: "list_databases",
-    OP_OPEN_DATABASE: "open_database",
-    OP_GET_DISPLAY_MODULES: "get_display_modules",
-    OP_PING: "ping",
-    OP_GET_OBJECT: "get_object",
-    OP_GET_OBJECTS: "get_objects",
-    OP_SCAN_CLUSTER: "scan_cluster",
-    OP_CLUSTER_NUMBERS: "cluster_numbers",
-    OP_COUNT: "count",
-    OP_EXISTS: "exists",
-    OP_VERSION_HISTORY: "version_history",
-    OP_SELECT: "select",
-    OP_EXPLAIN: "explain",
-    OP_NEW_OBJECT: "new_object",
-    OP_UPDATE: "update",
-    OP_DELETE: "delete",
-    OP_CREATE_INDEX: "create_index",
-    OP_DROP_INDEX: "drop_index",
-    OP_BEGIN: "begin",
-    OP_COMMIT: "commit",
-    OP_ABORT: "abort",
-    OP_CURSOR_OPEN: "cursor_open",
-    OP_CURSOR_NEXT: "cursor_next",
-    OP_CURSOR_PREVIOUS: "cursor_previous",
-    OP_CURSOR_RESET: "cursor_reset",
-    OP_CURSOR_CURRENT: "cursor_current",
-    OP_CURSOR_SEEK: "cursor_seek",
-    OP_CURSOR_CLOSE: "cursor_close",
-    OP_STATS: "stats",
-    OP_VACUUM: "vacuum",
-    OP_REPL_FETCH: "repl_fetch",
-    OP_REPL_SNAPSHOT: "repl_snapshot",
-    OP_REPL_PROMOTE: "repl_promote",
-    OP_CDC_SUBSCRIBE: "cdc_subscribe",
-    OP_CDC_UNSUBSCRIBE: "cdc_unsubscribe",
-    OP_CDC_EVENT: "cdc_event",
-    OP_REPLY: "reply",
-    OP_ERROR: "error",
-}
 
-#: Opcodes that never change server state: safe to retry after a
-#: connection failure (at-most-once semantics are preserved).
-READ_OPCODES = frozenset({
-    OP_HELLO, OP_LIST_DATABASES, OP_OPEN_DATABASE, OP_GET_DISPLAY_MODULES,
-    OP_PING, OP_GET_OBJECT, OP_GET_OBJECTS, OP_SCAN_CLUSTER,
-    OP_CLUSTER_NUMBERS, OP_COUNT, OP_EXISTS, OP_VERSION_HISTORY, OP_SELECT,
-    OP_EXPLAIN, OP_STATS, OP_REPL_FETCH, OP_REPL_SNAPSHOT,
-})
-
-#: Opcodes that mutate a database: the server takes the database's write
-#: lock for these (and holds it across an open transaction).
-WRITE_OPCODES = frozenset({
-    OP_NEW_OBJECT, OP_UPDATE, OP_DELETE, OP_CREATE_INDEX, OP_DROP_INDEX,
-    OP_BEGIN, OP_COMMIT, OP_ABORT, OP_VACUUM,
-})
-
-#: Unsolicited server-push opcodes: never a reply to anything, so the
-#: client's reply readers dispatch these out of band and keep reading.
-#: (CDC subscribe/unsubscribe are deliberately NOT read opcodes — a
-#: subscription is session-affine state, and transparently retrying it
-#: on a fresh session would fake a continuity the delta stream lost.)
-PUSH_OPCODES = frozenset({OP_CDC_EVENT})
+def opcode_info(opcode: int) -> Opcode:
+    """*opcode*'s row; a number outside the table reads as reserved."""
+    row = OPCODES.get(opcode)
+    if row is None:
+        return Opcode(opcode, f"op_{opcode:#04x}", Rule.RESERVED)
+    return row
 
 
 def opcode_name(opcode: int) -> str:
-    return OPCODE_NAMES.get(opcode, f"op_{opcode:#04x}")
+    return opcode_info(opcode).name
 
 
 @dataclass(frozen=True)
@@ -300,10 +321,6 @@ def records_reply(rows: Iterable[Tuple[bytes, str, Sequence[str],
     return reply
 
 
-#: Object reads whose reply is one object: ``"buffer"``, not ``"buffers"``.
-_ONE_OBJECT_OPCODES = frozenset({OP_GET_OBJECT, OP_UPDATE})
-
-
 def decode_records(opcode: int, reply: Dict[str, Any]) -> Dict[str, Any]:
     """A :func:`records_reply` as the client receives it, each record
     decoded once.
@@ -335,7 +352,7 @@ def decode_records(opcode: int, reply: Dict[str, Any]) -> Dict[str, Any]:
         objects.append({"oid": oid_text, "class": class_name,
                         "values": values, "public": names,
                         "computed": extra or {}})
-    if opcode not in _ONE_OBJECT_OPCODES:
+    if not opcode_info(opcode).one_object:
         reply["buffers"] = objects
     elif len(objects) == 1:
         reply["buffer"] = objects[0]

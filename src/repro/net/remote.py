@@ -248,26 +248,15 @@ class RemoteIndexManager:
     """The server's attribute indexes, managed over the wire.
 
     Index *structures and maintenance* live on the server, inside the
-    object manager that applies the writes; the client sees definitions
-    and sizes (for the statistics window) and creates/drops indexes with
-    one round trip.  Selection crosses the wire whole via
+    object manager that applies the writes; the client creates and drops
+    them with one round trip each (their sizes reach the statistics
+    window through ``OP_STATS``).  Selection crosses the wire whole via
     :meth:`RemoteObjectManager.select_pushdown`, where the *server's*
     cost model picks probe vs scan.
     """
 
     def __init__(self, manager: "RemoteObjectManager"):
         self._manager = manager
-
-    def _definitions(self) -> List[Dict[str, Any]]:
-        return self._manager.database.server_stats().get("indexes", [])
-
-    def indexes(self) -> List["RemoteIndexInfo"]:
-        return [RemoteIndexInfo(d["class"], d["attribute"], d["entries"])
-                for d in self._definitions()]
-
-    def has_index(self, class_name: str, attribute: str) -> bool:
-        return any(d["class"] == class_name and d["attribute"] == attribute
-                   for d in self._definitions())
 
     def create_index(self, class_name: str, attribute: str) -> None:
         self._manager._call(P.OP_CREATE_INDEX,
@@ -276,18 +265,6 @@ class RemoteIndexManager:
     def drop_index(self, class_name: str, attribute: str) -> None:
         self._manager._call(P.OP_DROP_INDEX,
                             {"class": class_name, "attribute": attribute})
-
-
-class RemoteIndexInfo:
-    """Size-and-name view of one server-side index (statistics window)."""
-
-    def __init__(self, class_name: str, attribute: str, entries: int):
-        self.class_name = class_name
-        self.attribute = attribute
-        self._entries = entries
-
-    def __len__(self) -> int:
-        return self._entries
 
 
 class RemoteVersionManager:
@@ -302,15 +279,6 @@ class RemoteVersionManager:
             VersionRecord(of=oid, sequence=entry["seq"], state=entry["state"])
             for entry in reply["history"]
         ]
-
-    def version_count(self, oid: Oid) -> int:
-        return len(self.history(oid))
-
-    def get_version(self, oid: Oid, sequence: int) -> VersionRecord:
-        for record in self.history(oid):
-            if record.sequence == sequence:
-                return record
-        raise StorageError(f"object {oid} has no version {sequence}")
 
 
 class RemoteCluster:
@@ -344,10 +312,6 @@ class RemoteCluster:
     def first(self) -> Optional[Oid]:
         numbers = self.numbers()
         return self.oid(numbers[0]) if numbers else None
-
-    def last(self) -> Optional[Oid]:
-        numbers = self.numbers()
-        return self.oid(numbers[-1]) if numbers else None
 
 
 #: A window that answers nothing: the open interval (0, 0), no members.
@@ -741,10 +705,6 @@ class RemoteObjectManager:
 
     # -- transactions ------------------------------------------------------------
 
-    @property
-    def in_transaction(self) -> bool:
-        return self._txid is not None
-
     def _end_transaction(self) -> None:
         if self._txid is not None:
             self._txid = None
@@ -766,7 +726,7 @@ class RemoteObjectManager:
             self._call(P.OP_COMMIT, {})
         finally:
             # Whatever the outcome, the server session no longer has a
-            # transaction: op_commit clears it on both success and error.
+            # transaction: its commit clears it on success and error.
             # Entries cached during the transaction were overlay reads
             # tagged with the pre-commit epoch; purge physically.
             self._end_transaction()
@@ -862,14 +822,6 @@ class RemoteDatabase:
 
     def server_stats(self) -> Dict[str, Any]:
         return self.client.call(P.OP_STATS, {"db": self.name})
-
-    def group_commit_stats(self) -> Dict[str, Any]:
-        """The server store's commit-barrier numbers (batch sizes, the
-        one-fsync-per-batch counters, commit wait latency) — the remote
-        face of :meth:`repro.ode.store.ObjectStore.group_commit_stats`.
-        Writes from many clients batch on the server's barrier, so this
-        is where the batch sizes concurrent writers reach show up."""
-        return self.server_stats().get("group_commit", {})
 
     def close(self) -> None:
         try:

@@ -35,11 +35,12 @@ Dispatch discipline (MVCC):
 * a session that disconnects mid-transaction is aborted, so a crashed
   client never wedges the database.
 
-CDC subscriptions and the replication long-poll park on the event loop,
-so the connection layer (:mod:`repro.net.aserver`) serves those opcodes
-itself; everything else goes through :meth:`ServerSession.dispatch`, the
-one synchronous entry point (reads inline; a write is ``write_prepare``
-then ``commit_wait``).
+How each opcode is served is its rule in the opcode table
+(:data:`~repro.net.protocol.OPCODES`).  CDC subscriptions and the
+replication long-poll park on the event loop, so the connection layer
+(:mod:`repro.net.aserver`) serves those on-loop streams itself; every
+other request goes through :meth:`ServerSession.dispatch`, the one
+synchronous entry point, which switches on the rule.
 """
 
 from __future__ import annotations
@@ -108,15 +109,12 @@ class ServerSession:
 
     # -- helpers ----------------------------------------------------------------
 
-    def _hosted(self, payload: Dict[str, Any]) -> HostedDatabase:
+    def hosted(self, payload: Dict[str, Any]) -> HostedDatabase:
+        """The hosted database a request names under ``"db"``."""
         name = payload.get("db")
         if not isinstance(name, str) or not name:
             raise NetworkError("request names no database")
         return self.server.hosted(name)
-
-    def resolve_hosted(self, payload: Dict[str, Any]) -> HostedDatabase:
-        """Public face of :meth:`_hosted` for the dispatch layers."""
-        return self._hosted(payload)
 
     @property
     def tx_database(self) -> Optional[str]:
@@ -153,27 +151,27 @@ class ServerSession:
     # -- dispatch ----------------------------------------------------------------
 
     def dispatch(self, opcode: int, payload: Dict[str, Any]) -> Dict[str, Any]:
-        handler = _HANDLERS.get(opcode)
-        if handler is None:
-            raise NetworkError(f"unknown opcode {P.opcode_name(opcode)}")
-        if opcode in _UNLOCKED_OPCODES:
-            return handler(self, payload)
-        if opcode in _CURSOR_OPCODES or opcode == P.OP_CURSOR_OPEN:
-            # Lock-free: every server-side cursor owns a pinned store
-            # snapshot, so a window needs no coordination with writers
-            # or vacuum.  Opening must NOT run inside an ambient pin —
-            # the cursor has to own (and outlive the request with) its
-            # snapshot.
-            self._m_read_lockfree.inc()
-            return handler(self, payload)
-        if opcode in _REPL_OPCODES:
-            # No ambient snapshot pin: a snapshot pins its own epoch for
-            # exactly the copy-out, promotion reads none.
-            return handler(self, payload)
-        hosted = self._hosted(payload)
-        if opcode in P.WRITE_OPCODES:
-            return self._dispatch_write(opcode, payload)
-        return self._dispatch_read(handler, hosted, payload)
+        """Serve one request by its rule in the opcode table; a write
+        is ``write_prepare`` then ``commit_wait``."""
+        match P.opcode_info(opcode).rule:
+            case P.Rule.PINNED_READ:
+                return self._dispatch_read(
+                    _HANDLERS[opcode], self.hosted(payload), payload)
+            case P.Rule.WRITE | P.Rule.AUTOCOMMIT:
+                return self._dispatch_write(opcode, payload)
+            case P.Rule.CURSOR:
+                # Lock-free: every server-side cursor owns a pinned
+                # store snapshot, so a window needs no coordination with
+                # writers or vacuum.  Opening must NOT run inside an
+                # ambient pin — the cursor has to own (and outlive the
+                # request with) its snapshot.
+                self._m_read_lockfree.inc()
+                return _HANDLERS[opcode](self, payload)
+            case P.Rule.NO_DATABASE | P.Rule.EXECUTOR:
+                # No ambient pin: a replication snapshot pins its own
+                # epoch for exactly the copy-out, promotion reads none.
+                return _HANDLERS[opcode](self, payload)
+        raise NetworkError(f"unknown opcode {P.opcode_name(opcode)}")
 
     def _dispatch_read(self, handler, hosted: HostedDatabase,
                        payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -233,60 +231,50 @@ class ServerSession:
         The cheap serialized part (overlay apply + epoch mint) is
         here, the blocking part is the caller's.
         """
-        hosted = self._hosted(payload)
+        hosted = self.hosted(payload)
         if self.server.is_replica:
             primary = self.server.primary_address
             raise ReadOnlyReplicaError(
                 f"{hosted.database.name!r} is a read replica"
                 + (f"; writes go to the primary at {primary}"
                    if primary else ""))
-        handler = _HANDLERS[opcode]
         objects = hosted.database.objects
         name = hosted.database.name
-        staged: Optional[int] = None
-        if self._tx_database is not None:
-            if self._tx_database != name:
-                raise TransactionError(
-                    f"transaction open on {self._tx_database!r}; cannot "
-                    f"write {name!r}")
-            if opcode == P.OP_COMMIT:
-                # Stage here, wait in the caller: a long fsync blocks
-                # only this session's reply.
-                try:
+        if self._tx_database not in (None, name):
+            raise TransactionError(
+                f"transaction open on {self._tx_database!r}; cannot "
+                f"write {name!r}")
+        if opcode == P.OP_COMMIT or opcode == P.OP_ABORT:
+            # The transaction's end has no handler.  A commit stages
+            # here and waits in the caller: a long fsync blocks only
+            # this session's reply.
+            if self._tx_database is None:
+                raise TransactionError("no transaction open on this session")
+            staged = None
+            try:
+                if opcode == P.OP_COMMIT:
                     staged = objects.commit_stage()
-                finally:
-                    self._tx_database = None
-                result = {}
-            elif opcode == P.OP_ABORT:
-                try:
+                else:
                     objects.abort()
-                finally:
-                    self._tx_database = None
-                result = {}
-            else:
-                result = handler(self, payload)
-        elif opcode in (P.OP_COMMIT, P.OP_ABORT):
-            raise TransactionError("no transaction open on this session")
-        elif opcode in _AUTOCOMMIT_OPCODES:
-            # Pipelined autocommit: only overlay apply + epoch mint
-            # (handler + commit_stage) happen here; the fsync happens on
-            # the shared group-commit barrier in the caller, so
-            # concurrent sessions' commits batch.
-            objects.begin()
-            try:
-                result = handler(self, payload)
-            except BaseException:
-                if hosted.database.store.in_transaction:
-                    objects.abort()
-                raise
-            try:
-                staged = objects.commit_stage()
-            except BaseException:
-                if hosted.database.store.in_transaction:
-                    objects.abort()
-                raise
-        else:
+            finally:
+                self._tx_database = None
+            return {}, staged, hosted
+        handler = _HANDLERS[opcode]
+        if (self._tx_database is not None
+                or P.opcode_info(opcode).rule is not P.Rule.AUTOCOMMIT):
+            return handler(self, payload), None, hosted
+        # Pipelined autocommit: only overlay apply + epoch mint (handler
+        # + commit_stage) happen here; the fsync happens on the shared
+        # group-commit barrier in the caller, so concurrent sessions'
+        # commits batch.
+        objects.begin()
+        try:
             result = handler(self, payload)
+            staged = objects.commit_stage()
+        except BaseException:
+            if hosted.database.store.in_transaction:
+                objects.abort()
+            raise
         return result, staged, hosted
 
     # -- handshake / catalog ------------------------------------------------------
@@ -318,7 +306,7 @@ class ServerSession:
         return {"databases": self.server.database_names()}
 
     def op_open_database(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        hosted = self._hosted(payload)
+        hosted = self.hosted(payload)
         database = hosted.database
         return {
             "name": database.name,
@@ -327,7 +315,7 @@ class ServerSession:
         }
 
     def op_get_display_modules(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        hosted = self._hosted(payload)
+        hosted = self.hosted(payload)
         modules: Dict[str, str] = {}
         display_dir = hosted.database.display_dir
         if display_dir.is_dir():
@@ -338,7 +326,7 @@ class ServerSession:
     # -- object reads --------------------------------------------------------------
 
     def op_get_object(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        hosted = self._hosted(payload)
+        hosted = self.hosted(payload)
         oid = self._oid(payload)
         objects = hosted.database.objects
         (record,) = objects.find_records([oid])
@@ -347,7 +335,7 @@ class ServerSession:
         return _records_reply(objects, [oid], [record])
 
     def op_get_objects(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        hosted = self._hosted(payload)
+        hosted = self.hosted(payload)
         objects = hosted.database.objects
         oids = [Oid.parse(text) if isinstance(text, str) else text
                 for text in payload.get("oids", [])]
@@ -361,7 +349,7 @@ class ServerSession:
         sequencing order, so a scan stays correct even if the cluster
         changes between batches.
         """
-        hosted = self._hosted(payload)
+        hosted = self.hosted(payload)
         class_name = payload.get("class", "")
         after = int(payload.get("after", -1))
         limit = _batch_limit(payload)
@@ -382,7 +370,7 @@ class ServerSession:
         return reply
 
     def op_cluster_numbers(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        hosted = self._hosted(payload)
+        hosted = self.hosted(payload)
         class_name = payload.get("class", "")
         hosted.database.schema.get_class(class_name)
         # Through the manager, not the raw store: the manager resolves
@@ -391,15 +379,15 @@ class ServerSession:
         return {"numbers": cluster.numbers()}
 
     def op_count(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        hosted = self._hosted(payload)
+        hosted = self.hosted(payload)
         return {"count": hosted.database.objects.count(payload.get("class", ""))}
 
     def op_exists(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        hosted = self._hosted(payload)
+        hosted = self.hosted(payload)
         return {"exists": hosted.database.objects.exists(self._oid(payload))}
 
     def op_version_history(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        hosted = self._hosted(payload)
+        hosted = self.hosted(payload)
         history = hosted.database.objects.versions.history(self._oid(payload))
         return {
             "history": [
@@ -431,7 +419,7 @@ class ServerSession:
         string, the server plans (cost model + indexes + statistics) and
         executes, and the reply carries the matching buffers plus the
         EXPLAIN text of the plan that produced them."""
-        hosted = self._hosted(payload)
+        hosted = self.hosted(payload)
         planner, plan = self._planned(hosted, payload)
         reply = _buffers_reply(planner.execute(plan))
         reply.update(access=plan.access, explain=plan.explain())
@@ -439,7 +427,7 @@ class ServerSession:
 
     def op_explain(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """Plan only — the wire face of EXPLAIN."""
-        hosted = self._hosted(payload)
+        hosted = self.hosted(payload)
         _planner, plan = self._planned(hosted, payload)
         return {
             "explain": plan.explain(),
@@ -454,7 +442,7 @@ class ServerSession:
     # -- writes ---------------------------------------------------------------------
 
     def op_new_object(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        hosted = self._hosted(payload)
+        hosted = self.hosted(payload)
         oid = payload.get("oid")
         oid = Oid.parse(oid) if isinstance(oid, str) else None
         created = hosted.database.objects.new_object(
@@ -462,26 +450,26 @@ class ServerSession:
         return {"oid": str(created)}
 
     def op_update(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        hosted = self._hosted(payload)
+        hosted = self.hosted(payload)
         buffer = hosted.database.objects.update(
             self._oid(payload), payload.get("updates") or {})
         return _buffers_reply([buffer])
 
     def op_delete(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        hosted = self._hosted(payload)
+        hosted = self.hosted(payload)
         hosted.database.objects.delete(self._oid(payload))
         return {}
 
     def op_create_index(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """Create (and persist) a server-side index; the build runs under
         the database's write lock so it captures one committed state."""
-        hosted = self._hosted(payload)
+        hosted = self.hosted(payload)
         hosted.database.create_index(
             payload.get("class", ""), payload.get("attribute", ""))
         return {}
 
     def op_drop_index(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        hosted = self._hosted(payload)
+        hosted = self.hosted(payload)
         hosted.database.drop_index(
             payload.get("class", ""), payload.get("attribute", ""))
         return {}
@@ -489,7 +477,7 @@ class ServerSession:
     # -- transactions -----------------------------------------------------------------
 
     def op_begin(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        hosted = self._hosted(payload)
+        hosted = self.hosted(payload)
         if self._tx_database is not None:
             raise TransactionError(
                 f"session already has a transaction on {self._tx_database!r}")
@@ -497,19 +485,10 @@ class ServerSession:
         self._tx_database = hosted.database.name
         return {"txid": txid}
 
-    def op_commit(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        # COMMIT with a transaction open is handled entirely inside
-        # write_prepare (stage under the writer guard, wait in the
-        # dispatcher); reaching the handler means there was none.
-        raise TransactionError("no transaction open on this session")
-
-    def op_abort(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        raise TransactionError("no transaction open on this session")
-
     # -- server-side sequencing cursors (the object-interactor's cursor) -----------
 
     def op_cursor_open(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        hosted = self._hosted(payload)
+        hosted = self.hosted(payload)
         database = hosted.database
         class_name = payload.get("class", "")
         database.schema.get_class(class_name)
@@ -563,7 +542,7 @@ class ServerSession:
 
     def op_repl_snapshot(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """Full state for replica bootstrap/resync, at one epoch."""
-        hosted = self._hosted(payload)
+        hosted = self.hosted(payload)
         database = hosted.database
         with database.objects.pinned() as snapshot:
             objects = [[str(oid), snapshot.get(oid)]
@@ -592,7 +571,7 @@ class ServerSession:
     # -- maintenance -------------------------------------------------------------------
 
     def op_stats(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        hosted = self._hosted(payload)
+        hosted = self.hosted(payload)
         database = hosted.database
         pool = database.store.pool
         clusters = {
@@ -644,7 +623,7 @@ class ServerSession:
         }
 
     def op_vacuum(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        hosted = self._hosted(payload)
+        hosted = self.hosted(payload)
         if self._tx_database is not None:
             raise StorageError("cannot vacuum with a transaction open")
         return {"reclaimed": hosted.database.vacuum()}
@@ -683,62 +662,34 @@ def _buffers_reply(buffers) -> Dict[str, Any]:
         for buffer in buffers)
 
 
-#: Opcodes handled without touching a specific database (no lock).
-#: CURSOR_CLOSE only pops a session-local dict entry, so it needs none.
-_UNLOCKED_OPCODES = frozenset({
-    P.OP_HELLO, P.OP_PING, P.OP_LIST_DATABASES, P.OP_CURSOR_CLOSE,
-})
+#: The rules :meth:`ServerSession.dispatch` serves; the connection layer
+#: serves the on-loop streams itself, and nothing serves the rest.
+_SESSION_RULES = (P.Rule.NO_DATABASE, P.Rule.PINNED_READ, P.Rule.CURSOR,
+                  P.Rule.WRITE, P.Rule.AUTOCOMMIT, P.Rule.EXECUTOR)
 
-#: Single-op writes outside an explicit transaction: dispatched as
-#: begin + handler + commit_stage under the caller's writer lock,
-#: commit_wait on the shared group-commit barrier after it is released.
-_AUTOCOMMIT_OPCODES = frozenset({
-    P.OP_NEW_OBJECT, P.OP_UPDATE, P.OP_DELETE,
-})
 
-#: Cursor steps read through the cursor's own pinned snapshot, so they
-#: dispatch lock-free (no "db" payload key, no ambient pin).
-_CURSOR_OPCODES = frozenset({
-    P.OP_CURSOR_NEXT, P.OP_CURSOR_PREVIOUS, P.OP_CURSOR_RESET,
-})
+def _handlers() -> Dict[int, Any]:
+    """``ServerSession.op_<name>`` for every row the session serves,
+    read from the opcode table.  A served row without a handler, or a
+    handler without a served row, fails the import.  ``commit`` and
+    ``abort`` have none: :meth:`ServerSession.write_prepare` ends the
+    transaction itself."""
+    handlers = {}
+    for row in P.OPCODES.values():
+        if row.rule not in _SESSION_RULES or row.code in (P.OP_COMMIT,
+                                                          P.OP_ABORT):
+            continue
+        method = getattr(ServerSession, f"op_{row.name}", None)
+        if method is None:
+            raise ImportError(f"no handler ServerSession.op_{row.name}")
+        handlers[row.code] = method
+    served = {f"op_{P.opcode_name(code)}" for code in handlers}
+    strays = {name for name in vars(ServerSession)
+              if name.startswith("op_")} - served
+    if strays:
+        raise ImportError(f"handlers without a served row: {sorted(strays)}")
+    return handlers
 
-#: Replication ops the session serves; they run with no ambient
-#: snapshot pin.  (``OP_REPL_FETCH`` long-polls, so the connection layer
-#: serves it on the loop, as it does the CDC subscription opcodes.)
-_REPL_OPCODES = frozenset({
-    P.OP_REPL_SNAPSHOT, P.OP_REPL_PROMOTE,
-})
 
-_HANDLERS = {
-    P.OP_HELLO: ServerSession.op_hello,
-    P.OP_PING: ServerSession.op_ping,
-    P.OP_LIST_DATABASES: ServerSession.op_list_databases,
-    P.OP_OPEN_DATABASE: ServerSession.op_open_database,
-    P.OP_GET_DISPLAY_MODULES: ServerSession.op_get_display_modules,
-    P.OP_GET_OBJECT: ServerSession.op_get_object,
-    P.OP_GET_OBJECTS: ServerSession.op_get_objects,
-    P.OP_SCAN_CLUSTER: ServerSession.op_scan_cluster,
-    P.OP_CLUSTER_NUMBERS: ServerSession.op_cluster_numbers,
-    P.OP_COUNT: ServerSession.op_count,
-    P.OP_EXISTS: ServerSession.op_exists,
-    P.OP_VERSION_HISTORY: ServerSession.op_version_history,
-    P.OP_SELECT: ServerSession.op_select,
-    P.OP_EXPLAIN: ServerSession.op_explain,
-    P.OP_NEW_OBJECT: ServerSession.op_new_object,
-    P.OP_UPDATE: ServerSession.op_update,
-    P.OP_DELETE: ServerSession.op_delete,
-    P.OP_CREATE_INDEX: ServerSession.op_create_index,
-    P.OP_DROP_INDEX: ServerSession.op_drop_index,
-    P.OP_BEGIN: ServerSession.op_begin,
-    P.OP_COMMIT: ServerSession.op_commit,
-    P.OP_ABORT: ServerSession.op_abort,
-    P.OP_CURSOR_OPEN: ServerSession.op_cursor_open,
-    P.OP_CURSOR_NEXT: ServerSession.op_cursor_next,
-    P.OP_CURSOR_PREVIOUS: ServerSession.op_cursor_previous,
-    P.OP_CURSOR_RESET: ServerSession.op_cursor_reset,
-    P.OP_CURSOR_CLOSE: ServerSession.op_cursor_close,
-    P.OP_STATS: ServerSession.op_stats,
-    P.OP_VACUUM: ServerSession.op_vacuum,
-    P.OP_REPL_SNAPSHOT: ServerSession.op_repl_snapshot,
-    P.OP_REPL_PROMOTE: ServerSession.op_repl_promote,
-}
+#: Each served opcode's handler.
+_HANDLERS = _handlers()

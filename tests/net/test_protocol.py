@@ -79,11 +79,15 @@ class TestFrames:
             _decode(header + body)
 
     def test_opcode_names(self):
+        assert P.OPCODES[P.OP_SCAN_CLUSTER].name == "scan_cluster"
         assert P.opcode_name(P.OP_SCAN_CLUSTER) == "scan_cluster"
         assert P.opcode_name(0x99) == "op_0x99"
+        assert P.opcode_info(0x99).rule is P.Rule.RESERVED
 
     def test_read_and_write_opcodes_disjoint(self):
-        assert not (P.READ_OPCODES & P.WRITE_OPCODES)
+        writes = (P.Rule.WRITE, P.Rule.AUTOCOMMIT)
+        assert not [row for row in P.OPCODES.values()
+                    if row.retry and row.rule in writes]
 
 
 class TestBufferMarshalling:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.data.labdb import make_lab_database
 from repro.data.synthetic import make_synthetic_database
-from repro.errors import ObjectNotFoundError, RemoteError
+from repro.errors import ObjectNotFoundError
 from repro.net import protocol as P
 from repro.net.remote import RemoteDatabase
 from repro.net.server import OdeServer
@@ -221,15 +221,11 @@ def _canonical(buffer):
 
 
 def _outcome(read):
-    """What a read did: its buffers, or the kind of error it raised.  An
-    error outside :mod:`repro.errors` crosses the wire as a
-    :class:`RemoteError` naming its class."""
+    """What a read did: its buffers, or the class of error it raised."""
     try:
         return "read", [_canonical(buffer) for buffer in read()]
-    except RemoteError as exc:
-        return "raised", exc.kind
-    except Exception as exc:  # noqa: BLE001 - the kind is the point
-        return "raised", type(exc).__name__
+    except Exception as exc:  # noqa: BLE001 - the class is the point
+        return "raised", type(exc)
 
 
 @pytest.fixture
@@ -239,6 +235,35 @@ def served_lab_pair(tmp_path):
     yield server, remote
     remote.close()
     server.shutdown()
+
+
+def _flip(store, oid, position, flip):
+    """XOR one byte of *oid*'s stored record; returns the original."""
+    original = store.get(oid)
+    corrupt = bytearray(original)
+    corrupt[position % len(corrupt)] ^= flip
+    store.put(oid, bytes(corrupt))
+    return original
+
+
+class TestRemoteErrorClass:
+    def test_a_computed_methods_key_error_stays_a_key_error(
+            self, served_lab_pair):
+        """Byte 36 of employee 7, XOR 38, swallows the key ``hired``
+        into the name, so the computed ``years_service`` raises
+        ``KeyError`` on the server: the remote reader gets that class,
+        tagged remote, not a :class:`~repro.errors.RemoteError`."""
+        server, remote = served_lab_pair
+        oid = Oid("lab", "employee", 7)
+        _flip(server.hosted("lab").database.store, oid, 36, 38)
+        with pytest.raises(KeyError) as local:
+            _local(server, "lab").get_buffer(oid)
+        with pytest.raises(KeyError) as over_wire:
+            remote.objects.get_buffer(oid)
+        assert type(over_wire.value) is type(local.value)
+        assert over_wire.value.remote
+        # The connection stays up: the next read is served.
+        assert remote.objects.get_buffer(Oid("lab", "employee", 6))
 
 
 class TestCorruptRecord:
@@ -272,10 +297,7 @@ class TestCorruptRecord:
             (lambda: list(local.select(cluster)),
              lambda: remote.objects.scan(cluster)),
         ]
-        original = store.get(oid)
-        corrupt = bytearray(original)
-        corrupt[position % len(corrupt)] ^= flip
-        store.put(oid, bytes(corrupt))
+        original = _flip(store, oid, position, flip)
         try:
             for read_local, read_remote in reads:
                 remote.objects.cache.purge()

@@ -109,3 +109,19 @@ def test_a_remote_builder_refuses_to_plan_locally(indexed_lab):
             "employee", parse_expression("id == 7"))
     assert builder.explain() == plan.explain()
     assert [buffer.value("id") for buffer in builder.execute()] == [7]
+
+
+def test_an_index_created_and_dropped_over_the_wire(remote_lab):
+    """A served database gets an index only through the wire: once
+    created, ``id == 7`` plans as a probe; once dropped, as a scan."""
+    indexes = remote_lab.objects.indexes
+    assert remote_lab.objects.explain("employee", "id == 7")["access"] \
+        == "scan"
+    indexes.create_index("employee", "id")
+    plan = remote_lab.objects.explain("employee", "id == 7")
+    assert (plan["access"], plan["index_attribute"]) == ("index-eq", "id")
+    assert [buffer.value("id") for buffer in
+            remote_lab.objects.select_pushdown("employee", "id == 7")] == [7]
+    indexes.drop_index("employee", "id")
+    assert remote_lab.objects.explain("employee", "id == 7")["access"] \
+        == "scan"

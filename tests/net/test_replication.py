@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.data.labdb import bind_lab_behaviours
 from repro.errors import ReadOnlyReplicaError, StorageError
 from repro.net import protocol as P
 from repro.net.client import OdeClient
@@ -20,6 +21,7 @@ from repro.net.remote import RemoteDatabase
 from repro.net.server import OdeServer
 from repro.net.session import HostedDatabase
 from repro.obs.metrics import get_registry
+from repro.ode.oid import Oid
 
 
 def _wait_until(predicate, timeout: float = 10.0, interval: float = 0.02):
@@ -179,6 +181,24 @@ class TestRouting:
         assert routed_lab.objects.count("employee") == 56
         assert _counter("net.route.replica") > replica_before
         assert routed_lab.client.epoch_floor >= floor
+
+    def test_a_replica_error_falls_back_to_the_primary(self, replica_server,
+                                                       routed_lab):
+        """A replica whose computed method raises ``KeyError`` (its copy
+        of employee 7 corrupted: byte 36 XOR 38 swallows ``hired``)
+        gives no verdict; the primary's good copy answers."""
+        oid = Oid("lab", "employee", 7)
+        database = replica_server.hosted("lab").database
+        # A replica clones no behaviours; bind the lab's by hand.
+        bind_lab_behaviours(database)
+        store = database.store
+        corrupt = bytearray(store.get(oid))
+        corrupt[36] ^= 38
+        store.put(oid, bytes(corrupt))
+        primary_before = _counter("net.route.primary")
+        routed_lab.objects.cache.purge()
+        assert routed_lab.objects.get_buffer(oid).value("name") == "carol"
+        assert _counter("net.route.primary") > primary_before
 
     def test_failover_to_primary_when_replica_dies(self, replica_server,
                                                    routed_lab):
