@@ -24,7 +24,8 @@ are recorded so ABL-LAZY can compare against eager expansion.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.errors import OdeViewError
 from repro.ode.objectmanager import ObjectBuffer, ObjectManager
@@ -61,6 +62,29 @@ def reference_attributes(manager: ObjectManager, class_name: str) -> List[str]:
     return names
 
 
+@contextmanager
+def holding_buffers(node: "Node") -> Iterator[None]:
+    """Read each node of *node*'s subtree at most once while inside.
+
+    Sequencing propagates down the subtree (paper §4.4): a node's displays
+    and each child's pull all read the node's current object.  Inside this
+    context the first read is kept and the rest reuse it; on exit every
+    kept buffer is dropped, so a read outside a click sees current data.
+    On a local manager the caller holds a pinned snapshot around it, so a
+    kept buffer is what a fresh read would return; on a remote manager
+    (whose pin is a no-op) the click reuses its first read.
+    """
+    nodes = list(node.walk())
+    for each in nodes:
+        each._holding = True
+    try:
+        yield
+    finally:
+        for each in nodes:
+            each._holding = False
+            each._held = None
+
+
 class Node:
     """Base navigation node: one displayed object context."""
 
@@ -75,14 +99,24 @@ class Node:
         self.fetches = 0                      # object-buffer fetch counter
         self.refreshes = 0                    # how often sync refreshed us
         self.on_refresh: List[Callable[["Node"], None]] = []
+        # Inside :func:`holding_buffers` (one click's propagation) the
+        # current object's buffer is read once and kept here for the
+        # node's displays and its children's pulls.
+        self._holding = False
+        self._held: Optional[ObjectBuffer] = None
 
     # -- object access ----------------------------------------------------------
 
     def buffer(self) -> Optional[ObjectBuffer]:
         if self.current is None:
             return None
+        if self._held is not None:
+            return self._held
         self.fetches += 1
-        return self.manager.get_buffer(self.current)
+        buffer = self.manager.get_buffer(self.current)
+        if self._holding:
+            self._held = buffer
+        return buffer
 
     # -- children (lazy) -----------------------------------------------------------
 
@@ -125,6 +159,7 @@ class Node:
 
     def _set_current(self, oid: Optional[Oid]) -> None:
         self.current = oid
+        self._held = None
         self.refreshes += 1
         for callback in self.on_refresh:
             callback(self)
@@ -202,6 +237,11 @@ class SetNode(Node):
 
     def members(self) -> List[Oid]:
         return list(self._members)
+
+    @property
+    def position(self) -> int:
+        """Index of the current member; -1 before the first."""
+        return self._index
 
     def member_count(self) -> int:
         return len(self._members)

@@ -19,7 +19,7 @@ this browser crashed and leaves everything else alive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import OdeViewError, ProcessCrashedError
@@ -221,9 +221,16 @@ class ObjectBrowser:
             privileged=self.ctx.privileged,
             window_prefix=f"{self.path}.{format_name}",
         )
+        try:
+            buffer = self.node.buffer()
+        except Exception:
+            # The read runs the class's method bodies, which can raise
+            # anything.  The interactor reads by OID again and crashes
+            # alone (§4.6), as its own read would have.
+            buffer = None
         return self.ctx.processes.call(
             self._interactor_name, "display",
-            oid=str(self.node.current), request=request,
+            oid=str(self.node.current), buffer=buffer, request=request,
         )
 
     def _mark_crashed(self, reason: str) -> None:
@@ -298,7 +305,7 @@ class ObjectBrowser:
         else:
             text = f"object: {current}"
             if self.is_set:
-                index = self.node.members().index(current) + 1
+                index = self.node.position + 1
                 text += f"  [{index}/{self.node.member_count()}]"
         screen.set_content(self.status_name(), text)
 
@@ -329,6 +336,9 @@ class ObjectBrowser:
         for spec in resources.windows:
             names.append(spec.name)
             if screen.has(spec.name):
+                window = screen.get(spec.name)
+                if window.spec.title != spec.title:
+                    window.spec = replace(window.spec, title=spec.title)
                 screen.set_content(spec.name, spec.content)
             else:
                 window = screen.create(spec)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import OdeViewError
-from repro.core.navigation import Node, SetNode
+from repro.core.navigation import Node, SetNode, holding_buffers
 from repro.obs import get_registry
 from repro.ode.oid import Oid
 from repro.windowing.events import DataChanged, EventLoop
@@ -69,10 +69,11 @@ def sequence(node: Node, op: str) -> SyncReport:
     # single commit epoch, so the refreshed network renders one
     # consistent database state even under concurrent writers.  Remote
     # managers pin per-operation on the server instead (their pinned()
-    # is a no-op).
+    # is a no-op).  Under the pin each node's buffer is read once.
     pin = getattr(node.manager, "pinned", None)
     context = pin() if callable(pin) else nullcontext()
-    with registry.histogram("sync.propagate_seconds").time(), context:
+    with registry.histogram("sync.propagate_seconds").time(), context, \
+            holding_buffers(node):
         if op == "next":
             result = node.next()
         elif op == "previous":

@@ -53,9 +53,7 @@ class DisplayModuleLoader:
 
     def get_dispfn(self, class_name: str) -> Optional[Path]:
         """Locate the display module for a class; None when not provided."""
-        if not class_name.isidentifier():
-            raise DynlinkError(f"bad class name {class_name!r}")
-        path = self.display_dir / f"{class_name}.py"
+        path = self._module_path(class_name)
         return path if path.exists() else None
 
     def ld_dispfn(self, class_name: str):
@@ -63,11 +61,13 @@ class DisplayModuleLoader:
 
         Returns the module object, or ``None`` when the class designer
         provided no display module (the caller then synthesizes one).
+        One ``stat`` per call both finds the file and fingerprints it.
         """
-        path = self.get_dispfn(class_name)
-        if path is None:
+        path = self._module_path(class_name)
+        try:
+            stat = path.stat()
+        except FileNotFoundError:
             return None
-        stat = path.stat()
         fingerprint = (stat.st_mtime, stat.st_size)
         cached = self._cache.get(class_name)
         if cached is not None:
@@ -86,6 +86,11 @@ class DisplayModuleLoader:
         return module
 
     # -- internals -----------------------------------------------------------------
+
+    def _module_path(self, class_name: str) -> Path:
+        if not class_name.isidentifier():
+            raise DynlinkError(f"bad class name {class_name!r}")
+        return self.display_dir / f"{class_name}.py"
 
     def _execute(self, class_name: str, path: Path):
         # Unique module name per loader instance so two open databases with

@@ -83,13 +83,16 @@ class DisplayRegistry:
                     f"display function of class {class_name!r} crashed: {exc}"
                 ) from exc
             return ensure_display_resources(result, class_name)
-        return synthesize_display(buffer, request, self.displaylist(class_name))
+        return synthesize_display(
+            buffer, request, self._displaylist(class_name, module))
 
     # -- protocol: displaylist / selectlist ----------------------------------------------
 
     def displaylist(self, class_name: str) -> List[str]:
         """Attributes projection can select (paper §5.1)."""
-        module = self.module_for(class_name)
+        return self._displaylist(class_name, self.module_for(class_name))
+
+    def _displaylist(self, class_name: str, module) -> List[str]:
         if module is not None and hasattr(module, "displaylist"):
             try:
                 names = list(module.displaylist())

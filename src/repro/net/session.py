@@ -62,6 +62,7 @@ from repro.net import protocol as P
 from repro.obs import get_registry
 from repro.ode.cluster import Cluster
 from repro.ode.codec import encode_object
+from repro.ode.database import BEHAVIOURS_FILE
 from repro.ode.mvcc import Snapshot
 from repro.ode.oid import Oid
 
@@ -553,6 +554,7 @@ class ServerSession:
         if display_dir.is_dir():
             for path in sorted(display_dir.glob("*.py")):
                 modules[path.name] = path.read_text(encoding="utf-8")
+        behaviours = database.directory / BEHAVIOURS_FILE
         return {
             "epoch": epoch,
             "term": database.store.term,
@@ -560,6 +562,10 @@ class ServerSession:
             "schema": database.schema.to_dict(),
             "icon": database.icon,
             "modules": modules,
+            # The method bodies computed attributes run, so a replica
+            # answers a read with the primary's computed values.
+            "behaviours": (behaviours.read_text(encoding="utf-8")
+                           if behaviours.is_file() else ""),
             # Index *definitions* ship with the snapshot so the replica
             # builds (and then maintains, through the store's derived-state
             # hook) the

@@ -234,6 +234,24 @@ class Database:
                 f"behaviour module {path} failed to bind: {exc}"
             ) from exc
 
+    def reload_behaviours(self) -> None:
+        """Unbind every behaviour and bind ``behaviours.py`` afresh (a
+        replica does this when a resync brings the primary's changed or
+        removed file).  The bodies bind into a fresh registry whose
+        contents then replace the live one's, so concurrent reads see
+        the old bodies or the new, and a file that fails to bind leaves
+        the old ones in place.
+        """
+        live, self.behaviours = self.behaviours, BehaviourRegistry()
+        try:
+            self._load_behaviours()
+            fresh = self.behaviours
+        finally:
+            self.behaviours = live
+        live.constraints = fresh.constraints
+        live.triggers = fresh.triggers
+        live.methods = fresh.methods
+
     # -- catalog ---------------------------------------------------------------
 
     def _save_catalog(self) -> None:

@@ -103,8 +103,11 @@ class ObjectInteractor(Actor):
             return objects.get_buffer(Oid.parse(payload["oid"]))
         if kind == "display":
             # The paper's code fragment: get the buffer, load the display
-            # function, call it with a pointer to the buffer.
-            buffer = objects.get_buffer(Oid.parse(payload["oid"]))
+            # function, call it with a pointer to the buffer.  A caller
+            # that already read the buffer passes it along.
+            buffer = payload.get("buffer")
+            if buffer is None:
+                buffer = objects.get_buffer(Oid.parse(payload["oid"]))
             request: DisplayRequest = payload["request"]
             return self.registry.display(buffer, request)
         if kind == "formats":

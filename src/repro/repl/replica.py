@@ -29,6 +29,7 @@ from repro.net import protocol as P
 from repro.net.client import OdeClient
 from repro.obs import get_registry
 from repro.ode.database import (
+    BEHAVIOURS_FILE,
     CATALOG_FILE,
     DISPLAY_DIR,
     ICON_FILE,
@@ -56,10 +57,10 @@ def bootstrap_replica(root: Union[str, Path], name: str,
                       client: OdeClient) -> None:
     """Clone database *name* from the primary into *root*.
 
-    Writes the catalog (schema), icon and display modules, then installs
-    the primary's object snapshot at its epoch, so the first fetch the
-    applier issues streams from there.  The directory must not already
-    hold a database.
+    Writes the catalog (schema), icon, behaviours and display modules,
+    then installs the primary's object snapshot at its epoch, so the first
+    fetch the applier issues streams from there.  The directory must not
+    already hold a database.
     """
     reply = client.call(P.OP_REPL_SNAPSHOT, {"db": name})
     directory = Path(root) / f"{name}.odb"
@@ -67,6 +68,7 @@ def bootstrap_replica(root: Union[str, Path], name: str,
     with open(directory / CATALOG_FILE, "w", encoding="utf-8") as fh:
         json.dump(reply["schema"], fh, indent=2, sort_keys=True)
     (directory / ICON_FILE).write_text(reply["icon"], encoding="utf-8")
+    _write_behaviours(directory, reply)
     display_dir = directory / DISPLAY_DIR
     display_dir.mkdir(exist_ok=True)
     for filename, source in reply["modules"].items():
@@ -87,6 +89,23 @@ def bootstrap_replica(root: Union[str, Path], name: str,
             term=reply.get("term"))
     finally:
         database.close()
+
+
+def _write_behaviours(directory: Path, reply: Dict[str, Any]) -> bool:
+    """Make ``behaviours.py`` the primary's, from a snapshot *reply*: an
+    empty source means the primary has none, so a stale file goes.
+    True when the file on disk changed."""
+    source = reply.get("behaviours") or ""
+    path = directory / BEHAVIOURS_FILE
+    present = path.is_file()
+    if not source:
+        if present:
+            path.unlink()
+        return present
+    if present and path.read_text(encoding="utf-8") == source:
+        return False
+    path.write_text(source, encoding="utf-8")
+    return True
 
 
 class ReplicaApplier:
@@ -278,6 +297,8 @@ class ReplicaApplier:
             self._m_resyncs.inc()
             snapshot = self._client.call(
                 P.OP_REPL_SNAPSHOT, {"db": self.database.name})
+            if _write_behaviours(self.database.directory, snapshot):
+                self.database.reload_behaviours()
             return store.install_replicated(
                 snapshot["epoch"],
                 [(text, payload) for text, payload in snapshot["objects"]],

@@ -26,7 +26,14 @@ from repro.windowing.wintypes import WindowKind
 
 
 class TextBackend:
-    """Deterministic ASCII renderer."""
+    """Deterministic ASCII renderer.
+
+    Compositing works on row strings: each window line is spliced into
+    its row with one slice per row.  Each window keeps its last drawing
+    on :attr:`Window.drawn`, keyed on everything the drawing reads (title,
+    kind, size, scroll offset, content, and each open child's position
+    and drawing), so an unchanged subtree is not drawn again.
+    """
 
     name = "text"
 
@@ -43,10 +50,10 @@ class TextBackend:
             max_right = max(max_right, x + max(len(line) for line in lines))
             max_bottom = max(max_bottom, y + len(lines))
 
-        canvas = [[" "] * max_right for _ in range(max_bottom)]
+        rows = [" " * max_right] * max_bottom
         for x, y, lines in boxes:
-            _blit(canvas, x, y, lines)
-        rendered = [("".join(row)).rstrip() for row in canvas]
+            _blit(rows, x, y, lines)
+        rendered = [row.rstrip() for row in rows]
 
         closed = tree.closed_roots()
         if closed:
@@ -59,10 +66,29 @@ class TextBackend:
     # -- drawing ---------------------------------------------------------------
 
     def _draw_window(self, window: Window) -> List[str]:
+        """The window's framed lines, reused while nothing drawn changed."""
         width = max(window.geometry.width, 1)
         height = max(window.geometry.height, 1)
-        interior = self._interior(window, width, height)
-        # frame
+        children = None
+        if window.kind is WindowKind.PANEL:
+            children = tuple(
+                (child.geometry.x, child.geometry.y, self._draw_window(child))
+                for child in window.children if child.is_open)
+        key = (window.spec.title, window.kind, width, height,
+               window.scroll_offset, children)
+        content = window.content
+        drawn = window.drawn
+        if drawn is not None and drawn[0] == key and (
+                drawn[1] is content
+                or (type(content) is str and drawn[1] == content)):
+            return drawn[2]
+        lines = self._frame(window, width, height, children)
+        window.drawn = (key, content, lines)
+        return lines
+
+    def _frame(self, window: Window, width: int, height: int,
+               children) -> List[str]:
+        interior = self._interior(window, width, height, children)
         title = window.spec.title
         top = "+-"
         if title:
@@ -83,7 +109,8 @@ class TextBackend:
         lines.append("+" + "-" * width + "+")
         return lines
 
-    def _interior(self, window: Window, width: int, height: int) -> List[str]:
+    def _interior(self, window: Window, width: int, height: int,
+                  children) -> List[str]:
         kind = window.kind
         if kind is WindowKind.STATIC_TEXT:
             return window.text_lines()
@@ -105,30 +132,32 @@ class TextBackend:
                 image = image.scale(width, height)
             return image.to_ascii().split("\n")
         if kind is WindowKind.PANEL:
-            return self._draw_panel(window, width, height)
+            return self._draw_panel(children, width, height)
         return []
 
-    def _draw_panel(self, panel: Window, width: int, height: int) -> List[str]:
-        grid = [[" "] * width for _ in range(height)]
-        for child in panel.children:
-            if not child.is_open:
-                continue
-            _blit(grid, child.geometry.x, child.geometry.y,
-                  self._draw_window(child))
-        return ["".join(row).rstrip() for row in grid]
+    def _draw_panel(self, children, width: int, height: int) -> List[str]:
+        """Composite a panel's open children, given as ``(x, y, lines)``."""
+        rows = [" " * width] * height
+        for x, y, lines in children:
+            _blit(rows, x, y, lines)
+        return [row.rstrip() for row in rows]
 
 
-def _blit(canvas: List[List[str]], x: int, y: int, lines: List[str]) -> None:
-    """Copy *lines* onto *canvas* at ``(x, y)``, clipped to its edges.
+def _blit(rows: List[str], x: int, y: int, lines: List[str]) -> None:
+    """Splice *lines* into the row strings *rows* at ``(x, y)``, clipped
+    to their edges (every row is as wide as the first).
 
-    One slice assignment per row; later calls overwrite earlier ones, so
-    callers blit back to front.
+    One splice per row; later calls overwrite earlier ones, so callers
+    blit back to front.
     """
-    height = len(canvas)
-    width = len(canvas[0]) if canvas else 0
-    skip = max(0, -x)
-    for row in range(max(0, -y), min(len(lines), height - y)):
+    room = (len(rows[0]) if rows else 0) - x
+    skip = -x if x < 0 else 0
+    start = x + skip
+    for row in range(-y if y < 0 else 0, min(len(lines), len(rows) - y)):
         line = lines[row]
-        end = min(len(line), width - x)
+        end = len(line)
+        if end > room:
+            end = room
         if end > skip:
-            canvas[y + row][x + skip:x + end] = line[skip:end]
+            target = rows[y + row]
+            rows[y + row] = target[:start] + line[skip:end] + target[x + end:]

@@ -55,6 +55,10 @@ class Window:
         self.scroll_offset = 0
         self.z = 0
         self.geometry = Geometry()
+        #: The text backend's last drawing of this window: ``(key, content,
+        #: lines)``.  It lives and dies with the window, so the memo is
+        #: bounded by the live tree.
+        self.drawn: Optional[tuple] = None
 
     @property
     def name(self) -> str:

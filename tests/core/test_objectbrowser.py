@@ -161,6 +161,42 @@ class TestCrashIsolation:
         other.next()
         assert not other.crashed
 
+    def test_a_dangling_reference_crashes_only_its_browser(self, session,
+                                                           browser):
+        """The next employee's department is deleted: the dept window's
+        interactor fails to read it and crashes alone (§4.6), and the
+        click that reached it still completes."""
+        browser.next()
+        dept = browser.open_reference("dept")
+        dept.toggle_format("text")
+        objects = session.database.objects
+        gone = objects.get_buffer(browser.node.members()[1]).value("dept")
+        objects.delete(gone)
+        browser.next()
+        assert dept.node.current == gone
+        assert dept.crashed and not browser.crashed
+
+    def test_a_failing_computed_method_crashes_only_its_browser(
+            self, app, session, browser):
+        """A method body that raises (here ``KeyError``, as a record that
+        lost ``hired`` makes ``years_service`` raise) fails the read of
+        the next employee: the interactor crashes alone and the click on
+        [next] completes."""
+        browser.next()
+        browser.toggle_format("text")
+
+        def years_service(values):
+            if values["name"] != "rakesh":
+                raise KeyError("hired")
+            return 0
+
+        session.database.behaviours.bind_method(
+            "employee", "years_service", years_service)
+        app.click(f"{browser.path}.control.next.1")
+        assert browser.node.current.number == 1
+        assert browser.crashed
+        assert "crashed" in app.screen.get(browser.status_name()).content
+
     def test_restart_after_fix(self, app, session, browser):
         import os
 

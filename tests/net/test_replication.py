@@ -13,7 +13,6 @@ import time
 
 import pytest
 
-from repro.data.labdb import bind_lab_behaviours
 from repro.errors import ReadOnlyReplicaError, StorageError
 from repro.net import protocol as P
 from repro.net.client import OdeClient
@@ -21,6 +20,8 @@ from repro.net.remote import RemoteDatabase
 from repro.net.server import OdeServer
 from repro.net.session import HostedDatabase
 from repro.obs.metrics import get_registry
+from repro.ode import changelog
+from repro.ode.database import BEHAVIOURS_FILE
 from repro.ode.oid import Oid
 
 
@@ -188,10 +189,7 @@ class TestRouting:
         of employee 7 corrupted: byte 36 XOR 38 swallows ``hired``)
         gives no verdict; the primary's good copy answers."""
         oid = Oid("lab", "employee", 7)
-        database = replica_server.hosted("lab").database
-        # A replica clones no behaviours; bind the lab's by hand.
-        bind_lab_behaviours(database)
-        store = database.store
+        store = replica_server.hosted("lab").database.store
         corrupt = bytearray(store.get(oid))
         corrupt[36] ^= 38
         store.put(oid, bytes(corrupt))
@@ -199,6 +197,67 @@ class TestRouting:
         routed_lab.objects.cache.purge()
         assert routed_lab.objects.get_buffer(oid).value("name") == "carol"
         assert _counter("net.route.primary") > primary_before
+
+    def test_a_replica_serves_computed_attributes(self, served_lab,
+                                                  replica_server, routed_lab):
+        """The replica clones the primary's behaviours, so a routed read
+        carries the same computed values as the primary's."""
+        oid = Oid("lab", "employee", 6)
+        primary = RemoteDatabase.connect("127.0.0.1", served_lab.port, "lab")
+        try:
+            expected = primary.objects.get_buffer(oid)
+        finally:
+            primary.close()
+        routed_lab.objects.cache.purge()
+        replica_before = _counter("net.route.replica")
+        routed = routed_lab.objects.get_buffer(oid)
+        assert _counter("net.route.replica") > replica_before
+        assert expected.computed == {"years_service": 2}
+        assert routed.computed == expected.computed
+        assert routed.values == expected.values
+
+    def test_a_resync_carries_the_primarys_behaviours(
+            self, served_lab, replica_server, routed_lab, monkeypatch):
+        """A snapshot resync brings the primary's current ``behaviours.py``:
+        a changed method body is bound on the replica, and a removed file
+        is removed there and its bodies unbound."""
+        oid = Oid("lab", "employee", 6)
+        applier = replica_server.applier("lab")
+        primary_file = (served_lab.hosted("lab").database.directory
+                        / BEHAVIOURS_FILE)
+        replica_file = applier.database.directory / BEHAVIOURS_FILE
+
+        def resync():
+            # Pause the replica, then commit with a one-byte change log:
+            # every commit trims it past the replica's epoch, so the
+            # next fetch orders a resync.
+            applier.pause()
+            resyncs = applier.stats()["resyncs"]
+            monkeypatch.setattr(changelog, "WAL_CHECKPOINT_BYTES", 1)
+            primary = RemoteDatabase.connect(
+                "127.0.0.1", served_lab.port, "lab")
+            try:
+                primary.objects.new_object(
+                    "employee", {"name": "resync", "id": 992, "salary": 1.0})
+            finally:
+                primary.close()
+            monkeypatch.undo()
+            applier.resume()
+            target = served_lab.hosted("lab").database.store.epoch
+            _wait_until(lambda: applier.stats()["resyncs"] > resyncs
+                        and applier.applied_epoch >= target)
+            routed_lab.objects.cache.purge()
+            return routed_lab.objects.get_buffer(oid).computed
+
+        primary_file.write_text(
+            "def bind(database):\n"
+            "    database.behaviours.bind_method(\n"
+            "        'employee', 'years_service', lambda values: 99)\n")
+        assert resync() == {"years_service": 99}
+        assert replica_file.read_text() == primary_file.read_text()
+        primary_file.unlink()
+        assert resync() == {}
+        assert not replica_file.exists()
 
     def test_failover_to_primary_when_replica_dies(self, replica_server,
                                                    routed_lab):

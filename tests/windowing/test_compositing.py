@@ -1,15 +1,18 @@
 """Compositing and layout work per render.
 
-The text backend copies each window's lines onto its canvas one slice per
-row, clipped to the canvas; the screen sizes each window once per layout
-pass.  The property below holds the slice compositor to a per-character
-reference kept here, over random window trees; the counted tests pin the
-work one render does.
+The text backend splices each window's lines into its canvas rows, one
+slice per row, clipped to the canvas; it keeps each window's drawing on
+the window and reuses it while nothing drawn changed; the screen sizes
+each window once per layout pass.  The properties below hold the row
+compositor and the drawing memo to a per-character, memo-less reference
+kept here, over random window trees and random edits to them; the
+counted tests pin the work one render does.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +22,7 @@ from repro.windowing.textbackend import TextBackend, _blit
 from repro.windowing.window import WindowTree
 from repro.windowing.wintypes import (
     ROOT,
+    WindowKind,
     at,
     below,
     button,
@@ -36,7 +40,8 @@ def _reference_blit(canvas, x, y, lines):
 
 
 class ReferenceBackend(TextBackend):
-    """The text backend with a per-character copy for every window."""
+    """The text backend with a per-character copy for every window, and
+    every window drawn afresh (no memo read or written)."""
 
     def render(self, tree: WindowTree) -> str:
         boxes = []
@@ -60,12 +65,19 @@ class ReferenceBackend(TextBackend):
                 "icons: " + " ".join(f"({window.name})" for window in closed))
         return "\n".join(rendered).rstrip("\n")
 
-    def _draw_panel(self, panel_window, width, height):
+    def _draw_window(self, window):
+        children = None
+        if window.kind is WindowKind.PANEL:
+            children = [(child.geometry.x, child.geometry.y,
+                         self._draw_window(child))
+                        for child in window.children if child.is_open]
+        return self._frame(window, max(window.geometry.width, 1),
+                           max(window.geometry.height, 1), children)
+
+    def _draw_panel(self, children, width, height):
         grid = [[" "] * width for _ in range(height)]
-        for child in panel_window.children:
-            if child.is_open:
-                _reference_blit(grid, child.geometry.x, child.geometry.y,
-                                self._draw_window(child))
+        for x, y, lines in children:
+            _reference_blit(grid, x, y, lines)
         return ["".join(row).rstrip() for row in grid]
 
 
@@ -78,11 +90,11 @@ _lines = st.lists(st.text(alphabet="ab#.- ", max_size=12), max_size=8)
 @given(width=st.integers(0, 14), height=st.integers(0, 10),
        x=st.integers(-16, 18), y=st.integers(-12, 14), lines=_lines)
 def test_blit_matches_per_character_copy(width, height, x, y, lines):
-    ours = [["~"] * width for _ in range(height)]
+    ours = ["~" * width for _ in range(height)]
     reference = [["~"] * width for _ in range(height)]
     _blit(ours, x, y, lines)
     _reference_blit(reference, x, y, lines)
-    assert ours == reference
+    assert ours == ["".join(row) for row in reference]
 
 
 # -- whole screens against the reference ------------------------------------------
@@ -167,6 +179,97 @@ def test_render_matches_per_character_reference(case):
     screen = _build(*case)
     rendering = screen.render()
     assert rendering == ReferenceBackend().render(screen.tree)
+
+
+# -- the drawing memo against the reference, across edits ---------------------------
+
+_EDITS = ("content", "title", "toggle", "drag", "raise", "scroll",
+          "destroy", "create")
+
+
+def _edit(screen, data, serial):
+    """Apply one random edit a session can make between two renders."""
+    names = screen.tree.names()
+    roots = [window.name for window in screen.tree.roots()]
+    edit = data.draw(st.sampled_from(_EDITS), label="edit")
+    if edit == "content":
+        leaves = [name for name in names
+                  if screen.get(name).kind is not WindowKind.PANEL]
+        if leaves:
+            name = data.draw(st.sampled_from(leaves), label="leaf")
+            screen.set_content(name, data.draw(_text, label="text"))
+    elif edit == "title":
+        window = screen.get(data.draw(st.sampled_from(names), label="win"))
+        window.spec = replace(window.spec, title=data.draw(
+            st.sampled_from(["", "t", "u", "a long title"]), label="title"))
+    elif edit == "toggle":
+        window = screen.get(data.draw(st.sampled_from(names), label="win"))
+        window.is_open = not window.is_open
+    elif edit == "drag":
+        screen.drag(data.draw(st.sampled_from(roots), label="root"),
+                    data.draw(_offset, label="x"), data.draw(_offset, label="y"))
+    elif edit == "raise":
+        screen.raise_window(data.draw(st.sampled_from(roots), label="root"))
+    elif edit == "scroll":
+        scrollable = [name for name in names
+                      if screen.get(name).kind is WindowKind.SCROLL_TEXT]
+        if scrollable:
+            screen.scroll(data.draw(st.sampled_from(scrollable), label="win"),
+                          data.draw(st.integers(-3, 3), label="delta"))
+    elif edit == "destroy":
+        name = data.draw(st.sampled_from(names), label="win")
+        if name not in roots or len(roots) > 1:   # keep a root to drag
+            screen.destroy(name)
+    else:
+        panels = [name for name in names
+                  if screen.get(name).kind is WindowKind.PANEL]
+        parent = data.draw(st.sampled_from([None] + panels), label="parent")
+        leaf = data.draw(_leaf(), label="leaf")
+        screen.create(_leaf_spec(f"new{serial}", leaf, at(0, 0)),
+                      parent=parent)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_screens(), st.data())
+def test_cached_render_matches_fresh_render_across_edits(case, data):
+    """One backend renders the same screen through a run of edits; after
+    each, its output (drawings reused from earlier renders wherever their
+    key holds) equals a fresh, memo-less render of the same tree."""
+    screen = _build(*case)
+    assert screen.render() == ReferenceBackend().render(screen.tree)
+    for serial in range(data.draw(st.integers(1, 12), label="edits")):
+        _edit(screen, data, serial)
+        assert screen.render() == ReferenceBackend().render(screen.tree)
+
+
+def _count_frames(monkeypatch):
+    framed = Counter()
+    frame = TextBackend._frame
+
+    def counting(self, window, *args):
+        framed[window.name] += 1
+        return frame(self, window, *args)
+
+    monkeypatch.setattr(TextBackend, "_frame", counting)
+    return framed
+
+
+def test_an_edit_redraws_only_its_window_and_ancestors(monkeypatch):
+    screen = Screen(TextBackend(), width=80)
+    screen.create(panel("p", (
+        text_window("p.a", "alpha", placement=at(0, 0)),
+        panel("p.q", (
+            text_window("p.q.b", "beta", placement=at(0, 0)),
+        ), placement=below("p.a")),
+    )))
+    screen.create(text_window("other", "other"))
+    first = screen.render()
+    framed = _count_frames(monkeypatch)
+    assert screen.render() == first
+    assert not framed
+    screen.set_content("p.q.b", "gamma")
+    screen.render()
+    assert framed == Counter({"p.q.b": 1, "p.q": 1, "p": 1})
 
 
 # -- counted: one sizing per window per render ---------------------------------------
