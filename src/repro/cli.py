@@ -348,10 +348,7 @@ class OdeViewCli:
         self._need(args, 1, "vacuum <db>")
         session = self.app.session(args[0])
         reclaimed = session.database.vacuum()
-        if getattr(session.database, "remote", False):
-            fragmentation = session.database.server_stats()["fragmentation"]
-        else:
-            fragmentation = session.database.store.fragmentation()
+        fragmentation = session.database.server_stats()["fragmentation"]
         return (f"vacuumed {args[0]}: {reclaimed} page(s) reclaimed, "
                 f"fragmentation now {fragmentation:.0%}")
 

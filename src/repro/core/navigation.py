@@ -238,6 +238,19 @@ class SetNode(Node):
     def members(self) -> List[Oid]:
         return list(self._members)
 
+    def reload_keeping_current(self) -> None:
+        """Reload the members and stay on the current one, found with
+        one search of the reloaded list; when it is gone, land on the
+        first member, like a parent-driven pull."""
+        current = self.current
+        self.reload_members()
+        try:
+            self._index = self._members.index(current)
+        except ValueError:
+            self._index = 0 if self._members else -1
+        self._set_current(self._members[self._index]
+                          if self._index >= 0 else None)
+
     @property
     def position(self) -> int:
         """Index of the current member; -1 before the first."""

@@ -5,9 +5,15 @@ an :class:`~repro.ode.index.AttributeIndex` exists for an attribute used
 in a sargable conjunct (``attr op literal``), the planner *may* probe the
 index to fetch only candidate OIDs and evaluate the *residual* predicate
 on those.  Whether it does is a cost decision, not a reflex: the
-:class:`~repro.core.statistics.StatisticsCatalog` estimates how many rows
-each candidate probe returns, and the probe is chosen only when its
-estimated cost beats the full scan's.
+estimators below guess how many rows each candidate probe returns, and
+the probe is chosen only when its estimated cost beats the full scan's.
+
+Each number the estimates run on is read from its owner when the plan
+is made: the cluster's cardinality from the object manager's membership
+(``objects.count``, which answers at the reader's pinned snapshot), and
+an indexed attribute's rows, distinct keys and bounds from its
+:class:`~repro.ode.index.AttributeIndex` (``len``, ``distinct_count()``,
+``live_bounds()``), which keeps them as commits apply.
 
 The cost model is deliberately small:
 
@@ -30,8 +36,8 @@ to the commit-driven index) and a pin older than the index's
 
 Every plan renders an ``EXPLAIN`` text naming the chosen access path,
 the estimated rows and costs it was chosen on, and the reader's epoch;
-the most recent one is kept on the statistics catalog and surfaced in
-the statistics window (and over the wire via OP_EXPLAIN).
+the most recent one is kept at ``ObjectManager.last_explain`` and
+surfaced in the statistics window (and over the wire via OP_EXPLAIN).
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.ode.database import Database
+from repro.ode.index import AttributeIndex, _sort_key
 from repro.ode.objectmanager import READ_BATCH, ObjectBuffer
 from repro.ode.oid import Oid
 from repro.ode.opp import ast
@@ -53,6 +60,10 @@ _RANGE_OPS = ("<", "<=", ">", ">=")
 SCAN_ROW_COST = 1.0
 PROBE_ROW_COST = 2.0
 PROBE_BASE_COST = 2.0
+
+#: Fallback selectivities when the covering index holds no live rows.
+DEFAULT_EQ_SELECTIVITY = 0.05
+DEFAULT_RANGE_SELECTIVITY = 0.30
 
 #: Bounds keyword sets for each range operator, as the index expects.
 _RANGE_BOUNDS = {
@@ -108,6 +119,58 @@ def _probe_bounds(op: str, literal: Any) -> dict:
     return bounds
 
 
+def estimate_equal(cardinality: int, index: AttributeIndex) -> float:
+    """Estimated rows matching ``attribute == value``: the index's live
+    rows spread evenly over its distinct keys."""
+    rows, distinct = len(index), index.distinct_count()
+    if rows and distinct:
+        return min(float(cardinality), rows / distinct)
+    if not cardinality:
+        return 0.0
+    return max(1.0, cardinality * DEFAULT_EQ_SELECTIVITY)
+
+
+def estimate_range(cardinality: int, index: AttributeIndex,
+                   low: Any = None, high: Any = None) -> float:
+    """Estimated rows in a (half-)bounded range over the indexed attribute.
+
+    Interpolates within the index's live [min, max] when the bounds and
+    the probe are on the same numeric rank (ints/floats and dates);
+    otherwise falls back to a fixed selectivity.
+    """
+    if not cardinality:
+        return 0.0
+    fraction = _range_fraction(index.live_bounds(), low, high)
+    if fraction is None:
+        fraction = DEFAULT_RANGE_SELECTIVITY
+        if low is None or high is None:
+            fraction = min(1.0, fraction * 1.5)  # half-open: wider
+    rows = len(index) or cardinality
+    return max(1.0, min(float(cardinality), rows * fraction))
+
+
+def _range_fraction(bounds: Optional[Tuple[Tuple, Tuple]],
+                    low: Any, high: Any) -> Optional[float]:
+    if bounds is None:
+        return None
+    min_key, max_key = bounds
+    lo_key = min_key if low is None else _sort_key(low)
+    hi_key = max_key if high is None else _sort_key(high)
+    if len({min_key[0], max_key[0], lo_key[0], hi_key[0]}) != 1:
+        return None
+    span = max_key[1] - min_key[1]
+    if not isinstance(span, (int, float)):
+        return None
+    if span <= 0:
+        # Degenerate domain: everything matches or nothing does.
+        return 1.0 if lo_key <= min_key <= hi_key else 0.0
+    lo = max(lo_key[1], min_key[1])
+    hi = min(hi_key[1], max_key[1])
+    if lo > hi:
+        return 0.0
+    return max(0.0, min(1.0, (hi - lo) / span))
+
+
 @dataclass
 class QueryPlan:
     """How one selection will be executed, and why."""
@@ -124,8 +187,8 @@ class QueryPlan:
     #: longer satisfies the probed conjunct is filtered out.
     expr: Optional[ast.Expr] = None
     #: Cost-model inputs and outputs, for EXPLAIN and the regression
-    #: battery.  ``estimated_rows`` is the statistics estimate the
-    #: decision was made on (not the actual probe size).
+    #: battery.  ``estimated_rows`` is the estimate the decision was
+    #: made on (not the actual probe size).
     estimated_rows: float = 0.0
     estimated_cost: float = 0.0
     scan_cost: float = 0.0
@@ -183,10 +246,9 @@ class SelectionPlanner:
         other.
         """
         objects = self.database.objects
-        stats = objects.statistics
         snapshot = objects.ambient_snapshot()
         epoch = snapshot.epoch if snapshot is not None else None
-        cardinality = stats.cardinality(class_name)
+        cardinality = objects.count(class_name)
         scan_cost = cardinality * SCAN_ROW_COST
 
         def scan(reason: str) -> QueryPlan:
@@ -196,7 +258,7 @@ class SelectionPlanner:
                 estimated_rows=float(cardinality), estimated_cost=scan_cost,
                 scan_cost=scan_cost, cardinality=cardinality, epoch=epoch,
                 reason=reason)
-            stats.last_explain = plan.explain()
+            objects.last_explain = plan.explain()
             return plan
 
         if force == "scan":
@@ -209,8 +271,10 @@ class SelectionPlanner:
 
         conjuncts = split_conjuncts(expr)
         # Every usable (indexed, sargable, epoch-answerable) conjunct,
-        # costed: (estimated probe cost, rank, position, probe, index).
-        choices: List[Tuple[float, int, int, Tuple[str, str, Any], Any]] = []
+        # costed: (estimated probe cost, rank, position, probe, index,
+        # estimated rows).
+        choices: List[Tuple[float, int, int, Tuple[str, str, Any],
+                            AttributeIndex, float]] = []
         stale_index = False
         for position, conjunct in enumerate(conjuncts):
             probe = sargable(conjunct)
@@ -226,23 +290,24 @@ class SelectionPlanner:
                 stale_index = True
                 continue
             if op == _EQ:
-                est = stats.estimate_equal(class_name, attribute, literal)
+                est = estimate_equal(cardinality, index)
                 rank = 0
             else:
                 bounds = _probe_bounds(op, literal)
-                est = stats.estimate_range(
-                    class_name, attribute,
-                    low=bounds.get("low"), high=bounds.get("high"))
+                est = estimate_range(cardinality, index,
+                                     low=bounds.get("low"),
+                                     high=bounds.get("high"))
                 rank = 1
             cost = PROBE_BASE_COST + est * PROBE_ROW_COST
-            choices.append((cost, rank, position, probe, index))
+            choices.append((cost, rank, position, probe, index, est))
 
         if not choices:
             if stale_index:
                 return scan("snapshot predates index build")
             return scan("no usable index")
         choices.sort(key=lambda c: (c[0], c[1], c[2]))
-        cost, _rank, position, (attribute, op, literal), index = choices[0]
+        cost, _rank, position, (attribute, op, literal), index, est = \
+            choices[0]
         if force != "index" and cost >= scan_cost:
             return scan(f"scan is cheaper (probe cost {cost:.1f} "
                         f">= scan cost {scan_cost:.1f})")
@@ -250,14 +315,9 @@ class SelectionPlanner:
         if op == _EQ:
             numbers = index.equal(literal, epoch=epoch)
             access = "index-eq"
-            est = stats.estimate_equal(class_name, attribute, literal)
         else:
-            bounds = _probe_bounds(op, literal)
-            numbers = index.range(epoch=epoch, **bounds)
+            numbers = index.range(epoch=epoch, **_probe_bounds(op, literal))
             access = "index-range"
-            est = stats.estimate_range(class_name, attribute,
-                                       low=bounds.get("low"),
-                                       high=bounds.get("high"))
         residual = join_conjuncts(
             [c for i, c in enumerate(conjuncts) if i != position])
         plan = QueryPlan(
@@ -268,7 +328,7 @@ class SelectionPlanner:
             reason=("forced index probe" if force == "index"
                     else f"probe cost {cost:.1f} < scan cost "
                          f"{scan_cost:.1f}"))
-        stats.last_explain = plan.explain()
+        objects.last_explain = plan.explain()
         return plan
 
     def execute(self, plan: QueryPlan) -> Iterator[ObjectBuffer]:

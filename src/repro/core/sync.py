@@ -184,19 +184,7 @@ class ReactiveBrowse:
         """
         if wholesale or node.class_name in touched:
             if isinstance(node, SetNode):
-                current = node.current
-                node.reload_members()
-                members = node.members()
-                if current is not None and current in members:
-                    # The display keeps its place; members and buffers
-                    # around it re-render from fresh data.
-                    node._index = members.index(current)
-                    node._set_current(current)
-                else:
-                    # Our object vanished (or position is stale): land on
-                    # the first member, like a parent-driven pull.
-                    node._index = 0 if members else -1
-                    node._set_current(members[0] if members else None)
+                node.reload_keeping_current()
             elif node.parent is not None:
                 node.pull_from_parent()
             else:

@@ -752,7 +752,7 @@ class RemoteObjectManager:
 class RemoteDatabase:
     """A server-hosted database, presented like a local one."""
 
-    #: Lets callers (statistics, CLI) branch without importing this module.
+    #: Lets callers (statistics, selection) branch without importing this module.
     remote = True
 
     def __init__(self, client: OdeClient, name: str):

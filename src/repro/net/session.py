@@ -577,49 +577,16 @@ class ServerSession:
     # -- maintenance -------------------------------------------------------------------
 
     def op_stats(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        """The database's own numbers, with the server's beside them."""
         hosted = self.hosted(payload)
         database = hosted.database
-        pool = database.store.pool
-        clusters = {
-            name: database.objects.count(name)
-            for name in database.schema.class_names()
-        }
         registry = get_registry()
         return {
             "role": self.server.role,
             "term": database.store.term,
             "applied_epoch": database.store.epoch,
             "replication": self.server.replication_stats(database.name),
-            "schema_version": database.schema.version,
-            "clusters": clusters,
-            "indexes": [
-                {"class": index.class_name, "attribute": index.attribute,
-                 "entries": len(index)}
-                for index in database.objects.indexes.indexes()
-            ],
-            "statistics": [
-                [label, value]
-                for label, value in database.objects.statistics.describe_rows()
-            ],
-            "fragmentation": database.store.fragmentation(),
-            "pool": {
-                "hits": pool.stats.hits,
-                "misses": pool.stats.misses,
-                "evictions": pool.stats.evictions,
-                "prefetches": pool.stats.prefetches,
-            },
-            "epoch": database.store.epoch,
-            "group_commit": database.store.group_commit_stats(),
-            "mvcc": {
-                "versions_live": registry.gauge("mvcc.versions_live").value,
-                "snapshots_open": registry.gauge("mvcc.snapshots_open").value,
-                "pruned": registry.counter("mvcc.pruned").value,
-                "full_sweeps": registry.counter("mvcc.full_sweeps").value,
-                "snapshot_reads": registry.counter("mvcc.snapshot_reads").value,
-                "read_fallbacks": registry.counter("mvcc.read_fallbacks").value,
-                "snapshot_age_p95":
-                    registry.histogram("mvcc.snapshot_age").percentile(95),
-            },
+            **database.server_stats(),
             "read_lockfree": self._m_read_lockfree.value,
             "cdc": {
                 "subscribers": hosted.subscribers,

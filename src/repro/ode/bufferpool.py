@@ -34,7 +34,7 @@ from time import perf_counter
 from typing import Iterable, Optional
 
 from repro.errors import BufferPoolError
-from repro.obs import Histogram, MetricsRegistry, get_registry
+from repro.obs import MetricsRegistry, get_registry
 from repro.ode.page import Page
 from repro.ode.pagefile import PageFile
 
@@ -94,10 +94,7 @@ class BufferPool:
         self._m_evictions = registry.counter("bufferpool.evictions")
         self._m_writebacks = registry.counter("bufferpool.writebacks")
         self._m_prefetches = registry.counter("bufferpool.prefetches")
-        self._m_fetch_time = registry.histogram("bufferpool.fetch_seconds")
-        #: Per-pool fetch latency (the registry histogram aggregates all
-        #: pools in the process; the statistics window wants this pool's).
-        self.fetch_time = Histogram("fetch_seconds")
+        self._m_fetch_seconds = registry.histogram("bufferpool.fetch_seconds")
 
     @property
     def capacity(self) -> int:
@@ -143,9 +140,7 @@ class BufferPool:
                     frame.pins -= 1
         if pin:
             frame.pins += 1
-        elapsed = perf_counter() - start
-        self.fetch_time.observe(elapsed)
-        self._m_fetch_time.observe(elapsed)
+        self._m_fetch_seconds.observe(perf_counter() - start)
         return frame.page
 
     def unpin(self, page_no: int) -> None:

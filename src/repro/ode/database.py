@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Callable, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.errors import SchemaError, StorageError
 from repro.ode.classdef import OdeClass
@@ -206,6 +206,48 @@ class Database:
         OIDs held by open browsers stay valid.
         """
         return self.store.vacuum()
+
+    def server_stats(self) -> Dict[str, Any]:
+        """This database's numbers, under the keys of an ``OP_STATS``
+        reply (a server adds its own keys to this dict).  Each number is
+        read from its owner: cluster membership, the indexes, the store,
+        its pool and commit barrier, and the ``mvcc.*`` metrics."""
+        from repro.obs import get_registry
+
+        objects, store = self.objects, self.store
+        indexes = objects.indexes.indexes()
+        statistics = [[f"stats {index.class_name}.{index.attribute}",
+                       f"{len(index)} rows, {index.distinct_count()} distinct"]
+                      for index in indexes]
+        for i, line in enumerate((objects.last_explain or "").splitlines()):
+            statistics.append(["last explain" if i == 0 else "", line.strip()])
+        pool = store.pool.stats
+        registry = get_registry()
+        return {
+            "schema_version": self.schema.version,
+            "clusters": {name: objects.count(name)
+                         for name in self.schema.class_names()},
+            "indexes": [{"class": index.class_name,
+                         "attribute": index.attribute,
+                         "entries": len(index)} for index in indexes],
+            "statistics": statistics,
+            "fragmentation": store.fragmentation(),
+            "pool": {"hits": pool.hits, "misses": pool.misses,
+                     "evictions": pool.evictions,
+                     "prefetches": pool.prefetches},
+            "epoch": store.epoch,
+            "group_commit": store.group_commit_stats(),
+            "mvcc": {
+                "versions_live": registry.gauge("mvcc.versions_live").value,
+                "snapshots_open": registry.gauge("mvcc.snapshots_open").value,
+                "pruned": registry.counter("mvcc.pruned").value,
+                "full_sweeps": registry.counter("mvcc.full_sweeps").value,
+                "snapshot_reads": registry.counter("mvcc.snapshot_reads").value,
+                "read_fallbacks": registry.counter("mvcc.read_fallbacks").value,
+                "snapshot_age_p95":
+                    registry.histogram("mvcc.snapshot_age").percentile(95),
+            },
+        }
 
     def _load_behaviours(self) -> None:
         """Dynamically load the database's behaviour module, if present.

@@ -28,6 +28,11 @@ Entries removed at or below the MVCC watermark (the oldest pinned
 epoch) are unreachable by every possible reader and are garbage
 collected amortized, mirroring the store's version-chain pruning.
 
+An index also owns its attribute's statistics: the selection planner
+costs a probe on the live row count (``len``),
+:meth:`AttributeIndex.distinct_count` and
+:meth:`AttributeIndex.live_bounds`, which the index keeps as it goes.
+
 Index upkeep decodes only the indexed attributes of a record
 (:func:`~repro.ode.codec.decode_fields`).  The equivalence battery in
 ``tests/ode/test_index_equivalence.py`` proves probe ≡ scan at head and
@@ -42,7 +47,7 @@ import threading
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import SchemaError
-from repro.ode.oid import Oid, is_version_cluster
+from repro.ode.oid import Oid
 from repro.ode.types import (
     BoolType,
     DateType,
@@ -274,9 +279,6 @@ class IndexManager:
         self._indexes: Dict[Tuple[str, str], AttributeIndex] = {}
         self._by_cluster: Dict[str, List[AttributeIndex]] = {}
         self._lock = threading.RLock()
-        from repro.core.statistics import StatisticsCatalog
-
-        self.statistics = StatisticsCatalog(manager)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -321,7 +323,6 @@ class IndexManager:
                 siblings.remove(index)
             if not siblings:
                 self._by_cluster.pop(class_name, None)
-            self.statistics.forget_attribute(class_name, attribute)
 
     def get(self, class_name: str, attribute: str) -> Optional[AttributeIndex]:
         """The index serving (class, attribute), consulting superclasses.
@@ -357,37 +358,24 @@ class IndexManager:
                                                          (attribute,)):
                 index.insert(oid.number, values.get(attribute))
             index.built_epoch = store.epoch
-        self.statistics.observe_index(index)
 
     # -- commit-driven maintenance (the store's derived-state hook) -------------
 
     def apply_effects(self, epoch: int,
-                      effects: Dict[Oid, Optional[bytes]],
-                      existed: Dict[Oid, bool]) -> None:
+                      effects: Dict[Oid, Optional[bytes]]) -> None:
         """Apply one commit's net effect to every covering index.
 
         Runs inside the store's commit path — under the store lock,
         after the pages are applied, before the epoch publishes — so a
         head reader cannot observe the index ahead of the data, and a
-        pinned reader filters these entries out by epoch.  *existed*
-        says whether each OID was present before this commit (drives
-        cardinality statistics).
+        pinned reader filters these entries out by epoch.
         """
         from repro.ode.codec import decode_fields
 
         touched: List[AttributeIndex] = []
         with self._lock:
             for oid, payload in effects.items():
-                cluster = oid.cluster
-                if is_version_cluster(cluster):
-                    continue
-                was_there = existed.get(oid, False)
-                if payload is None:
-                    if was_there:
-                        self.statistics.adjust_cardinality(cluster, -1)
-                elif not was_there:
-                    self.statistics.adjust_cardinality(cluster, +1)
-                indexes = self._by_cluster.get(cluster)
+                indexes = self._by_cluster.get(oid.cluster)
                 if not indexes:
                     continue
                 if payload is None:
@@ -405,7 +393,6 @@ class IndexManager:
             watermark = self._manager.store.watermark
             for index in touched:
                 index.prune(watermark)
-                self.statistics.observe_index(index)
 
     def on_store_rebuilt(self) -> None:
         """Re-derive everything after wholesale state replacement.
@@ -416,7 +403,6 @@ class IndexManager:
         resolved the other way, so committed state is the only truth
         left.
         """
-        self.statistics.invalidate()
         with self._lock:
             keys = list(self._indexes)
         for class_name, attribute in keys:

@@ -154,6 +154,9 @@ class ObjectManager:
         # visible atomically with the data they index (and are re-derived
         # wholesale after a recovery or resync).
         store.derived = self.indexes
+        #: The most recent EXPLAIN text a planner produced against this
+        #: database (shown in the statistics window).
+        self.last_explain: Optional[str] = None
         self._compiled_constraints = CompiledConstraintCache(schema)
         self._compiled_triggers = CompiledTriggerCache(schema)
         self._layouts: Dict[str, Tuple[int, _ClassLayout]] = {}
@@ -212,12 +215,6 @@ class ObjectManager:
         newer than its snapshot.
         """
         return self._current_snapshot()
-
-    @property
-    def statistics(self):
-        """The per-cluster/per-attribute statistics catalog the planner
-        costs plans against (see :mod:`repro.core.statistics`)."""
-        return self.indexes.statistics
 
     def _versions(self):
         if self._version_manager is None:

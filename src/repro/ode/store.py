@@ -117,7 +117,7 @@ class ObjectStore(_MembershipReads):
         # commit leaves at most a gap, never a reused epoch.
         self._epoch_minted = 0
         #: Derived state (the object manager's indexes): its
-        #: ``apply_effects(epoch, effects, existed)`` runs inside every
+        #: ``apply_effects(epoch, effects)`` runs inside every
         #: :meth:`_apply_unit`, its ``on_store_rebuilt()`` after recovery
         #: or a resync replaced the contents wholesale.
         self.derived: Optional[Any] = None
@@ -235,10 +235,8 @@ class ObjectStore(_MembershipReads):
         self._gate("store.commit.apply")
         placement = self._placement
         # Captured for every written OID, chain or not: a snapshot
-        # release can prune a chain away before the publish.  Records
-        # are never empty, so a pre-image also says the OID existed.
+        # release can prune a chain away before the publish.
         preimages = {oid: placement.read(oid) for oid in effects}
-        existed = {oid: value is not None for oid, value in preimages.items()}
         for oid, payload in effects.items():
             if payload is None:
                 placement.delete(oid)
@@ -252,7 +250,7 @@ class ObjectStore(_MembershipReads):
         # site unconditionally.
         self._gate("store.commit.index")
         if self.derived is not None:
-            self.derived.apply_effects(epoch, effects, existed)
+            self.derived.apply_effects(epoch, effects)
         self._gate("store.commit.publish")
         self._mvcc.publish(epoch, effects, preimages)
         self._epoch_minted = max(self._epoch_minted, epoch)

@@ -120,3 +120,25 @@ def test_close_detaches_the_subscription(network, remote_lab, served_lab):
     browse.close()
     assert not browse.alive
     _wait_until(lambda: served_lab.hosted("lab").subscribers == 0)
+
+
+def test_a_pushed_change_copies_no_members(network, remote_lab, writer_lab,
+                                           monkeypatch):
+    """The refreshed set node keeps its place without copying its
+    members: one search of the reloaded list finds the current one."""
+    copies = []
+    original = SetNode.members
+
+    def counting(self):
+        copies.append(self.path)
+        return original(self)
+
+    with ReactiveBrowse(network, remote_lab) as browse:
+        current = network.current
+        writer_lab.objects.update(current, {"name": "pushed"})
+        _wait_until(lambda: browse.pending() >= 1)
+        monkeypatch.setattr(SetNode, "members", counting)
+        assert "emp" in browse.apply_pending()
+        assert copies == []
+        assert network.current == current
+        assert network.buffer().value("name") == "pushed"

@@ -58,18 +58,25 @@ def test_destroy(app, session):
 
 
 def test_cardinality_counts_a_clusters_first_commit_once(tmp_path):
-    """The catalog first meets a cluster inside the commit that fills
-    it (the apply gate, before the epoch publishes): every insert of
-    that commit counts once, none twice."""
+    """A plan's cardinality is the cluster's membership: every insert of
+    the commit that filled the cluster counts once, none twice, and a
+    delete takes one away."""
+    from repro.core.queryplan import SelectionPlanner
     from repro.data.synthetic import make_synthetic_database
     from repro.ode.oid import Oid
+    from repro.ode.opp.parser import parse_expression
 
     database = make_synthetic_database(tmp_path, readings=30, sensors=3)
     try:
-        catalog = database.objects.statistics
-        assert catalog.cardinality("reading") == 30
-        assert catalog.cardinality("sensor") == 3
+        planner = SelectionPlanner(database)
+
+        def cardinality(class_name, source):
+            return planner.plan(class_name,
+                                parse_expression(source)).cardinality
+
+        assert cardinality("reading", "value > 0") == 30
+        assert cardinality("sensor", "zone > 0") == 3
         database.objects.delete(Oid("synthetic", "reading", 7))
-        assert catalog.cardinality("reading") == 29
+        assert cardinality("reading", "value > 0") == 29
     finally:
         database.close()

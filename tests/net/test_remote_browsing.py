@@ -155,3 +155,38 @@ def test_statistics_window_renders_remotely(tmp_path):
         app.shutdown()
     finally:
         server.shutdown()
+
+
+def test_local_and_remote_windows_show_the_same_database_rows(tmp_path):
+    """One renderer for both: over one lab database, a local statistics
+    window and one served in-process show the same database rows, label
+    by label.  Values agree too, but for the pool and MVCC counters,
+    which move with each process's own reads."""
+    from repro.core.statistics import gather_statistics
+
+    database = make_lab_database(tmp_path)
+    database.create_index("employee", "id")
+    database.close()
+    app = OdeView(tmp_path, screen_width=200)
+    local = gather_statistics(app.open_database("lab"))
+    app.shutdown()
+
+    server = OdeServer(tmp_path)
+    server.start()
+    try:
+        app = OdeView(tmp_path, screen_width=200)
+        remote = gather_statistics(app.attach_database(
+            RemoteDatabase.connect("127.0.0.1", server.port, "lab")))
+        app.shutdown()
+    finally:
+        server.shutdown()
+
+    database_rows = local[:-2]   # the display-loader rows close the list
+    served = remote[:len(database_rows)]
+    assert [label for label, _ in served] == \
+        [label for label, _ in database_rows]
+    moving = ("pool ", "mvcc ", "snapshot age")
+    assert [row for row in served if not row[0].startswith(moving)] == \
+        [row for row in database_rows if not row[0].startswith(moving)]
+    assert ("index employee.id", "55 entries") in served
+    assert ("stats employee.id", "55 rows, 55 distinct") in served

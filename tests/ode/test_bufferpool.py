@@ -333,12 +333,16 @@ def test_readahead_zero_disables_sequential_prefetch(pagefile):
 # -- instrumentation -----------------------------------------------------------
 
 def test_fetch_latency_histogram_observes_every_fetch(pagefile):
-    pool = BufferPool(pagefile, capacity=4)
+    from repro.obs import MetricsRegistry
+
+    registry = MetricsRegistry()
+    pool = BufferPool(pagefile, capacity=4, metrics=registry)
     page_no = pool.new_page()
     pool.fetch(page_no)
     pool.fetch(page_no)
-    assert pool.fetch_time.count == 2
-    assert pool.fetch_time.max > 0
+    fetches = registry.histogram("bufferpool.fetch_seconds")
+    assert fetches.count == 2
+    assert fetches.max > 0
 
 
 def test_pool_feeds_process_registry(pagefile):
