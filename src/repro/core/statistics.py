@@ -58,6 +58,8 @@ def _database_rows(stats: Dict[str, Any]) -> Rows:
                  f"({pool['hits'] / total if total else 0.0:.0%} hit rate)"))
     rows.append(("pool evictions", str(pool["evictions"])))
     rows.append(("pool prefetches", str(pool["prefetches"])))
+    rows.append(("pool write-backs", f"{pool['writebacks']} pages in "
+                 f"{pool['writeback_batches']} batches"))
     rows.append(("commit epoch", str(stats["epoch"])))
     rows.extend(_group_commit_rows(stats["group_commit"]))
     mvcc = stats["mvcc"]

@@ -47,9 +47,10 @@ from repro.ode.pagefile import PageFile
 from repro.ode.store import ObjectStore
 from repro.ode.wal import WriteAheadLog
 
-#: Pool small enough that a multi-object transaction evicts dirty pages
-#: mid-apply — the schedules that tear the store's write-back ordering.
-TORTURE_POOL_CAPACITY = 8
+#: Pool small enough that the fragment chain's transaction evicts dirty
+#: pages mid-apply, two to a write-back batch — the schedules that tear
+#: the store's write-back ordering.
+TORTURE_POOL_CAPACITY = 2
 
 
 # -- simulated process death -------------------------------------------------------
@@ -149,7 +150,8 @@ class TortureWorkload:
         for op_index in range(rng.randint(1, 3)):
             live = sorted(state)
             roll = rng.random()
-            if live and roll < 0.25:
+            oversized = index == self.transactions // 2 and op_index == 0
+            if live and roll < 0.25 and not oversized:
                 oid = rng.choice(live)
                 del state[oid]
                 ops.append(("delete", oid, b""))
@@ -160,7 +162,7 @@ class TortureWorkload:
                 oid = str(Oid(self.DATABASE,
                               f"{self.CLUSTER_PREFIX}{rng.randrange(2)}",
                               index * 10 + op_index))
-            if index == self.transactions // 2 and op_index == 0:
+            if oversized:
                 size = MAX_RECORD_SIZE * 2 + rng.randint(1, 64)
             else:
                 size = rng.randint(8, 96)

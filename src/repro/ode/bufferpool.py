@@ -5,6 +5,11 @@ through the pool, which caches a bounded number of decoded
 :class:`~repro.ode.page.Page` objects, tracks pins and dirty state, and
 writes dirty pages back on eviction or flush.
 
+Write-back has one routine, :meth:`BufferPool.flush_all`: every dirty
+frame leaves in one crash-atomic batch, on a flush and on an eviction
+whose victim is dirty alike, so its two fsyncs are paid per batch, not
+per victim.  An eviction then drops the victim alone.
+
 Replacement is strict least-recently-used: the frames live in one
 ``OrderedDict`` keyed by page number, least recent first; a hit moves
 its page to the end and the victim is the first unpinned page.  Why
@@ -47,7 +52,8 @@ class PoolStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    writebacks: int = 0
+    writebacks: int = 0  # pages, in writeback_batches batches
+    writeback_batches: int = 0
     prefetches: int = 0
 
     @property
@@ -93,6 +99,7 @@ class BufferPool:
         self._m_misses = registry.counter("bufferpool.misses")
         self._m_evictions = registry.counter("bufferpool.evictions")
         self._m_writebacks = registry.counter("bufferpool.writebacks")
+        self._m_batches = registry.counter("bufferpool.writeback_batches")
         self._m_prefetches = registry.counter("bufferpool.prefetches")
         self._m_fetch_seconds = registry.histogram("bufferpool.fetch_seconds")
 
@@ -219,15 +226,12 @@ class BufferPool:
             self._evict(victim_no)
 
     def _evict(self, page_no: int) -> None:
-        frame = self._frames[page_no]
-        if frame.page.dirty:
-            # Even a single write-back must be crash-atomic: the victim
-            # page can hold committed records that are no longer in the
-            # WAL, which a torn in-place overwrite would destroy.  The
-            # frame leaves the pool only once its image has landed.
-            self._pagefile.write_pages_atomic({page_no: frame.page.to_bytes()})
-            self.stats.writebacks += 1
-            self._m_writebacks.inc()
+        if self._frames[page_no].page.dirty:
+            # Crash-atomic (a torn overwrite could destroy committed
+            # records no longer in the WAL), and with every other dirty
+            # frame: one batch's two fsyncs serve them all.  A failed
+            # batch marks nothing clean and the victim stays.
+            self.flush_all()
         del self._frames[page_no]
         self.stats.evictions += 1
         self._m_evictions.inc()
@@ -244,17 +248,17 @@ class BufferPool:
         old images are still intact (and the WAL redoes the logical
         changes).  Frames are marked clean only after the batch lands.
         """
-        images = {}
-        for page_no, frame in self._frames.items():
-            if frame.page.dirty:
-                images[page_no] = frame.page.to_bytes()
+        images = {page_no: frame.page.to_bytes()
+                  for page_no, frame in self._frames.items()
+                  if frame.page.dirty}
         self._pagefile.write_pages_atomic(images)
         for page_no in images:
-            frame = self._frames.get(page_no)
-            if frame is not None:
-                frame.page.dirty = False
-            self.stats.writebacks += 1
-            self._m_writebacks.inc()
+            self._frames[page_no].page.dirty = False
+        if images:
+            self.stats.writebacks += len(images)
+            self.stats.writeback_batches += 1
+            self._m_writebacks.inc(len(images))
+            self._m_batches.inc()
 
     def pinned_pages(self) -> list:
         """Page numbers currently pinned (ascending)."""

@@ -234,7 +234,9 @@ class Database:
             "fragmentation": store.fragmentation(),
             "pool": {"hits": pool.hits, "misses": pool.misses,
                      "evictions": pool.evictions,
-                     "prefetches": pool.prefetches},
+                     "prefetches": pool.prefetches,
+                     "writebacks": pool.writebacks,
+                     "writeback_batches": pool.writeback_batches},
             "epoch": store.epoch,
             "group_commit": store.group_commit_stats(),
             "mvcc": {

@@ -419,8 +419,10 @@ class ObjectManager:
         self._enforce_constraints(buffer.class_name, values)
         values = self._fire_triggers(buffer.class_name, values)
         self._enforce_constraints(buffer.class_name, values)
-        self._store.put(oid, encode_object(oid, buffer.class_name, values))
-        return self.get_buffer(oid)
+        data = encode_object(oid, buffer.class_name, values)
+        self._store.put(oid, data)
+        # Not re-read: inside pinned() that read would be the stale pin's.
+        return self._build_buffer(oid, data)
 
     def delete(self, oid: Oid) -> None:
         self._store.get(oid)  # raises ObjectNotFoundError if absent

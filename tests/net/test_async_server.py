@@ -386,6 +386,58 @@ class TestShutdownReleasesWaiters:
         assert shutdown_seconds < 3.0  # did not wait out drain + poll
         assert outcomes[0][1] < 3.0
 
+    def test_commit_parked_past_the_drain_deadline_gets_a_typed_error(
+            self, tmp_path):
+        """The drain-deadline path: an autocommit update parked in
+        ``commit_wait`` (its batch fsync held on an event) keeps its
+        connection busy past the drain.  Shutdown cancels the barrier's
+        waiters, then the connection; the client gets a typed error and
+        shutdown returns within drain + 2 s."""
+        make_lab_database(tmp_path).close()
+        parked, release = threading.Event(), threading.Event()
+
+        def gate(site, data, default):
+            if site == "wal.group.sync" and not release.is_set():
+                parked.set()
+                release.wait(10.0)
+            return default() if data is None else default(data)
+
+        server = OdeServer(tmp_path, fault_gate=gate)
+        server.start()
+        cancels = []
+        cancel = server._cancel_commit_waiters
+        server._cancel_commit_waiters = lambda: (cancels.append(1), cancel())
+        client = OdeClient("127.0.0.1", server.port, retries=0)
+        oid = _first_employee(client)
+        outcomes = []
+
+        def writer():
+            try:
+                client.call(P.OP_UPDATE, {"db": "lab", "oid": oid,
+                                          "updates": {"name": "parked"}})
+                outcomes.append("reply")
+            except OdeError as exc:
+                outcomes.append(exc)
+            finally:
+                release.set()
+
+        thread = threading.Thread(target=writer, daemon=True)
+        thread.start()
+        try:
+            assert parked.wait(5.0), "the update never reached its fsync"
+            drain = 0.2
+            started = time.monotonic()
+            server.shutdown(drain=drain)
+            shutdown_seconds = time.monotonic() - started
+        finally:
+            release.set()
+            thread.join(timeout=5.0)
+            client.close()
+        assert cancels == [1]
+        assert len(outcomes) == 1 and isinstance(outcomes[0], OdeError), (
+            outcomes)
+        assert shutdown_seconds < drain + 2.0
+
     def test_cancel_commit_waits_fails_staged_commit_cleanly(self, tmp_path):
         """The drain-deadline escape hatch: a commit staged but not yet
         flushed is failed with a typed GroupCommitError naming the

@@ -60,7 +60,8 @@ STATS_KEYS = {
     "group_commit", "mvcc", "read_lockfree", "cdc",
 }
 STATS_NESTED = {
-    "pool": {"hits", "misses", "evictions", "prefetches"},
+    "pool": {"hits", "misses", "evictions", "prefetches", "writebacks",
+             "writeback_batches"},
     "mvcc": {"versions_live", "snapshots_open", "pruned", "full_sweeps",
              "snapshot_reads", "read_fallbacks", "snapshot_age_p95"},
     "cdc": {"subscribers", "events", "coalesced"},

@@ -4,6 +4,7 @@ import datetime
 
 import pytest
 
+from repro.data.labdb import SALARY_CAP
 from repro.errors import (
     AccessError,
     ConstraintViolationError,
@@ -144,6 +145,33 @@ class TestUpdateDelete:
         assert not manager.exists(oid)
         with pytest.raises(ObjectNotFoundError):
             manager.delete(oid)
+
+
+class TestUpdateReturnsWhatItWrote:
+    """``update`` returns the record it wrote — after the salary_cap
+    trigger, with the computed years_service — wherever it is called."""
+
+    @pytest.mark.parametrize("context", ["plain", "pinned", "transaction"])
+    def test_returned_buffer_equals_a_fresh_read(self, lab_db, context):
+        objects = lab_db.objects
+        oid = Oid("lab", "employee", 7)
+        objects.update(oid, {"name": "outside"})
+        updates = {"name": "inside", "salary": SALARY_CAP * 2,
+                   "hired": datetime.date(1980, 6, 1)}
+        if context == "pinned":
+            with objects.pinned():
+                returned = objects.update(oid, updates)
+        elif context == "transaction":
+            objects.begin()
+            returned = objects.update(oid, updates)
+            assert returned == objects.get_buffer(oid)
+            objects.commit()
+        else:
+            returned = objects.update(oid, updates)
+        assert returned == objects.get_buffer(oid)
+        assert returned.value("name") == "inside"
+        assert returned.value("salary", privileged=True) == SALARY_CAP
+        assert returned.value("years_service") == 9
 
 
 class TestConstraintsAndTriggers:

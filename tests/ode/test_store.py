@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ObjectNotFoundError, StorageError, TransactionError
+from repro.faultsim import CountingGate
 from repro.ode.codec import encode_object
 from repro.ode.oid import Oid
 from repro.ode.page import MAX_RECORD_SIZE
@@ -283,14 +284,53 @@ class TestSmallPools:
                             fault_gate=gate)
         for oid in oids:
             store.put(oid, record(oid, blob="x" * 1500))
+        # Two records a page: the pool holds pages 5-12, and the filling
+        # of page 9 wrote 5-8 back.  Reading their objects leaves dirty
+        # page 9 least recently used, the victim of the next miss.
+        for oid in oids[8:16]:
+            store.get(oid)
+        pool = store.pool
+        assert pool._frames[pool._victim()].page.dirty
+        written = (pool.stats.writebacks, pool.stats.writeback_batches)
         gate.armed = True
         with pytest.raises(gate.error):
             store.get(oids[0])
+        assert not gate.armed, "the fault never fired"
+        assert (pool.stats.writebacks, pool.stats.writeback_batches) == written
+        assert pool._frames[pool._victim()].page.dirty
         for oid in oids:
             assert store.get(oid) == record(oid, blob="x" * 1500)
         store.close()
         with ObjectStore(tmp_path / "db", pool_capacity=8) as store:
             assert [oid for oid in oids if not store.exists(oid)] == []
+
+    def test_dirty_evictions_write_back_a_pool_of_pages_per_batch(
+            self, tmp_path):
+        """Autocommit updates over a store four times larger than its
+        pool: a dirty eviction sends every dirty frame out in one journal
+        batch, so the batches come about one per pool's worth of dirty
+        pages, not one per dirty eviction."""
+        capacity = 8
+        oids = [Oid("db", "emp", n) for n in range(8 * capacity)]
+        with ObjectStore(tmp_path / "db", pool_capacity=capacity) as store:
+            for oid in oids:
+                store.put(oid, record(oid, blob="x" * 1500))
+            assert store._placement.pagefile.page_count > 4 * capacity
+        gate = CountingGate()
+        with ObjectStore(tmp_path / "db", pool_capacity=capacity,
+                         fault_gate=gate) as store:
+            opened = len(gate.calls)
+            for round_ in range(2):
+                for oid in oids:
+                    store.put(oid, record(oid, blob=str(round_) * 1500))
+            calls = gate.calls[opened:]
+            stats = store.pool.stats
+            written = (stats.writebacks, stats.writeback_batches)
+        batches = calls.count("pagefile.journal.write")
+        pages = calls.count("pagefile.write_page")
+        assert pages > 4 * capacity
+        assert written == (pages, batches)
+        assert pages >= batches * capacity // 2, (pages, batches)
 
     @pytest.mark.parametrize("capacity", [1, 2, 3, 4, 5])
     def test_readahead_never_evicts_the_page_it_serves(self, tmp_path,

@@ -186,6 +186,14 @@ def test_transient_fault_mid_apply_recovers_the_replica(tmp_path, primary,
         _commit(primary, [(oid, encode_object(oid, "Rec", {"b": "x" * 1500}))
                           for oid in oids])
         assert replica.apply_replicated(_units(primary)) == 1
+        # Two records a page: the pool holds pages 5-12, and the filling
+        # of page 9 wrote 5-8 back.  Reading their objects leaves dirty
+        # page 9 least recently used, the victim of the page the grown
+        # object needs.
+        for oid in oids[8:16]:
+            replica.get(oid)
+        pool = replica.pool
+        assert pool._frames[pool._victim()].page.dirty
         grown = encode_object(oids[23], "Rec", {"b": "y" * 3000})
         _commit(primary, [(oids[23], grown)])
         recoveries = get_registry().counter("store.apply_recoveries")
