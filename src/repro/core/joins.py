@@ -35,13 +35,13 @@ def equi_join(database: Database, class_a: str, expr_a: str,
     *class_b* within equal keys.
     """
     evaluator = PredicateEvaluator(database.objects, privileged=privileged)
-    ast_a = parse_expression(expr_a)
-    ast_b = parse_expression(expr_b)
+    key_a = evaluator.compile_value(parse_expression(expr_a))
+    key_b = evaluator.compile_value(parse_expression(expr_b))
 
     buckets: Dict[Any, List[Oid]] = {}
     for buffer in database.objects.select(class_b):
         try:
-            key = evaluator.evaluate(ast_b, buffer)
+            key = key_b(buffer)
         except PredicateError:
             continue
         buckets.setdefault(_hashable(key), []).append(buffer.oid)
@@ -49,7 +49,7 @@ def equi_join(database: Database, class_a: str, expr_a: str,
     pairs: List[Tuple[Oid, Oid]] = []
     for buffer in database.objects.select(class_a):
         try:
-            key = evaluator.evaluate(ast_a, buffer)
+            key = key_a(buffer)
         except PredicateError:
             continue
         for oid_b in buckets.get(_hashable(key), ()):

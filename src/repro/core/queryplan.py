@@ -47,7 +47,7 @@ from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.ode.database import Database
 from repro.ode.index import AttributeIndex, _sort_key
-from repro.ode.objectmanager import READ_BATCH, ObjectBuffer
+from repro.ode.objectmanager import Match, ObjectBuffer
 from repro.ode.oid import Oid
 from repro.ode.opp import ast
 from repro.ode.opp.predicate import PredicateEvaluator
@@ -331,29 +331,36 @@ class SelectionPlanner:
         objects.last_explain = plan.explain()
         return plan
 
-    def execute(self, plan: QueryPlan) -> Iterator[ObjectBuffer]:
+    def matches(self, plan: QueryPlan) -> Iterator[Match]:
+        """The rows *plan* selects, as
+        :meth:`~repro.ode.objectmanager.ObjectManager.matching` gives
+        them: ``(oid, stored record, buffer or None)``.
+
+        Both access paths check a row the same way, through the object
+        manager's probe-first matcher, with the predicate compiled once:
+        a scan checks the residual on every member, a probe the whole
+        predicate on every candidate.  Full-predicate recheck, not
+        residual-only: the candidates came from the index at the plan's
+        epoch, but the records are read at the caller's current view,
+        and raw store mutations can bypass the commit-driven maintenance
+        entirely (a candidate no longer stored is skipped).
+        """
         objects = self.database.objects
-        if plan.access == "scan":
-            predicate = None
-            if plan.residual is not None:
-                predicate = self._evaluator.compile(plan.residual)
-            yield from objects.select(plan.class_name, predicate)
-            return
-        database_name = objects.database
-        # Full-predicate recheck, not residual-only: the candidates came
-        # from the index at the plan's epoch, but the buffers are read at
-        # the caller's current view, and raw store mutations can bypass
-        # the commit-driven maintenance entirely.
-        check = plan.expr if plan.expr is not None else plan.residual
-        numbers = plan.candidates or []
-        for start in range(0, len(numbers), READ_BATCH):
-            oids = [Oid(database_name, plan.class_name, number)
-                    for number in numbers[start:start + READ_BATCH]]
-            for buffer in objects.find_buffers(oids):
-                if buffer is None:
-                    continue  # index may lag a raw store mutation
-                if check is None or self._evaluator.matches(check, buffer):
-                    yield buffer
+        candidates = None
+        check = plan.residual
+        if plan.access != "scan":
+            candidates = [Oid(objects.database, plan.class_name, number)
+                          for number in plan.candidates or []]
+            if plan.expr is not None:
+                check = plan.expr
+        predicate = None if check is None else self._evaluator.compile(check)
+        return objects.matching(plan.class_name, predicate, candidates)
+
+    def execute(self, plan: QueryPlan) -> Iterator[ObjectBuffer]:
+        """The buffers of the rows :meth:`matches` selects."""
+        build = self.database.objects.build_buffer
+        for oid, record, buffer in self.matches(plan):
+            yield buffer or build(oid, record)
 
     def select(self, class_name: str, expr: ast.Expr,
                force: Optional[str] = None) -> List[ObjectBuffer]:

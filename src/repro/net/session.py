@@ -61,7 +61,6 @@ from repro.errors import (
 from repro.net import protocol as P
 from repro.obs import get_registry
 from repro.ode.cluster import Cluster
-from repro.ode.codec import encode_object
 from repro.ode.database import BEHAVIOURS_FILE
 from repro.ode.mvcc import Snapshot
 from repro.ode.oid import Oid
@@ -333,14 +332,14 @@ class ServerSession:
         (record,) = objects.find_records([oid])
         if record is None:
             raise ObjectNotFoundError(f"no object {oid}")
-        return _records_reply(objects, [oid], [record])
+        return _records_reply(objects, [(oid, record)])
 
     def op_get_objects(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         hosted = self.hosted(payload)
         objects = hosted.database.objects
         oids = [Oid.parse(text) if isinstance(text, str) else text
                 for text in payload.get("oids", [])]
-        return _records_reply(objects, oids, objects.find_records(oids))
+        return _records_reply(objects, zip(oids, objects.find_records(oids)))
 
     def op_scan_cluster(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """One batch of a cluster scan, keyed by OID number.
@@ -366,7 +365,7 @@ class ServerSession:
         if None in records:
             missing = oids[records.index(None)]
             raise ObjectNotFoundError(f"no object {missing}")
-        reply = _records_reply(objects, oids, records)
+        reply = _records_reply(objects, zip(oids, records))
         reply.update(done=done, after=numbers[-1] if numbers else after)
         return reply
 
@@ -418,11 +417,12 @@ class ServerSession:
     def op_select(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """Server-side planned selection: the client ships the condition
         string, the server plans (cost model + indexes + statistics) and
-        executes, and the reply carries the matching buffers plus the
-        EXPLAIN text of the plan that produced them."""
+        executes, and the reply carries the matches' stored records plus
+        the EXPLAIN text of the plan that produced them."""
         hosted = self.hosted(payload)
         planner, plan = self._planned(hosted, payload)
-        reply = _buffers_reply(planner.execute(plan))
+        reply = _records_reply(hosted.database.objects, (
+            (oid, record) for oid, record, _buffer in planner.matches(plan)))
         reply.update(access=plan.access, explain=plan.explain())
         return reply
 
@@ -452,9 +452,10 @@ class ServerSession:
 
     def op_update(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         hosted = self.hosted(payload)
-        buffer = hosted.database.objects.update(
-            self._oid(payload), payload.get("updates") or {})
-        return _buffers_reply([buffer])
+        objects = hosted.database.objects
+        oid = self._oid(payload)
+        record = objects.update_record(oid, payload.get("updates") or {})
+        return _records_reply(objects, [(oid, record)])
 
     def op_delete(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         hosted = self.hosted(payload)
@@ -613,26 +614,18 @@ class ServerSession:
         return {"role": self.server.role, "terms": self.server.promote()}
 
 
-def _records_reply(objects, oids, records) -> Dict[str, Any]:
-    """The reply to a read of *oids*, whose stored *records* (``None``
-    where absent) ship as they are; see :func:`protocol.records_reply`."""
-    rows = []
+def _records_reply(objects, rows) -> Dict[str, Any]:
+    """The reply to a read: *rows* are ``(oid, stored record)``, the
+    record ``None`` where *oid* is absent; each record ships as it is
+    (see :func:`protocol.records_reply`)."""
+    shipped = []
     missing = []
-    for oid, record in zip(oids, records):
+    for oid, record in rows:
         if record is None:
             missing.append(str(oid))
         else:
-            rows.append((record, *objects.shipped(oid, record)))
-    return P.records_reply(rows, missing)
-
-
-def _buffers_reply(buffers) -> Dict[str, Any]:
-    """The same reply for buffers already built (a selection's matches,
-    an update's result), each re-encoded as its stored form."""
-    return P.records_reply(
-        (encode_object(buffer.oid, buffer.class_name, buffer.values),
-         buffer.class_name, buffer.public_names, buffer.computed or None)
-        for buffer in buffers)
+            shipped.append((record, *objects.shipped(oid, record)))
+    return P.records_reply(shipped, missing)
 
 
 #: The rules :meth:`ServerSession.dispatch` serves; the connection layer

@@ -252,12 +252,23 @@ def decode_value(data: bytes, offset: int = 0) -> Tuple[Any, int]:
     raise CodecError(f"unknown value tag {tag}")
 
 
-def _decode_struct(data: bytes, offset: int) -> Tuple[Dict[str, Any], int]:
+def _decode_struct(data: bytes, offset: int,
+                   names: Optional[Container[str]] = None
+                   ) -> Tuple[Dict[str, Any], int]:
+    """The struct whose count is at *offset*: the attributes in *names*
+    (every one when ``None``) decoded, the others skipped by tag.
+
+    One pass, with the common cases inline: a key of a one-byte length,
+    an int, a string or an OID read, an int or a short string or OID
+    skipped.
+    Every other case, and every case near the end of *data*, goes
+    through :func:`_read_text`, :func:`decode_value` or
+    :func:`skip_value`, which raise the errors.
+    """
     count, offset = _read_length(data, offset)
-    record: Dict[str, Any] = {}
     size = len(data)
+    record: Dict[str, Any] = {}
     for _ in range(count):
-        # A key of a one-byte length, the rule, without a call.
         if offset < size and data[offset] < 0x80:
             end = offset + 1 + data[offset]
             if end > size:
@@ -269,16 +280,27 @@ def _decode_struct(data: bytes, offset: int) -> Tuple[Dict[str, Any], int]:
             offset = end
         else:
             key, offset = _read_text(data, offset, "struct key")
-        # So too an int or a string attribute.
         tag = data[offset] if offset < size else None
-        if tag == _TAG_INT and offset + 9 <= size:
-            record[key] = _INT.unpack_from(data, offset + 1)[0]
+        if names is None or key in names:
+            if tag == _TAG_INT and offset + 9 <= size:
+                record[key] = _INT.unpack_from(data, offset + 1)[0]
+                offset += 9
+            elif tag == _TAG_STRING:
+                record[key], offset = _read_text(data, offset + 1,
+                                                 "string payload")
+            elif tag == _TAG_OID:
+                text, offset = _read_text(data, offset + 1, "string payload")
+                record[key] = parse_oid(text)
+            else:
+                record[key], offset = decode_value(data, offset)
+        elif tag == _TAG_INT and offset + 9 <= size:
             offset += 9
-        elif tag == _TAG_STRING:
-            record[key], offset = _read_text(data, offset + 1,
-                                             "string payload")
+        elif ((tag == _TAG_STRING or tag == _TAG_OID)
+              and offset + 1 < size and data[offset + 1] < 0x80
+              and offset + 2 + data[offset + 1] <= size):
+            offset += 2 + data[offset + 1]
         else:
-            record[key], offset = decode_value(data, offset)
+            offset = skip_value(data, offset)
     return record, offset
 
 
@@ -358,6 +380,22 @@ def decode_header(data: bytes) -> Tuple[str, str, int]:
     :func:`decode_fields`' to check.  A server shipping the stored
     bytes reads this much to check the record's identity.
     """
+    try:
+        # The header as it is almost always written: magic, a one-byte
+        # version, two strings of one-byte lengths.  Any other form, and
+        # every error, takes the checks below.
+        if data[0] != OBJECT_MAGIC or data[1] != FORMAT_VERSION \
+                or data[2] != _TAG_STRING or data[3] >= 0x80:
+            raise ValueError
+        end = 4 + data[3]
+        oid_text = data[4:end].decode("utf-8")
+        offset = end + 2 + data[end + 1]
+        if data[end] != _TAG_STRING or data[end + 1] >= 0x80 \
+                or data[offset] != _TAG_STRUCT:
+            raise ValueError
+        return oid_text, data[end + 2:offset].decode("utf-8"), offset
+    except (IndexError, ValueError):   # UnicodeDecodeError too
+        pass
     if not data or data[0] != OBJECT_MAGIC:
         raise CodecError("not an object record (bad magic)")
     version, offset = read_varint(data, 1)
@@ -377,21 +415,16 @@ def decode_fields(data: bytes, names: Optional[Container[str]]
     """Decode a record's header and the attributes in *names* (every
     attribute when ``None``): the one record walker.
 
-    The other attributes are skipped by tag (:func:`skip_value`); the
-    record is checked as :func:`decode_object` checks it — magic, format
-    version, header types, struct framing, no trailing bytes.  The OID
-    comes back as its stored text, for a caller to compare with the OID
-    it asked for; :func:`parse_oid` makes it an :class:`Oid`.
+    The other attributes are skipped by tag (:func:`_decode_struct`,
+    the walker nested structs share); the record is checked as
+    :func:`decode_object` checks it — magic, format version, header
+    types, struct framing, no trailing bytes — and a skipped value's
+    framing as :func:`skip_value` checks it.  The OID comes back as its
+    stored text, for a caller to compare with the OID it asked for;
+    :func:`parse_oid` makes it an :class:`Oid`.
     """
     oid_text, class_name, offset = decode_header(data)
-    count, offset = read_varint(data, offset + 1)
-    values: Dict[str, Any] = {}
-    for _ in range(count):
-        key, offset = _read_text(data, offset, "struct key")
-        if names is None or key in names:
-            values[key], offset = decode_value(data, offset)
-        else:
-            offset = skip_value(data, offset)
+    values, offset = _decode_struct(data, offset + 1, names)
     if offset != len(data):
         raise CodecError(f"{len(data) - offset} trailing bytes after object record")
     return oid_text, class_name, values

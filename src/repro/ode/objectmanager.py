@@ -57,6 +57,9 @@ from repro.ode.schema import Schema
 from repro.ode.store import ObjectStore
 
 Predicate = Callable[["ObjectBuffer"], bool]
+#: A selected row: its OID, its stored record, and its buffer when the
+#: check built one (see :meth:`ObjectManager.matching`).
+Match = Tuple[Oid, bytes, Optional["ObjectBuffer"]]
 
 #: Maximum rounds of trigger-produced updates applied per update call.
 _MAX_TRIGGER_ROUNDS = 8
@@ -319,17 +322,12 @@ class ObjectManager:
         raises :class:`ObjectNotFoundError`.
         """
         with self._m_buffer_time.time():
-            return self.find_buffers([oid], snapshot)[0]
+            (data,) = self.find_records([oid], snapshot)
+            return None if data is None else self.build_buffer(oid, data)
 
-    def find_buffers(self, oids: Sequence[Oid],
-                     snapshot: Optional[Snapshot] = None
-                     ) -> List[Optional[ObjectBuffer]]:
-        """:meth:`find_buffer` of each of *oids*, from one batch read of
-        :meth:`find_records`."""
-        return [None if data is None else self._build_buffer(oid, data)
-                for oid, data in zip(oids, self.find_records(oids, snapshot))]
-
-    def _build_buffer(self, oid: Oid, data: bytes) -> ObjectBuffer:
+    def build_buffer(self, oid: Oid, data: bytes) -> ObjectBuffer:
+        """The buffer of *oid*'s stored record *data*: decoded whole,
+        its identity checked, its computed attributes evaluated."""
         self._m_buffers.inc()
         stored, class_name, values = decode_fields(data, None)
         check_identity(oid, stored)
@@ -410,19 +408,31 @@ class ObjectManager:
 
     def update(self, oid: Oid, updates: Mapping[str, Any]) -> ObjectBuffer:
         """Apply attribute updates; enforce constraints; fire triggers."""
-        buffer = self.get_buffer(oid)
-        cls = self._class(buffer.class_name)
+        return self.build_buffer(oid, self.update_record(oid, updates))
+
+    def update_record(self, oid: Oid, updates: Mapping[str, Any]) -> bytes:
+        """:meth:`update`, returning the stored record it wrote.
+
+        The object is read through the store, which honours the open
+        transaction's overlay, never from a :meth:`pinned` snapshot: a
+        read-modify-write must start from the latest write, or a second
+        update inside one pin would discard the first.
+        """
+        data = self._store.find(oid)
+        if data is None:
+            raise ObjectNotFoundError(f"no object {oid}")
+        stored, class_name, values = decode_fields(data, None)
+        check_identity(oid, stored)
+        cls = self._class(class_name)
         if cls.versioned:
-            self._versions().snapshot(oid, buffer.class_name, dict(buffer.values))
-        values = dict(buffer.values)
-        values.update(self._check_updates(buffer.class_name, updates))
-        self._enforce_constraints(buffer.class_name, values)
-        values = self._fire_triggers(buffer.class_name, values)
-        self._enforce_constraints(buffer.class_name, values)
-        data = encode_object(oid, buffer.class_name, values)
+            self._versions().snapshot(oid, class_name, dict(values))
+        values.update(self._check_updates(class_name, updates))
+        self._enforce_constraints(class_name, values)
+        values = self._fire_triggers(class_name, values)
+        self._enforce_constraints(class_name, values)
+        data = encode_object(oid, class_name, values)
         self._store.put(oid, data)
-        # Not re-read: inside pinned() that read would be the stale pin's.
-        return self._build_buffer(oid, data)
+        return data
 
     def delete(self, oid: Oid) -> None:
         self._store.get(oid)  # raises ObjectNotFoundError if absent
@@ -463,7 +473,7 @@ class ObjectManager:
             matching = self._matcher(class_name, predicate)
 
             def matcher(oid: Oid) -> bool:
-                return matching(oid, snapshot.get(oid)) is not None
+                return bool(matching(oid, snapshot.get(oid)))
         cluster = Cluster(snapshot, self.database, class_name)
         return SnapshotCursor(
             cluster, matcher,
@@ -475,20 +485,52 @@ class ObjectManager:
         from one snapshot — a select never observes half a concurrent
         commit.
         """
+        for oid, data, buffer in self.matching(class_name, predicate):
+            yield buffer or self.build_buffer(oid, data)
+
+    def matching(self, class_name: str, predicate: Optional[Predicate],
+                 candidates: Optional[Sequence[Oid]] = None
+                 ) -> Iterator[Match]:
+        """``(oid, stored record, buffer)`` of each row that satisfies
+        *predicate* (every row when ``None``); the buffer is the one the
+        check built whole, else ``None`` — a server ships the record,
+        and no buffer is built for it.
+
+        Without *candidates*, the rows are the cluster's members, in
+        sequencing order, all from one snapshot.  With them (an index
+        probe's, rechecked), the rows are those of *candidates* present
+        in the store, read :data:`READ_BATCH` records per
+        :meth:`find_records`.
+        """
+        if candidates is None:
+            rows = self._snapshot_members(class_name)
+        else:
+            rows = self._present(candidates)
+        if predicate is None:
+            for oid, data in rows:
+                yield oid, data, None
+            return
+        check = self._matcher(class_name, predicate)
+        for oid, data in rows:
+            passed = check(oid, data)
+            if passed:
+                yield oid, data, None if passed is True else passed
+
+    def _snapshot_members(self, class_name: str
+                          ) -> Iterator[Tuple[Oid, bytes]]:
         ambient = self._current_snapshot()
         if ambient is not None:
-            yield from self._select_from(ambient, class_name, predicate)
+            yield from self._members(ambient, class_name)
         else:
             with self.pinned() as snapshot:
-                yield from self._select_from(snapshot, class_name, predicate)
+                yield from self._members(snapshot, class_name)
 
-    def _select_from(self, snapshot: Snapshot, class_name: str,
-                     predicate: Optional[Predicate]) -> Iterator[ObjectBuffer]:
-        matching = self._matcher(class_name, predicate)
-        for oid, data in self._members(snapshot, class_name):
-            buffer = matching(oid, data)
-            if buffer is not None:
-                yield buffer
+    def _present(self, oids: Sequence[Oid]) -> Iterator[Tuple[Oid, bytes]]:
+        for start in range(0, len(oids), READ_BATCH):
+            batch = oids[start:start + READ_BATCH]
+            for oid, data in zip(batch, self.find_records(batch)):
+                if data is not None:
+                    yield oid, data
 
     def _members(self, snapshot: Snapshot, class_name: str
                  ) -> Iterator[Tuple[Oid, bytes]]:
@@ -506,38 +548,44 @@ class ObjectManager:
                         f"no object {oid} at epoch {snapshot.epoch}")
                 yield oid, data
 
-    def _matcher(self, class_name: str, predicate: Optional[Predicate]
-                 ) -> Callable[[Oid, bytes], Optional[ObjectBuffer]]:
-        """A record's buffer when it satisfies *predicate*, else ``None``.
+    def _matcher(self, class_name: str, predicate: Predicate
+                 ) -> Callable[[Oid, bytes], Any]:
+        """Whether a stored record satisfies *predicate*: the one row
+        check of a cluster scan, an index probe's recheck and a filtered
+        cursor.  ``False`` when it does not; when it does, ``True``, or
+        the buffer the check had to build whole.
 
         A compiled predicate names the attributes it reads (``reads``,
         see :meth:`PredicateEvaluator.compile`).  Unless one of them is
-        a computed method, the record is first decoded for just those,
-        its identity checked, and the predicate evaluated on a probe
-        buffer with the class's public names, so encapsulation and
-        missing-attribute errors fire exactly as on a full buffer; only
-        a match is decoded whole.
+        a computed method, the record is decoded for just those, its
+        identity checked, and the predicate evaluated on a probe buffer
+        with the class's public names, so encapsulation and
+        missing-attribute errors fire exactly as on a full buffer.  The
+        other attributes are skipped, their framing checked but not
+        their payload (:func:`~repro.ode.codec.skip_value`): a record
+        the predicate rejects is never decoded whole, and one it accepts
+        is decoded whole by whoever builds its buffer — here, or a
+        remote reader.
         """
-        def full(oid: Oid, data: bytes) -> Optional[ObjectBuffer]:
-            buffer = self._build_buffer(oid, data)
-            return buffer if predicate(buffer) else None
+        def full(oid: Oid, data: bytes) -> Any:
+            buffer = self.build_buffer(oid, data)
+            return buffer if predicate(buffer) else False
 
-        if predicate is None:
-            return self._build_buffer
         reads = getattr(predicate, "reads", None)
         if reads is None or not self.schema.has_class(class_name):
             return full
         layout = self._layout(class_name)
         if any(method.name in reads for method in layout.methods):
             return full
+        public_names = layout.public_names
 
-        def probe_first(oid: Oid, data: bytes) -> Optional[ObjectBuffer]:
+        def probe_first(oid: Oid, data: bytes) -> Any:
             stored, stored_class, values = decode_fields(data, reads)
             check_identity(oid, stored)
             if stored_class != class_name:
                 return full(oid, data)
-            probe = ObjectBuffer(oid, class_name, values, layout.public_names)
-            return self._build_buffer(oid, data) if predicate(probe) else None
+            return bool(predicate(
+                ObjectBuffer(oid, class_name, values, public_names)))
 
         return probe_first
 

@@ -57,6 +57,15 @@ class Oid:
         if len(parts) != 3:
             raise OdeError(f"malformed OID string {text!r}")
         database, cluster, number = parts
+        if database and cluster and number.isascii() and number.isdigit():
+            # What __post_init__ checks is known already (the split
+            # leaves no ':'), so set the fields as the frozen __init__
+            # does, without the checks.
+            oid = object.__new__(cls)
+            object.__setattr__(oid, "database", database)
+            object.__setattr__(oid, "cluster", cluster)
+            object.__setattr__(oid, "number", int(number))
+            return oid
         try:
             return cls(database, cluster, int(number))
         except ValueError as exc:

@@ -56,10 +56,10 @@ def compile_constraint(source: str, class_name: str,
 
     # Constraints are class-internal: private members are fair game.
     check_selection_predicate(expr, class_name, schema, privileged=True)
-    evaluator = PredicateEvaluator(manager=None, privileged=True)
+    predicate = PredicateEvaluator(privileged=True).compile(expr)
 
     def check(values: Mapping[str, Any]) -> bool:
-        return evaluator.matches(expr, _RawValuesBuffer(values))
+        return predicate(_RawValuesBuffer(values))
 
     return Constraint(name=f"opp:{source}", check=check, source=source)
 
@@ -80,17 +80,17 @@ def compile_trigger(source: str, class_name: str, schema: Schema) -> Trigger:
     for target, expr in decl.assignments:
         schema.find_attribute(class_name, target)  # SchemaError if unknown
         check_predicate(expr, class_name, schema, privileged=True)
-    evaluator = PredicateEvaluator(manager=None, privileged=True)
+    evaluator = PredicateEvaluator(privileged=True)
+    predicate = evaluator.compile(decl.condition)
+    assignments = [(target, evaluator.compile_value(expr))
+                   for target, expr in decl.assignments]
 
     def condition(values: Mapping[str, Any]) -> bool:
-        return evaluator.matches(decl.condition, _RawValuesBuffer(values))
+        return predicate(_RawValuesBuffer(values))
 
     def action(values: Mapping[str, Any]) -> Dict[str, Any]:
         buffer = _RawValuesBuffer(values)
-        return {
-            target: evaluator.evaluate(expr, buffer)
-            for target, expr in decl.assignments
-        }
+        return {target: value(buffer) for target, value in assignments}
 
     return Trigger(
         name=decl.name,

@@ -1,11 +1,11 @@
 """Object reads over the wire ship each record's stored bytes.
 
-A remote ``get_buffer``, ``get_buffers`` or ``scan`` must hand back what
-the local object manager builds from the same record: the server's
-public names, and computed attributes evaluated next to the data.  A
-corrupt record must fail remotely with the error the local read raises,
-never come back as a wrong buffer.  A batch reads each page once, under
-one store-lock acquisition.
+A remote ``get_buffer``, ``get_buffers``, ``scan`` or ``select_pushdown``
+must hand back what the local object manager builds from the same
+record: the server's public names, and computed attributes evaluated
+next to the data.  A corrupt record must fail remotely with the error
+the local read raises, never come back as a wrong buffer.  A batch
+reads each page once, under one store-lock acquisition.
 
 Tier-1 draws the corruption property's examples the same way every run;
 CI's tier-2 job searches afresh with ``--hypothesis-profile=random``,
@@ -16,15 +16,18 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.queryplan import SelectionPlanner
 from repro.data.labdb import make_lab_database
 from repro.data.synthetic import make_synthetic_database
-from repro.errors import ObjectNotFoundError
+from repro.errors import AccessError, CodecError, ObjectNotFoundError
 from repro.net import protocol as P
 from repro.net.remote import RemoteDatabase
 from repro.net.server import OdeServer
+from repro.net.session import ServerSession
 from repro.obs import get_registry
-from repro.ode.codec import encode_value
+from repro.ode.codec import decode_fields, encode_object, encode_value
 from repro.ode.oid import Oid
+from repro.ode.opp.parser import parse_expression
 
 
 def _serve(root, name):
@@ -58,6 +61,27 @@ def served_staff(tmp_path):
     objects.update(Oid("lab", "department", 0), {
         "employees": [Oid("lab", "employee", n) for n in range(700)]})
     objects.commit()
+    database.close()
+    server, remote = _serve(tmp_path, "lab")
+    yield server, remote
+    remote.close()
+    server.shutdown()
+
+
+#: One condition per lab cluster the selections run, and the attribute
+#: its index probe uses.
+SELECTIONS = {"employee": ("id >= 0", "id"),
+              "department": ('dname >= ""', "dname"),
+              "manager": ("id >= 0", "id")}
+
+
+@pytest.fixture
+def served_indexed_lab(tmp_path):
+    """The lab, with an index for each of :data:`SELECTIONS`, served;
+    yields ``(server, remote)``."""
+    database = make_lab_database(tmp_path)
+    for cluster, (_condition, attribute) in SELECTIONS.items():
+        database.create_index(cluster, attribute)
     database.close()
     server, remote = _serve(tmp_path, "lab")
     yield server, remote
@@ -237,13 +261,37 @@ def served_lab_pair(tmp_path):
     server.shutdown()
 
 
+def _raw_put(store, oid, data):
+    """Store *data* under *oid* as a raw mutation: index upkeep does not
+    see it, so an index keeps the entry of the record it replaced."""
+    derived, store.derived = store.derived, None
+    try:
+        store.put(oid, data)
+    finally:
+        store.derived = derived
+
+
 def _flip(store, oid, position, flip):
-    """XOR one byte of *oid*'s stored record; returns the original."""
+    """XOR one byte of *oid*'s stored record (a raw mutation); returns
+    the original."""
     original = store.get(oid)
     corrupt = bytearray(original)
     corrupt[position % len(corrupt)] ^= flip
-    store.put(oid, bytes(corrupt))
+    _raw_put(store, oid, bytes(corrupt))
     return original
+
+
+def _selections(server, remote, cluster):
+    """``(local read, remote read)`` of the cluster's selection, once
+    per forced access path."""
+    condition, _attribute = SELECTIONS[cluster]
+    planner = SelectionPlanner(server.hosted("lab").database)
+    return [
+        (lambda force=force: planner.select(
+            cluster, parse_expression(condition), force=force),
+         lambda force=force: remote.objects.select_pushdown(
+            cluster, condition, force=force))
+        for force in ("scan", "index")]
 
 
 class TestRemoteErrorClass:
@@ -281,9 +329,10 @@ class TestCorruptRecord:
     # schema has, and the values do not.
     @example(victim=("employee", 7), position=19, flip=41)
     def test_fails_remotely_as_it_fails_locally(
-            self, served_lab_pair, victim, position, flip):
-        """Through ``get_buffer``, ``get_buffers`` and ``scan`` alike."""
-        server, remote = served_lab_pair
+            self, served_indexed_lab, victim, position, flip):
+        """Through ``get_buffer``, ``get_buffers``, ``scan`` and
+        ``select_pushdown`` on either access path alike."""
+        server, remote = served_indexed_lab
         local = _local(server, "lab")
         store = server.hosted("lab").database.store
         cluster, number = victim
@@ -296,7 +345,7 @@ class TestCorruptRecord:
              lambda: remote.objects.get_buffers(batch)),
             (lambda: list(local.select(cluster)),
              lambda: remote.objects.scan(cluster)),
-        ]
+        ] + _selections(server, remote, cluster)
         original = _flip(store, oid, position, flip)
         try:
             for read_local, read_remote in reads:
@@ -304,3 +353,115 @@ class TestCorruptRecord:
                 assert _outcome(read_remote) == _outcome(read_local)
         finally:
             store.put(oid, original)
+
+
+# -- selections ----------------------------------------------------------------------
+
+LAB_CONDITIONS = ["id < 30", 'id >= 10 && name != "bell"', "years_service > 3",
+                  'dept->dname == "unix" || id == 3']
+
+
+class TestSelectionsShipStoredRecords:
+    @pytest.mark.parametrize("force", ["scan", "index"])
+    @pytest.mark.parametrize("condition", LAB_CONDITIONS)
+    def test_remote_selection_equals_the_local_one(
+            self, served_indexed_lab, force, condition):
+        """Same OIDs, values, public names and computed values
+        (``years_service``) as the planner's local ``select``."""
+        server, remote = served_indexed_lab
+        planner = SelectionPlanner(server.hosted("lab").database)
+        local = planner.select("employee", parse_expression(condition),
+                               force=force)
+        remote.objects.cache.purge()
+        assert local
+        assert remote.objects.select_pushdown(
+            "employee", condition, force=force) == local
+        assert all("years_service" in buffer.computed for buffer in local)
+
+    def test_a_private_condition_needs_privilege_on_both_sides(
+            self, served_indexed_lab):
+        server, remote = served_indexed_lab
+        planner = SelectionPlanner(server.hosted("lab").database,
+                                   privileged=True)
+        local = planner.select("employee", parse_expression("salary > 1.0"))
+        assert local == remote.objects.select_pushdown(
+            "employee", "salary > 1.0", privileged=True)
+        with pytest.raises(AccessError):
+            remote.objects.select_pushdown("employee", "salary > 1.0")
+        with pytest.raises(AccessError):
+            SelectionPlanner(server.hosted("lab").database).select(
+                "employee", parse_expression("salary > 1.0"))
+
+    @pytest.mark.parametrize("force", ["scan", "index"])
+    def test_select_records_are_the_get_objects_records(
+            self, served_indexed_lab, force):
+        server, _remote = served_indexed_lab
+        session = ServerSession(server, 1)
+        try:
+            selected = session.dispatch(P.OP_SELECT, {
+                "db": "lab", "class": "employee", "condition": "id < 20",
+                "force": force})
+            assert selected["access"] == (
+                "scan" if force == "scan" else "index-range")
+            oids = [decode_fields(record, ())[0]
+                    for record in selected["records"]]
+            assert len(oids) == 20
+            read = session.dispatch(P.OP_GET_OBJECTS,
+                                    {"db": "lab", "oids": oids})
+        finally:
+            session.close()
+        for key in ("records", "public", "computed", "missing"):
+            assert selected[key] == read[key]
+
+
+def _with_bad_name(record, new_id):
+    """*record* with its ``id`` set to *new_id* and its ``name``
+    payload made invalid UTF-8, same framing."""
+    stored, class_name, values = decode_fields(record, None)
+    values.update(id=new_id, name="\x01" * len(values["name"]))
+    data = encode_object(Oid.parse(stored), class_name, values)
+    marker = b"\x01" * len(values["name"])
+    assert data.count(marker) == 1
+    return data.replace(marker, b"\xff" * len(marker))
+
+
+class TestRejectedCandidates:
+    """A row the predicate rejects is checked as a scan checks it: its
+    framing, not the payload of fields the predicate does not read.  A
+    match is decoded whole, here or on the client, and fails as the
+    local read fails."""
+
+    @pytest.mark.parametrize("force", ["scan", "index"])
+    def test_a_rejected_row_with_a_bad_skipped_payload_is_not_an_error(
+            self, served_indexed_lab, force):
+        server, remote = served_indexed_lab
+        store = server.hosted("lab").database.store
+        planner = SelectionPlanner(server.hosted("lab").database)
+        oid = Oid("lab", "employee", 7)
+        # The index still says id 7 (a raw mutation), so the probe
+        # returns the row as a candidate; the recheck reads id 8.
+        _raw_put(store, oid, _with_bad_name(store.get(oid), 8))
+        expr = parse_expression("id == 7")
+        plan = planner.plan("employee", expr, force=force)
+        if force == "index":
+            assert plan.candidates == [7]
+        assert planner.select("employee", expr, force=force) == []
+        assert remote.objects.select_pushdown(
+            "employee", "id == 7", force=force) == []
+
+    @pytest.mark.parametrize("force", ["scan", "index"])
+    def test_a_match_with_a_bad_payload_fails_as_the_local_read(
+            self, served_indexed_lab, force):
+        server, remote = served_indexed_lab
+        store = server.hosted("lab").database.store
+        planner = SelectionPlanner(server.hosted("lab").database)
+        oid = Oid("lab", "employee", 7)
+        _raw_put(store, oid, _with_bad_name(store.get(oid), 7))
+        with pytest.raises(CodecError, match="invalid UTF-8"):
+            _local(server, "lab").get_buffer(oid)
+        with pytest.raises(CodecError, match="invalid UTF-8"):
+            planner.select("employee", parse_expression("id == 7"),
+                           force=force)
+        with pytest.raises(CodecError, match="invalid UTF-8"):
+            remote.objects.select_pushdown("employee", "id == 7",
+                                           force=force)

@@ -78,3 +78,38 @@ class TestStringForm:
     def test_roundtrip_property(self, database, cluster, number):
         oid = Oid(database, cluster, number)
         assert Oid.parse(str(oid)) == oid
+
+
+def _checked_parse(text):
+    """``Oid.parse`` through the checked constructor, every time."""
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise OdeError(f"malformed OID string {text!r}")
+    try:
+        return Oid(parts[0], parts[1], int(parts[2]))
+    except ValueError as exc:
+        raise OdeError(f"malformed OID string {text!r}") from exc
+
+
+def _parsed(parse, text):
+    try:
+        oid = parse(text)
+    except OdeError as exc:
+        return "raised", str(exc)
+    return "parsed", oid, hash(oid), repr(oid), str(oid)
+
+
+class TestParseSkipsOnlyKnownChecks:
+    """``parse`` builds an OID without ``__post_init__`` only when the
+    text already passes its checks; every text parses, or fails, as
+    through the checked constructor."""
+
+    @given(st.lists(st.sampled_from(["lab", "", "e", "7", "-1", "007", "٣",
+                                     "²", " 5", "1_0", "x"]),
+                    min_size=1, max_size=4).map(":".join))
+    def test_as_the_checked_constructor(self, text):
+        assert _parsed(Oid.parse, text) == _parsed(_checked_parse, text)
+
+    @given(st.text(max_size=12))
+    def test_any_text(self, text):
+        assert _parsed(Oid.parse, text) == _parsed(_checked_parse, text)
