@@ -171,7 +171,7 @@ class ProcessError(OdeError):
 
 
 class ProcessCrashedError(ProcessError):
-    """A message was sent to an interactor that has already crashed."""
+    """A call reached an interactor that has crashed, or crashed it."""
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ reproduction the same shape over a real network boundary:
   event loop with concurrent lock-free readers and serialized writers,
   and the loop's per-connection layer;
 * :mod:`repro.net.session` — the per-connection server session (the
-  network analogue of the db-interactor/object-interactor pair, with
-  server-side sequencing cursors);
+  network analogue of the db-interactor/object-interactor pair, serving
+  the sequencing cursors ``RemoteObjectManager.cursor`` opens);
 * :mod:`repro.net.client` — :class:`OdeClient`, the connection object:
   timeouts, bounded retry with backoff, request pipelining;
 * :mod:`repro.net.remote` — :class:`RemoteDatabase` /

@@ -25,8 +25,8 @@ What stays local and what crosses the wire:
   so there is no flush race between an invalidation and an in-flight
   fetch.  Writes inside an open transaction read uncommitted overlay
   state that no epoch can describe, so those paths purge physically;
-* **sequencing cursors** pin a snapshot on the server (they are the
-  object-interactor's cursor); the position lives here, with a window
+* **sequencing cursors** (:meth:`RemoteObjectManager.cursor`) pin a
+  snapshot on the server; the position lives here, with a window
   of up to :data:`SCAN_BATCH` member numbers read from that snapshot in
   one round trip, so ``next``/``previous`` inside the window and
   ``seek``/``current`` cost none.  ``reset`` refreshes the snapshot and

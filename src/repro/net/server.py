@@ -472,7 +472,11 @@ class OdeServer:
         try:
             await conn.run()
         except asyncio.CancelledError:
-            raise
+            # Shutdown cancelled this connection past its drain: end
+            # quietly, since the stream protocol's done-callback asks a
+            # cancelled task for its exception and logs the traceback.
+            if not self._stopping.is_set():
+                raise
         except BaseException:
             # Includes simulated crashes from faultsim: the coordinator
             # (GroupCommit) already recorded the damage; here it only

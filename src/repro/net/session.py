@@ -3,9 +3,8 @@
 The paper spawns a *db-interactor* per open database and an
 *object-interactor* per browsed class (§4.6); over the network those
 collapse into one session per connection holding the same state — which
-databases the client opened, its sequencing cursors (one per browsed
-class, the object-interactor's ``reset``/``next``/``previous`` cursor),
-and its open transaction.
+databases the client opened, the sequencing cursors it opened through
+``RemoteObjectManager.cursor``, and its open transaction.
 
 Dispatch discipline (MVCC):
 
@@ -487,7 +486,7 @@ class ServerSession:
         self._tx_database = hosted.database.name
         return {"txid": txid}
 
-    # -- server-side sequencing cursors (the object-interactor's cursor) -----------
+    # -- server-side sequencing cursors (RemoteObjectManager.cursor) ---------------
 
     def op_cursor_open(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         hosted = self.hosted(payload)

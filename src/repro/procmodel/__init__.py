@@ -1,6 +1,6 @@
 """Actor-based reproduction of OdeView's UNIX process structure."""
 
-from repro.procmodel.actor import Actor, ActorState, Message
+from repro.procmodel.actor import Actor, ActorState
 from repro.procmodel.interactors import DbInteractor, ObjectInteractor
 from repro.procmodel.manager import ProcessManager
 
@@ -8,7 +8,6 @@ __all__ = [
     "Actor",
     "ActorState",
     "DbInteractor",
-    "Message",
     "ObjectInteractor",
     "ProcessManager",
 ]

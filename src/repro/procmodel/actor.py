@@ -7,34 +7,27 @@ failure isolation — "if there are bugs in this [display-function] code,
 then only the corresponding object-interactor process will be affected but
 not the whole OdeView".
 
-We reproduce the structure with in-process actors: each has a mailbox and a
-``handle`` method, and an unhandled exception in ``handle`` *crashes that
-actor only* — its state flips to CRASHED, the crash reason is recorded, and
-later messages to it fail with :class:`ProcessCrashedError` while every
-other actor keeps running.
+We reproduce the structure with in-process actors: each has a ``handle``
+method that :meth:`ProcessManager.call
+<repro.procmodel.manager.ProcessManager.call>` runs inside a crash
+boundary.  An unhandled exception in ``handle`` *crashes that actor only*
+— its state flips to CRASHED, the crash reason is recorded, and later
+calls to it fail with :class:`ProcessCrashedError` while every other actor
+keeps running.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
-from repro.errors import ProcessCrashedError, ProcessError
+from repro.errors import ProcessError
 
 
 class ActorState(enum.Enum):
     ALIVE = "alive"
     CRASHED = "crashed"
     STOPPED = "stopped"
-
-
-@dataclass(frozen=True)
-class Message:
-    """One mailbox message: a kind tag plus a payload dict."""
-
-    kind: str
-    payload: Dict[str, Any] = field(default_factory=dict)
 
 
 class Actor:
@@ -44,62 +37,18 @@ class Actor:
         if not name:
             raise ProcessError("actor needs a name")
         self.name = name
-        self.inbox: List[Message] = []
         self.state = ActorState.ALIVE
         self.crash_reason: Optional[str] = None
-        self.handled = 0
 
-    # -- to override ---------------------------------------------------------
-
-    def handle(self, message: Message) -> Any:
-        """Process one message; the return value is the reply."""
+    def handle(self, kind: str, payload: Dict[str, Any]) -> Any:
+        """Answer one request; the return value is the reply."""
         raise NotImplementedError
-
-    def on_stop(self) -> None:
-        """Cleanup hook when the actor is stopped."""
-
-    # -- lifecycle ----------------------------------------------------------------
 
     @property
     def alive(self) -> bool:
         return self.state is ActorState.ALIVE
 
-    def deliver(self, message: Message) -> None:
-        if self.state is ActorState.CRASHED:
-            raise ProcessCrashedError(
-                f"process {self.name!r} has crashed: {self.crash_reason}"
-            )
-        if self.state is ActorState.STOPPED:
-            raise ProcessError(f"process {self.name!r} is stopped")
-        self.inbox.append(message)
-
-    def step(self) -> Any:
-        """Handle the oldest queued message with crash isolation.
-
-        Returns the handler's reply.  An exception crashes this actor and
-        re-raises as :class:`ProcessCrashedError` so the caller can react,
-        but the actor system as a whole is untouched.
-        """
-        if not self.inbox:
-            return None
-        if not self.alive:
-            raise ProcessError(f"process {self.name!r} is not alive")
-        message = self.inbox.pop(0)
-        try:
-            reply = self.handle(message)
-        except Exception as exc:
-            self.state = ActorState.CRASHED
-            self.crash_reason = f"{type(exc).__name__}: {exc}"
-            raise ProcessCrashedError(
-                f"process {self.name!r} crashed handling "
-                f"{message.kind!r}: {self.crash_reason}"
-            ) from exc
-        self.handled += 1
-        return reply
-
     def stop(self) -> None:
-        if self.state is ActorState.ALIVE:
-            self.on_stop()
         self.state = ActorState.STOPPED
 
     def __repr__(self) -> str:

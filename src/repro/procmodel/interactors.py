@@ -9,21 +9,23 @@ provides sequencing operations to scan all the persistent objects of that
 class." (paper §4.6)
 
 The db-interactor answers schema-level requests (class info, class
-definitions, the schema graph); the object-interactor owns one class's
-cursor and runs that class's display function — so a buggy display module
-crashes exactly one object-interactor.
+definitions, the schema graph); the object-interactor runs one class's
+display function, so a buggy display module crashes exactly one
+object-interactor.  Sequencing lives with the window tree, in
+:class:`repro.core.navigation.SetNode`, which already holds the set's
+members and position; an interactor keeps no position and pins no snapshot.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.errors import ProcessError
 from repro.dynlink.registry import DisplayRegistry
 from repro.dynlink.protocol import DisplayRequest
 from repro.ode.database import Database
 from repro.ode.oid import Oid
-from repro.procmodel.actor import Actor, Message
+from repro.procmodel.actor import Actor
 
 
 class DbInteractor(Actor):
@@ -32,11 +34,8 @@ class DbInteractor(Actor):
     def __init__(self, name: str, database: Database):
         super().__init__(name)
         self.database = database
-        self.registry = DisplayRegistry(database)
 
-    def handle(self, message: Message) -> Any:
-        kind = message.kind
-        payload = message.payload
+    def handle(self, kind: str, payload: Dict[str, Any]) -> Any:
         schema = self.database.schema
         if kind == "schema_graph":
             return {
@@ -56,58 +55,32 @@ class DbInteractor(Actor):
             from repro.ode.opp.printer import class_definition_source
 
             return class_definition_source(schema, payload["class_name"])
-        if kind == "formats":
-            return self.registry.formats(payload["class_name"])
-        if kind == "displaylist":
-            return self.registry.displaylist(payload["class_name"])
-        if kind == "selectlist":
-            return self.registry.selectlist(payload["class_name"])
         raise ProcessError(f"db-interactor: unknown request {kind!r}")
 
 
 class ObjectInteractor(Actor):
     """Object-level interaction with one class's cluster (paper §4.6).
 
-    Owns the sequencing cursor and executes the class's display function.
-    Display-function bugs crash this actor only.
+    Executes the class's display function through the registry its
+    browser passes in.  Display-function bugs crash this actor only.
     """
 
     def __init__(self, name: str, database: Database, class_name: str,
-                 registry: Optional[DisplayRegistry] = None,
-                 predicate=None):
+                 registry: Optional[DisplayRegistry] = None):
         super().__init__(name)
         self.database = database
         self.class_name = class_name
         self.registry = registry or DisplayRegistry(database)
-        self.cursor = database.objects.cursor(class_name, predicate)
 
-    def handle(self, message: Message) -> Any:
-        kind = message.kind
-        payload = message.payload
-        objects = self.database.objects
-        if kind == "reset":
-            self.cursor.reset()
-            return None
-        if kind == "next":
-            oid = self.cursor.next()
-            return str(oid) if oid else None
-        if kind == "previous":
-            oid = self.cursor.previous()
-            return str(oid) if oid else None
-        if kind == "current":
-            oid = self.cursor.current()
-            return str(oid) if oid else None
-        if kind == "count":
-            return objects.count(self.class_name)
-        if kind == "fetch":
-            return objects.get_buffer(Oid.parse(payload["oid"]))
+    def handle(self, kind: str, payload: Dict[str, Any]) -> Any:
         if kind == "display":
             # The paper's code fragment: get the buffer, load the display
             # function, call it with a pointer to the buffer.  A caller
             # that already read the buffer passes it along.
             buffer = payload.get("buffer")
             if buffer is None:
-                buffer = objects.get_buffer(Oid.parse(payload["oid"]))
+                buffer = self.database.objects.get_buffer(
+                    Oid.parse(payload["oid"]))
             request: DisplayRequest = payload["request"]
             return self.registry.display(buffer, request)
         if kind == "formats":

@@ -1,9 +1,8 @@
 """The process manager: spawn, route, and supervise actors.
 
-Provides both mailbox-style asynchronous delivery (``send`` + ``step_all``)
-and the synchronous request/reply (``call``) the OdeView front end uses —
-a click on an object panel is, in the paper, an X event answered by one
-interactor process; here it is one ``call``.
+``call`` is the one way into an actor: a click on an object panel is, in
+the paper, an X event answered by one interactor process; here it is one
+synchronous request/reply.
 
 Crash containment is the managed property: ``call`` into a crashed or
 crashing actor raises :class:`ProcessCrashedError`, and
@@ -13,14 +12,14 @@ serviceable.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.errors import ProcessCrashedError, ProcessError
-from repro.procmodel.actor import Actor, ActorState, Message
+from repro.procmodel.actor import Actor, ActorState
 
 
 class ProcessManager:
-    """Registry and scheduler for the actor collection."""
+    """Registry and supervisor for the actor collection."""
 
     def __init__(self) -> None:
         self._actors: Dict[str, Actor] = {}
@@ -53,33 +52,31 @@ class ProcessManager:
         actor.stop()
         del self._actors[name]
 
-    # -- messaging ----------------------------------------------------------------
-
-    def send(self, name: str, message: Message) -> None:
-        self.get(name).deliver(message)
+    # -- requests -----------------------------------------------------------------
 
     def call(self, name: str, kind: str, **payload) -> Any:
-        """Synchronous request/reply to one actor."""
-        actor = self.get(name)
-        actor.deliver(Message(kind=kind, payload=payload))
-        return actor.step()
+        """Synchronous request/reply to one actor, crash-isolated.
 
-    def step_all(self, max_rounds: int = 1000) -> int:
-        """Drain every mailbox; crashed actors keep their queued mail."""
-        steps = 0
-        for _round in range(max_rounds):
-            progressed = False
-            for actor in list(self._actors.values()):
-                if actor.alive and actor.inbox:
-                    try:
-                        actor.step()
-                    except ProcessCrashedError:
-                        pass  # contained: supervisor keeps running
-                    steps += 1
-                    progressed = True
-            if not progressed:
-                return steps
-        raise ProcessError(f"actor system did not quiesce in {max_rounds} rounds")
+        An exception in the handler crashes this actor only and
+        re-raises as :class:`ProcessCrashedError`; the rest of the actor
+        system is untouched.
+        """
+        actor = self.get(name)
+        if actor.state is ActorState.CRASHED:
+            raise ProcessCrashedError(
+                f"process {name!r} has crashed: {actor.crash_reason}"
+            )
+        if actor.state is ActorState.STOPPED:
+            raise ProcessError(f"process {name!r} is stopped")
+        try:
+            return actor.handle(kind, payload)
+        except Exception as exc:
+            actor.state = ActorState.CRASHED
+            actor.crash_reason = f"{type(exc).__name__}: {exc}"
+            raise ProcessCrashedError(
+                f"process {name!r} crashed handling "
+                f"{kind!r}: {actor.crash_reason}"
+            ) from exc
 
     # -- supervision ------------------------------------------------------------------
 

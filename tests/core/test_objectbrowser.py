@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import OdeViewError
+from repro.ode.oid import Oid
 
 
 @pytest.fixture
@@ -228,3 +229,21 @@ class TestDestroy:
         assert not app.screen.has(f"{browser.path}.text.text")
         assert not app.screen.has(dept.panel_name())
         assert not app.processes.has(f"oi.{browser.path}")
+
+
+class TestOpenBrowsersPinNothing:
+    def test_the_figure9_chain_holds_back_no_version(self, session,
+                                                     browser):
+        """Sequencing lives in the window tree's set node, not in a
+        cursor per interactor: with the employee → dept → mgr chain open,
+        200 updates of employee 7 leave the store's watermark at its
+        epoch, so no old version is kept for the open windows."""
+        browser.next()
+        mgr = browser.open_reference("dept").open_reference("mgr")
+        assert mgr.node.current is not None
+        database = session.database
+        oid = Oid.parse("lab:employee:7")
+        for number in range(200):
+            database.objects.update(oid, {"name": f"e7.{number}"})
+        assert database.store.epoch >= 200
+        assert database.store.watermark == database.store.epoch

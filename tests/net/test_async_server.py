@@ -13,6 +13,7 @@ leaking them past the drain deadline.
 
 from __future__ import annotations
 
+import logging
 import os
 import socket
 import threading
@@ -387,12 +388,14 @@ class TestShutdownReleasesWaiters:
         assert outcomes[0][1] < 3.0
 
     def test_commit_parked_past_the_drain_deadline_gets_a_typed_error(
-            self, tmp_path):
+            self, tmp_path, caplog):
         """The drain-deadline path: an autocommit update parked in
         ``commit_wait`` (its batch fsync held on an event) keeps its
         connection busy past the drain.  Shutdown cancels the barrier's
-        waiters, then the connection; the client gets a typed error and
-        shutdown returns within drain + 2 s."""
+        waiters, then the connection; the client gets a typed error,
+        shutdown returns within drain + 2 s, and the cancelled connection
+        ends without asyncio logging a stream callback's traceback."""
+        caplog.set_level(logging.ERROR, logger="asyncio")
         make_lab_database(tmp_path).close()
         parked, release = threading.Event(), threading.Event()
 
@@ -437,6 +440,9 @@ class TestShutdownReleasesWaiters:
         assert len(outcomes) == 1 and isinstance(outcomes[0], OdeError), (
             outcomes)
         assert shutdown_seconds < drain + 2.0
+        assert not [record for record in caplog.records
+                    if record.name == "asyncio"
+                    and "Exception in callback" in record.getMessage()]
 
     def test_cancel_commit_waits_fails_staged_commit_cleanly(self, tmp_path):
         """The drain-deadline escape hatch: a commit staged but not yet

@@ -14,8 +14,10 @@ import pytest
 
 from repro.core.app import OdeView
 from repro.data.labdb import make_lab_database
+from repro.net import protocol as P
 from repro.net.remote import RemoteDatabase
 from repro.net.server import OdeServer
+from repro.ode.oid import Oid
 
 
 @pytest.fixture(params=["local", "remote"])
@@ -190,3 +192,67 @@ def test_local_and_remote_windows_show_the_same_database_rows(tmp_path):
         [row for row in database_rows if not row[0].startswith(moving)]
     assert ("index employee.id", "55 entries") in served
     assert ("stats employee.id", "55 rows, 55 distinct") in served
+
+
+def _open_figure9_chain(session):
+    """The paper's Fig 9 chain: the employee set, then ``dept``, then
+    ``mgr``; returns the set's browser."""
+    browser = session.open_object_set("employee")
+    browser.next()
+    browser.open_reference("dept").open_reference("mgr")
+    return browser
+
+
+class TestOpenBrowsersHoldNothingOnTheServer:
+    """An object-interactor runs display code only; sequencing lives in
+    the window tree's set node, so a browser opens no server cursor and
+    holds no server snapshot."""
+
+    def test_no_browser_opens_a_server_cursor(self, served_lab, tmp_path,
+                                              count_calls):
+        import os
+
+        app = OdeView(tmp_path, screen_width=200)
+        remote = RemoteDatabase.connect("127.0.0.1", served_lab.port, "lab")
+        calls = count_calls(remote)
+        try:
+            session = app.attach_database(remote)
+            browser = _open_figure9_chain(session)
+            path = remote.display_dir / "employee.py"
+            good_source = path.read_text()
+            path.write_text(
+                "FORMATS = ('text',)\n"
+                "def display(buffer, request):\n"
+                "    raise RuntimeError('bug')\n")
+            browser.toggle_format("text")
+            assert browser.crashed
+            path.write_text(good_source)
+            stat = path.stat()
+            os.utime(path, (stat.st_atime, stat.st_mtime + 10))
+            browser.restart()
+            assert not browser.crashed
+        finally:
+            app.shutdown()
+        opcodes = [opcode for opcode, _payload in calls]
+        assert P.OP_GET_OBJECT in opcodes or P.OP_GET_OBJECTS in opcodes
+        assert P.OP_CURSOR_OPEN not in opcodes
+
+    def test_the_served_store_keeps_no_old_version(self, served_lab,
+                                                   tmp_path):
+        store = served_lab.hosted("lab").database.store
+        app = OdeView(tmp_path, screen_width=200)
+        writer = RemoteDatabase.connect("127.0.0.1", served_lab.port, "lab")
+        try:
+            session = app.attach_database(RemoteDatabase.connect(
+                "127.0.0.1", served_lab.port, "lab"))
+            browser = _open_figure9_chain(session)
+            oid = Oid.parse("lab:employee:7")
+            for number in range(200):
+                writer.objects.update(oid, {"name": f"e7.{number}"})
+            assert store.epoch >= 200
+            assert store.watermark == store.epoch
+            browser.destroy()
+            assert store.watermark == store.epoch
+        finally:
+            app.shutdown()
+            writer.close()

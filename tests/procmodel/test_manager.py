@@ -3,17 +3,17 @@
 import pytest
 
 from repro.errors import ProcessCrashedError, ProcessError
-from repro.procmodel.actor import Actor, Message
+from repro.procmodel.actor import Actor
 from repro.procmodel.manager import ProcessManager
 
 
 class Worker(Actor):
-    def handle(self, message):
-        if message.kind == "boom":
+    def handle(self, kind, payload):
+        if kind == "boom":
             raise RuntimeError("bug")
-        if message.kind == "add":
-            return message.payload["a"] + message.payload["b"]
-        return message.kind
+        if kind == "add":
+            return payload["a"] + payload["b"]
+        return kind
 
 
 @pytest.fixture
@@ -44,25 +44,6 @@ def test_crash_contained_to_one_actor(manager):
         manager.call("a", "boom")
     assert [p.name for p in manager.crashed_processes()] == ["a"]
     assert manager.call("b", "ping") == "ping"  # b unaffected
-
-
-def test_step_all_drains_mailboxes(manager):
-    manager.spawn(Worker("a"))
-    manager.spawn(Worker("b"))
-    manager.send("a", Message("ping"))
-    manager.send("b", Message("ping"))
-    manager.send("a", Message("ping"))
-    assert manager.step_all() == 3
-
-
-def test_step_all_survives_crashes(manager):
-    manager.spawn(Worker("a"))
-    manager.spawn(Worker("b"))
-    manager.send("a", Message("boom"))
-    manager.send("b", Message("ping"))
-    manager.step_all()
-    assert manager.get("a").state.value == "crashed"
-    assert manager.get("b").handled == 1
 
 
 def test_restart_replaces_crashed_actor(manager):
