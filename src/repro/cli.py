@@ -239,8 +239,7 @@ class OdeViewCli:
                                    session.registry,
                                    privileged=self.app.ctx.privileged)
         builder.set_condition(condition)
-        browser = session.open_object_set(class_name,
-                                          predicate=builder.build())
+        browser = session.open_object_set(class_name, selection=builder)
         self._track(browser)
         return (f"selected {browser.node.member_count()} of "
                 f"{session.database.objects.count(class_name)} "

@@ -10,14 +10,16 @@ simultaneously" (§3.4) — sessions are independent and concurrently open.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from repro.errors import OdeViewError
 from repro.core.navigation import SetNode
 from repro.core.objectbrowser import DisplayStateMemory, ObjectBrowser, UiContext
 from repro.core.schemabrowser import SchemaBrowser
+from repro.core.selection import SelectionBuilder
 from repro.dynlink.registry import DisplayRegistry
 from repro.ode.database import Database, ICON_FILE, discover_databases
 from repro.procmodel.interactors import DbInteractor
@@ -50,13 +52,17 @@ class DbSession:
 
     # -- object browsing entry point (the 'objects' button, §3.2) ----------------
 
-    def open_object_set(self, class_name: str, predicate=None) -> ObjectBrowser:
-        """Open an object-set window over a class's cluster."""
+    def open_object_set(self, class_name: str,
+                        selection: Optional[SelectionBuilder] = None
+                        ) -> ObjectBrowser:
+        """Open an object-set window over a class's cluster, or over the
+        matches of *selection*: one planned selection per (re)load."""
         self.database.schema.get_class(class_name)
         path = f"{self.name}.{class_name}.set{next(self._set_counter)}"
-        node = SetNode(
-            self.database.objects, class_name, path, predicate=predicate
-        )
+        frozen = copy.copy(selection)   # later edits do not reach the set
+        node = SetNode(self.database.objects, class_name, path, source=(
+            None if frozen is None
+            else lambda: [buffer.oid for buffer in frozen.execute()]))
         browser = ObjectBrowser(self.app.ctx, self.database, node, self.registry)
         self.object_sets.append(browser)
         return browser

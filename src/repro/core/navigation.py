@@ -10,9 +10,9 @@ This module is that tree, kept free of window specifics so the sync logic
 is testable on its own:
 
 * :class:`SetNode` — an *object set*: sequencing over a list of OIDs, which
-  is either a whole cluster (the root object-set window of §3.2) or the
-  value of a set-valued reference attribute of the parent's current object
-  (Figure 8).
+  is a whole cluster (the root object-set window of §3.2), a selection's
+  matches (§5.2), or the value of a set-valued reference attribute of the
+  parent's current object (Figure 8).
 * :class:`RefNode` — a single object reached through a single-valued
   reference of the parent (Figure 7).
 
@@ -193,19 +193,21 @@ class RefNode(Node):
 class SetNode(Node):
     """Sequencing over a list of member OIDs.
 
-    A root SetNode sequences a whole cluster; a child SetNode sequences the
-    parent's set-valued reference attribute.  The control-panel semantics
-    match :class:`~repro.ode.cluster.ClusterCursor`: reset puts the cursor
-    before the first member; next/previous return None at the ends.
+    A root SetNode sequences a whole cluster, or the OIDs its *source*
+    returns (a selection's matches, re-read on every reload); a child
+    SetNode sequences the parent's set-valued reference attribute.  The
+    control-panel semantics match :class:`~repro.ode.cluster.ClusterCursor`:
+    reset puts the cursor before the first member; next/previous return
+    None at the ends.
     """
 
     def __init__(self, manager, class_name, path,
                  parent: Optional[Node] = None,
                  attr_name: Optional[str] = None,
-                 predicate=None):
+                 source: Optional[Callable[[], List[Oid]]] = None):
         super().__init__(manager, class_name, path, parent)
         self.attr_name = attr_name
-        self.predicate = predicate
+        self._source = source
         self._members: List[Oid] = []
         self._index = -1  # -1 = before first
         if parent is None:
@@ -214,10 +216,12 @@ class SetNode(Node):
     # -- membership ------------------------------------------------------------
 
     def reload_members(self) -> None:
-        """Recompute the member list from the cluster or parent attribute."""
-        if self.parent is None:
-            cluster = self.manager.cluster(self.class_name)
-            members = cluster.oids()
+        """Recompute the member list from the source, the cluster or the
+        parent attribute."""
+        if self._source is not None:
+            members = self._source()
+        elif self.parent is None:
+            members = self.manager.cluster(self.class_name).oids()
         else:
             parent_buffer = self.parent.buffer()
             members = []
@@ -226,13 +230,6 @@ class SetNode(Node):
                     oid for oid in parent_buffer.value(self.attr_name)
                     if isinstance(oid, Oid)
                 ]
-        if self.predicate is not None:
-            kept = []
-            for oid in members:
-                self.fetches += 1
-                if self.predicate(self.manager.get_buffer(oid)):
-                    kept.append(oid)
-            members = kept
         self._members = members
 
     def members(self) -> List[Oid]:

@@ -9,14 +9,17 @@ Two predicate-construction schemes, exactly as the paper proposes:
   condition as a string") — good for complex ones.
 
 Both validate that every attribute used comes from the class's
-``selectlist`` (synthesized when the designer provided none), type-check
-the predicate, and compile it to a callable the object manager applies
-while scanning — the pushdown of §5.2.
+``selectlist`` (synthesized when the designer provided none) and
+type-check the predicate.  :meth:`SelectionBuilder.execute` is the one
+way a selection runs — the pushdown of §5.2: locally the
+:class:`~repro.core.queryplan.SelectionPlanner` probes an index or scans
+the cluster with the object manager's row check; over the wire the
+server plans and filters, and ships back only the matches.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, List, Optional
 
 from repro.errors import SelectionError, TypeCheckError
 from repro.dynlink.registry import DisplayRegistry
@@ -24,7 +27,6 @@ from repro.ode.database import Database
 from repro.ode.opp import ast
 from repro.ode.opp.ast import used_attributes
 from repro.ode.opp.parser import parse_expression
-from repro.ode.opp.predicate import PredicateEvaluator
 from repro.ode.opp.printer import expr_to_source
 from repro.ode.opp.typecheck import check_selection_predicate
 
@@ -33,7 +35,7 @@ MENU_OPERATORS = ("==", "!=", "<", "<=", ">", ">=")
 
 
 class SelectionBuilder:
-    """Builds a validated, compiled selection predicate for one class."""
+    """Builds a validated selection predicate for one class and runs it."""
 
     def __init__(self, database: Database, class_name: str,
                  registry: Optional[DisplayRegistry] = None,
@@ -77,9 +79,10 @@ class SelectionBuilder:
             raise SelectionError(
                 f"menu values must be scalars, got {type(value).__name__}"
             )
-        self._conjuncts.append(
-            ast.Binary(operator, ast.Name(attribute), literal)
-        )
+        # Not append: an open selection set's copy keeps its conditions.
+        self._conjuncts = [
+            *self._conjuncts, ast.Binary(operator, ast.Name(attribute), literal)
+        ]
 
     # -- scheme 2: the condition box ------------------------------------------------------
 
@@ -122,21 +125,8 @@ class SelectionBuilder:
         except TypeCheckError as exc:
             raise SelectionError(f"bad selection predicate: {exc}") from exc
 
-    def build(self) -> Callable[[Any], bool]:
-        """Validate and compile: the callable handed to the object manager."""
-        expr = self.expression()
-        self._validate(expr)
-        evaluator = PredicateEvaluator(
-            self.database.objects, privileged=self.privileged
-        )
-        return evaluator.compile(expr)
-
     def count_matches(self) -> int:
-        predicate = self.build()
-        return sum(
-            1 for _buffer in self.database.objects.select(self.class_name,
-                                                          predicate)
-        )
+        return len(self.execute())
 
     # -- index-aware execution ---------------------------------------------------
 
@@ -198,5 +188,4 @@ def select_objects(database: Database, class_name: str, condition: str,
     """One-call pushdown selection: buffers matching a condition string."""
     builder = SelectionBuilder(database, class_name, registry, privileged)
     builder.set_condition(condition)
-    predicate = builder.build()
-    return list(database.objects.select(class_name, predicate))
+    return builder.execute()

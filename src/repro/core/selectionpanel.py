@@ -12,9 +12,11 @@ The panel offers both at once:
   button — the simple scheme;
 * a condition box accepting a predicate string — the complex scheme.
 
-``apply`` validates everything against the selectlist and the schema,
-compiles the predicate, and opens an object-set window over the matching
-objects (the pushdown happens in the object manager, as the paper says).
+``apply`` opens an object-set window over the matching objects.  Its
+members come from one planned selection
+(:meth:`~repro.core.selection.SelectionBuilder.execute`): the pushdown
+happens in the object manager, as the paper says — locally through the
+planner, over the wire on the server.
 """
 
 from __future__ import annotations
@@ -156,10 +158,9 @@ class SelectionPanel:
     # -- actions -----------------------------------------------------------------------
 
     def apply(self):
-        """Compile and push down; open an object set over the matches."""
-        predicate = self.builder.build()
+        """Push the selection down; open an object set over the matches."""
         self.result_browser = self.session.open_object_set(
-            self.class_name, predicate=predicate)
+            self.class_name, selection=self.builder)
         return self.result_browser
 
     def clear(self) -> None:

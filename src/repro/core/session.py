@@ -119,7 +119,7 @@ class UserSession:
             privileged=self.app.ctx.privileged,
         )
         builder.set_condition(condition)
-        return session.open_object_set(class_name, predicate=builder.build())
+        return session.open_object_set(class_name, selection=builder)
 
     # -- lifecycle -------------------------------------------------------------------------
 

@@ -146,6 +146,7 @@ class OdeClient:
         self.timeout = timeout
         self.retries = max(0, retries)
         self._sock: Optional[socket.socket] = None
+        self._interrupted = False
         # The connection's frame parser; lives and dies with _sock, so a
         # fresh session never inherits a stale partial frame.
         self._frames: Optional[P.FrameReassembler] = None
@@ -225,6 +226,12 @@ class OdeClient:
         sock.settimeout(self.timeout)
         self._sock = sock
         self._frames = P.FrameReassembler()
+        # After publishing the socket: an interrupt() that missed it
+        # has already set the flag.
+        if self._interrupted:
+            self._drop_locked()
+            raise NetworkError(
+                f"connection to {self.host}:{self.port} interrupted")
         try:
             self.server_info = self._exchange_locked(
                 P.OP_HELLO, {"version": P.PROTOCOL_VERSION})
@@ -273,6 +280,19 @@ class OdeClient:
                 self._orphan_events.clear()
             for subscription in lost:
                 subscription.connection_lost()
+
+    def interrupt(self) -> None:
+        """End the connection from another thread: a call blocked on it
+        fails at once with :class:`NetworkError`, and so does every
+        later connect.  Takes no lock, since the blocked call holds it;
+        :meth:`close` still releases the socket."""
+        self._interrupted = True
+        sock = self._sock
+        if sock is not None:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass   # already closed or never connected
 
     def close(self) -> None:
         self._pump_stop.set()

@@ -322,8 +322,7 @@ _REFILL = object()
 
 
 class RemoteCursor:
-    """A sequencing cursor over a snapshot pinned on the server,
-    optionally filtered client-side.
+    """A sequencing cursor over a snapshot pinned on the server.
 
     next/previous/reset/current/seek mirror
     :class:`~repro.ode.cluster.ClusterCursor`.  The server-side cursor is
@@ -331,20 +330,16 @@ class RemoteCursor:
     *window*: every member number of that snapshot in an open interval
     ``(lo, hi)``, read in one round trip.  A step the window can answer
     costs no round trip, so a walk of k steps costs about k/SCAN_BATCH;
-    ``seek`` and ``current`` never cost one.  A predicate (display
-    functions may push one down) is applied on the client, to the
-    buffer of each candidate the walk passes.  ``epoch`` reports which
+    ``seek`` and ``current`` never cost one.  ``epoch`` reports which
     commit epoch the snapshot serves.  ``reset`` refreshes the snapshot,
     clears the position and the window, and advances the manager's
     cache floor — resequencing is the browse starting over, and it must
     see current data.
     """
 
-    def __init__(self, manager: "RemoteObjectManager", class_name: str,
-                 predicate=None):
+    def __init__(self, manager: "RemoteObjectManager", class_name: str):
         self._manager = manager
         self.class_name = class_name
-        self._predicate = predicate
         reply = manager._call(
             P.OP_CURSOR_OPEN,
             {"db": manager.database.name, "class": class_name})
@@ -413,26 +408,21 @@ class RemoteCursor:
             point: float = -math.inf
         else:
             point = self._position
-        while True:
+        number = self._from_window(point, forward)
+        if number is _REFILL:
+            self._refill(point, forward)
             number = self._from_window(point, forward)
-            if number is _REFILL:
-                self._refill(point, forward)
-                number = self._from_window(point, forward)
-            if number is None:
-                return None
-            oid = self._oid(number)
-            if (self._predicate is None
-                    or self._predicate(self._manager.get_buffer(oid))):
-                self._position = number
-                return oid
-            point = number
+        if number is None:
+            return None
+        self._position = number
+        return self._oid(number)
 
     def next(self) -> Optional[Oid]:
-        """Advance to the next matching object; ``None`` at the end."""
+        """Advance to the next object; ``None`` at the end."""
         return self._step(True)
 
     def previous(self) -> Optional[Oid]:
-        """Step back to the previous matching object; ``None`` at the front."""
+        """Step back to the previous object; ``None`` at the front."""
         return self._step(False)
 
     def reset(self) -> None:
@@ -574,8 +564,8 @@ class RemoteObjectManager:
             return True
         return self._call(P.OP_EXISTS, {"oid": str(oid)})["exists"]
 
-    def cursor(self, class_name: str, predicate=None) -> RemoteCursor:
-        return RemoteCursor(self, class_name, predicate)
+    def cursor(self, class_name: str) -> RemoteCursor:
+        return RemoteCursor(self, class_name)
 
     def watch(self, clusters: Optional[List[str]] = None, on_refresh=None):
         """Attach a CDC push subscription that keeps this cache fresh.
@@ -615,10 +605,10 @@ class RemoteObjectManager:
         cache.begin_deltas(subscription.epoch)
         return subscription
 
-    def select(self, class_name: str, predicate=None) -> Iterator[Any]:
-        for buffer in self.scan(class_name):
-            if predicate is None or predicate(buffer):
-                yield buffer
+    def select(self, class_name: str) -> Iterator[Any]:
+        """Every buffer of a cluster.  A filtered selection runs on the
+        server: :meth:`select_pushdown`."""
+        yield from self.scan(class_name)
 
     def select_pushdown(self, class_name: str, condition: str,
                         force: Optional[str] = None,

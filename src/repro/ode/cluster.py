@@ -3,26 +3,22 @@
 "Persistent objects of the same type are grouped together into a cluster;
 the name of a cluster is the same as that of the corresponding type" (paper
 §2).  The object-set window's control panel — ``reset`` / ``next`` /
-``previous`` (§3.2) — is a cursor over a cluster, optionally filtered by a
-selection predicate pushed down from OdeView (§5.2).
+``previous`` (§3.2) — is a cursor over a cluster.
 
-The cursor walks OIDs lazily in OID order; a predicate is evaluated per
-object during the walk, so non-matching objects are skipped without being
-surfaced (the object manager supplies the evaluation callback, keeping this
-module free of schema knowledge).
+The cursor walks OIDs lazily in OID order, one store step per move.  It
+does not filter: a selection runs through the planner
+(:mod:`repro.core.queryplan`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Union
+from typing import List, Optional, Union
 
 from repro.errors import StorageError
 from repro.ode.oid import Oid
 from repro.ode.mvcc import Snapshot
 from repro.ode.store import ObjectStore
-
-MatchFn = Callable[[Oid], bool]
 
 #: Anything a cluster can read its membership through: the live store
 #: (a *live* view that sees every commit as it lands) or a pinned
@@ -87,14 +83,13 @@ class ClusterCursor:
     """Sequencing cursor: the semantics behind reset/next/previous buttons.
 
     A fresh (or reset) cursor sits *before* the first object; ``next`` then
-    yields the first match.  ``previous`` at the front and ``next`` past the
+    yields the first member.  ``previous`` at the front and ``next`` past the
     end return ``None`` and leave the position unchanged, matching how the
     paper's control panel behaves at cluster boundaries.
     """
 
-    def __init__(self, cluster: Cluster, matches: Optional[MatchFn] = None):
+    def __init__(self, cluster: Cluster):
         self._cluster = cluster
-        self._matches = matches
         self._position: Optional[int] = None  # current OID number
 
     @property
@@ -109,36 +104,25 @@ class ClusterCursor:
             return None
         return self._cluster.oid(self._position)
 
-    def _accept(self, oid: Oid) -> bool:
-        if self._matches is None:
-            return True
-        return self._matches(oid)
-
     def next(self) -> Optional[Oid]:
-        """Advance to the next matching object; ``None`` at the end."""
-        candidate = (
+        """Advance to the next object; ``None`` at the end."""
+        found = (
             self._cluster.first()
             if self._position is None
             else self._cluster.after(self._position)
         )
-        while candidate is not None:
-            if self._accept(candidate):
-                self._position = candidate.number
-                return candidate
-            candidate = self._cluster.after(candidate.number)
-        return None
+        if found is not None:
+            self._position = found.number
+        return found
 
     def previous(self) -> Optional[Oid]:
-        """Step back to the previous matching object; ``None`` at the front."""
+        """Step back to the previous object; ``None`` at the front."""
         if self._position is None:
             return None
-        candidate = self._cluster.before(self._position)
-        while candidate is not None:
-            if self._accept(candidate):
-                self._position = candidate.number
-                return candidate
-            candidate = self._cluster.before(candidate.number)
-        return None
+        found = self._cluster.before(self._position)
+        if found is not None:
+            self._position = found.number
+        return found
 
     def seek(self, oid: Oid) -> None:
         """Position the cursor on a specific object (used by tests/joins)."""
@@ -163,9 +147,9 @@ class SnapshotCursor(ClusterCursor):
     (an abandoned cursor's snapshot unpins itself on collection).
     """
 
-    def __init__(self, cluster: Cluster, matches: Optional[MatchFn] = None,
+    def __init__(self, cluster: Cluster,
                  snapshot: Optional[Snapshot] = None):
-        super().__init__(cluster, matches)
+        super().__init__(cluster)
         self._snapshot = snapshot
 
     @property

@@ -8,9 +8,9 @@ The object manager is the single gateway between the front end and storage:
   constraint enforcement, and trigger firing;
 * fetching :class:`ObjectBuffer` s — the decoded, self-contained form a
   display function receives;
-* cluster cursors with selection-predicate pushdown (paper §5.2: OdeView
-  "passes the selection predicate to the object manager which uses it to
-  filter objects retrieved from the databases");
+* cluster cursors, and the row check of selection-predicate pushdown
+  (paper §5.2: OdeView "passes the selection predicate to the object
+  manager which uses it to filter objects retrieved from the databases");
 * version snapshots for versioned classes.
 
 An :class:`ObjectBuffer` deliberately carries everything a display function
@@ -454,10 +454,8 @@ class ObjectManager:
     def count(self, class_name: str) -> int:
         return len(self.cluster(class_name))
 
-    def cursor(self, class_name: str,
-               predicate: Optional[Predicate] = None) -> ClusterCursor:
-        """A sequencing cursor, optionally filtered by a pushed-down
-        predicate.
+    def cursor(self, class_name: str) -> ClusterCursor:
+        """A sequencing cursor over a cluster.
 
         The cursor owns a snapshot pinned at creation: the whole walk
         sees one commit epoch, ``reset()`` refreshes to the current one,
@@ -468,16 +466,9 @@ class ObjectManager:
         self._class(class_name)
         ambient = self._current_snapshot()
         snapshot = ambient if ambient is not None else self._store.snapshot()
-        matcher = None
-        if predicate is not None:
-            matching = self._matcher(class_name, predicate)
-
-            def matcher(oid: Oid) -> bool:
-                return bool(matching(oid, snapshot.get(oid)))
         cluster = Cluster(snapshot, self.database, class_name)
         return SnapshotCursor(
-            cluster, matcher,
-            snapshot=None if ambient is not None else snapshot)
+            cluster, snapshot=None if ambient is not None else snapshot)
 
     def select(self, class_name: str,
                predicate: Optional[Predicate] = None) -> Iterator[ObjectBuffer]:
@@ -551,9 +542,9 @@ class ObjectManager:
     def _matcher(self, class_name: str, predicate: Predicate
                  ) -> Callable[[Oid, bytes], Any]:
         """Whether a stored record satisfies *predicate*: the one row
-        check of a cluster scan, an index probe's recheck and a filtered
-        cursor.  ``False`` when it does not; when it does, ``True``, or
-        the buffer the check had to build whole.
+        check of a cluster scan and an index probe's recheck.  ``False``
+        when it does not; when it does, ``True``, or the buffer the
+        check had to build whole.
 
         A compiled predicate names the attributes it reads (``reads``,
         see :meth:`PredicateEvaluator.compile`).  Unless one of them is

@@ -131,6 +131,8 @@ class ReplicaApplier:
             (str(host), int(port)) for host, port in (peers or [])]
         self._client = OdeClient(primary_host, primary_port,
                                  retries=1)
+        # The peer probe in flight, if any: stop() interrupts it.
+        self._probe: Optional[OdeClient] = None
         self._stop = threading.Event()
         self._paused = threading.Event()
         self._resumed = threading.Event()
@@ -158,6 +160,9 @@ class ReplicaApplier:
     def stop(self) -> None:
         self._stop.set()
         self._resumed.set()
+        probe = self._probe
+        if probe is not None:
+            probe.interrupt()
         if self._thread is not None:
             self._thread.join(timeout=10.0)
             self._thread = None
@@ -240,13 +245,18 @@ class ReplicaApplier:
         for host, port in self.peers:
             if (host, port) == (self.primary_host, self.primary_port):
                 continue
-            probe = OdeClient(host, port, retries=0)
+            probe = self._probe = OdeClient(host, port, retries=0)
             try:
+                # After publishing the probe: a stop() that missed it
+                # has already set the flag.
+                if self._stop.is_set():
+                    return False
                 info = probe.call(P.OP_HELLO,
                                   {"version": P.PROTOCOL_VERSION})
             except OdeError:
                 continue
             finally:
+                self._probe = None
                 probe.close()
             terms = info.get("terms")
             term = (terms or {}).get(self.database.name, info.get("term"))

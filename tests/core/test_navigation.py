@@ -9,6 +9,7 @@ from repro.core.navigation import (
     reference_attributes,
     reference_kind,
 )
+from repro.core.selection import SelectionBuilder
 
 
 @pytest.fixture
@@ -69,9 +70,15 @@ class TestRootSetNode:
         assert root.buffer().value("name") == "rakesh"
 
     def test_predicate_filters_members(self, lab_db):
+        """A selection set's members come from its source: here, one
+        planned selection of ``id < 3``."""
+        builder = SelectionBuilder(lab_db, "employee")
+        builder.set_condition("id < 3")
         node = SetNode(lab_db.objects, "employee", "f",
-                       predicate=lambda buffer: buffer.value("id") < 3)
+                       source=lambda: [b.oid for b in builder.execute()])
         assert node.member_count() == 3
+        assert node.members() == lab_db.objects.cluster("employee").oids()[:3]
+        assert node.fetches == 0
 
 
 class TestLazyChildren:

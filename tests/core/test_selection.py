@@ -39,8 +39,7 @@ class TestSelectlist:
 class TestMenuScheme:
     def test_single_condition(self, lab_db, builder):
         builder.add_condition("id", "<", 5)
-        predicate = builder.build()
-        matched = list(lab_db.objects.select("employee", predicate))
+        matched = builder.execute()
         assert len(matched) == 5
 
     def test_conditions_and_together(self, lab_db, builder):
@@ -105,7 +104,7 @@ class TestConditionBox:
 
     def test_empty_builder_rejected(self, builder):
         with pytest.raises(SelectionError):
-            builder.build()
+            builder.execute()
 
 
 class TestEndToEnd:
@@ -133,3 +132,17 @@ class TestEndToEnd:
                 break
             numbers.append(report.result.number)
         assert numbers == [0, 20, 40]
+
+    def test_an_open_selection_set_keeps_its_conditions(self, app):
+        """Editing the builder after opening a set (the selection
+        window's ``add`` after ``apply``) does not reach the open set
+        when it reloads."""
+        session = app.open_database("lab")
+        builder = SelectionBuilder(session.database, "employee",
+                                   session.registry)
+        builder.add_condition("id", "<", 5)
+        node = session.open_object_set("employee", selection=builder).node
+        builder.add_condition("id", ">=", 3)
+        node.reload_members()
+        assert node.member_count() == 5
+        assert builder.count_matches() == 2

@@ -12,8 +12,7 @@ from another session interleaved, and checks:
 * both cursors give the same answers, at the same epoch;
 * every answer is the model's member list at the cursor's epoch — no
   commit newer than that epoch shows before ``reset``;
-* at either end a step answers ``None`` and keeps the position;
-* the same holds for a cursor filtered by a predicate.
+* at either end a step answers ``None`` and keeps the position.
 
 ``CURSOR_EXAMPLES`` raises the example budget (CI's tier-2 job);
 ``--hypothesis-seed`` replays a run.
@@ -171,11 +170,8 @@ NUMBERS = st.integers(0, 70)   # members, gaps, inserts and past the end
 
 
 class CursorMachine(RuleBasedStateMachine):
-    """The unfiltered pair; commits insert, rename and delete."""
+    """The pair of cursors; commits insert, rename and delete."""
 
-    #: Applied to buffers on both sides (``None``: unfiltered).
-    PREDICATE = None
-    DELETES = True
     #: Member numbers per window: small, so that walks cross windows.
     WINDOW = 4
 
@@ -193,8 +189,8 @@ class CursorMachine(RuleBasedStateMachine):
             "127.0.0.1", self.server.port, "lab")
         database = self.server.hosted("lab").database
         self.store = database.store
-        self.local = database.objects.cursor("employee", self.PREDICATE)
-        self.cursor = self.remote.objects.cursor("employee", self.PREDICATE)
+        self.local = database.objects.cursor("employee")
+        self.cursor = self.remote.objects.cursor("employee")
         # the model: epoch -> {member number: id}; ids never change
         members = {oid.number: database.objects.get_buffer(oid).value("id")
                    for oid in database.objects.cluster("employee").oids()}
@@ -225,17 +221,13 @@ class CursorMachine(RuleBasedStateMachine):
 
     @rule(number=NUMBERS)
     def delete(self, number):
-        if self.DELETES and number in self.live:
+        if number in self.live:
             self.writer.objects.delete(Oid("lab", "employee", number))
             members = dict(self.live)
             del members[number]
             self._committed(members)
 
     # -- the cursors ------------------------------------------------------------------
-
-    def _matches(self, number, members):
-        return self.PREDICATE is None or self.PREDICATE(
-            _IdOnly(members[number]))
 
     def _expected(self, forward):
         """The model's answer to one step at the cursors' epoch."""
@@ -246,7 +238,7 @@ class CursorMachine(RuleBasedStateMachine):
         past = sorted((n for n in members
                        if (n > point if forward else n < point)),
                       reverse=not forward)
-        return next((n for n in past if self._matches(n, members)), None)
+        return next(iter(past), None)
 
     def _step(self, forward):
         expected = self._expected(forward)
@@ -318,33 +310,6 @@ class CursorMachine(RuleBasedStateMachine):
         remote.SCAN_BATCH = self.scan_batch
 
 
-class _IdOnly:
-    """The model's stand-in for a buffer: the one attribute the filter
-    reads."""
-
-    def __init__(self, id_):
-        self._id = id_
-
-    def value(self, name):
-        assert name == "id"
-        return self._id
-
-
-def _every_third(buffer):
-    return buffer.value("id") % 3 == 0
-
-
-class FilteredCursorMachine(CursorMachine):
-    """A filtered pair.  A remote filter reads the newest buffer of each
-    candidate, the local one the snapshot's: commits here only insert
-    and rename, which leave every member's ``id`` and existence as the
-    snapshot has them."""
-
-    PREDICATE = staticmethod(_every_third)
-    DELETES = False
-    WINDOW = 3
-
-
 _SETTINGS = settings(
     max_examples=int(os.environ.get("CURSOR_EXAMPLES", "25")),
     stateful_step_count=30,
@@ -352,7 +317,5 @@ _SETTINGS = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 CursorMachine.TestCase.settings = _SETTINGS
-FilteredCursorMachine.TestCase.settings = _SETTINGS
 
 TestCursorEquivalence = CursorMachine.TestCase
-TestFilteredCursorEquivalence = FilteredCursorMachine.TestCase

@@ -110,8 +110,7 @@ def test_selection_identical(tmp_path):
         builder = SelectionBuilder(session.database, "employee",
                                    session.registry)
         builder.set_condition("id < 7")
-        browser = session.open_object_set("employee",
-                                          predicate=builder.build())
+        browser = session.open_object_set("employee", selection=builder)
         return [
             session.database.objects.get_buffer(oid).value("name")
             for oid in browser.node.members()

@@ -4,18 +4,28 @@
 its indexes and statistics and replies with the matches.  Those must be
 the buffers the local :class:`SelectionPlanner` returns — public names
 and computed values included — whichever access path the plan takes,
-and ``explain`` must report the plan the server would run.
+and ``explain`` must report the plan the server would run.  A selection
+set — the object-set window the selection window opens — takes its
+members from the same planned selection, locally and over the wire.
 """
+
+import datetime
+import time
 
 import pytest
 
+from repro.core.app import OdeView
 from repro.core.queryplan import SelectionPlanner
-from repro.core.selection import SelectionBuilder
+from repro.core.selection import SelectionBuilder, select_objects
+from repro.core.sync import ReactiveBrowse
 from repro.data.labdb import make_lab_database
 from repro.errors import AccessError, SelectionError
+from repro.net import protocol as P
 from repro.net.remote import RemoteDatabase
 from repro.net.server import OdeServer
+from repro.ode.oid import Oid
 from repro.ode.opp.parser import parse_expression
+from repro.ode.opp.predicate import PredicateEvaluator
 
 #: (condition, force, the access path the plan must take)
 CONDITIONS = [
@@ -125,3 +135,121 @@ def test_an_index_created_and_dropped_over_the_wire(remote_lab):
     indexes.drop_index("employee", "id")
     assert remote_lab.objects.explain("employee", "id == 7")["access"] \
         == "scan"
+
+
+# -- a selection set: the object-set window over a selection's matches ---------
+
+#: 3 of the lab's 55 employees: numbers 0, 13 and 15.
+SELECTION = "years_service > 12 && id < 20"
+
+
+def _selection_set(session, condition):
+    builder = SelectionBuilder(session.database, "employee",
+                               session.registry)
+    builder.set_condition(condition)
+    return session.open_object_set("employee", selection=builder)
+
+
+@pytest.fixture
+def sessions(indexed_lab, tmp_path):
+    """``(local session, remote session)`` over :func:`indexed_lab`; the
+    local one browses the served database object itself."""
+    database, remote = indexed_lab
+    local_app = OdeView(tmp_path, screen_width=200)
+    remote_app = OdeView(tmp_path, screen_width=200)
+    yield (local_app.attach_database(database),
+           remote_app.attach_database(remote))
+
+
+@pytest.mark.parametrize("condition", [c for c, _f, _a in CONDITIONS])
+def test_a_selection_set_holds_the_scans_matches_in_cluster_order(
+        indexed_lab, sessions, condition):
+    database, _remote = indexed_lab
+    compiled = PredicateEvaluator(database.objects).compile(
+        parse_expression(condition))
+    reference = [b.oid for b in database.objects.select("employee",
+                                                        compiled)]
+    assert reference, condition
+    for session in sessions:
+        browser = _selection_set(session, condition)
+        assert browser.node.members() == reference
+
+
+def test_opening_a_selection_set_is_one_select(sessions, count_calls):
+    _local, session = sessions
+    objects = session.database.objects
+    calls = count_calls(session.database)
+    browser = _selection_set(session, SELECTION)
+    assert [n.number for n in browser.node.members()] == [0, 13, 15]
+    opcodes = [opcode for opcode, _payload in calls]
+    assert opcodes.count(P.OP_SELECT) == 1
+    assert P.OP_SCAN_CLUSTER not in opcodes
+    assert len(objects.cache) == 3
+
+
+def test_count_and_select_objects_are_one_select_each(sessions,
+                                                      count_calls):
+    _local, session = sessions
+    builder = SelectionBuilder(session.database, "employee")
+    builder.set_condition(SELECTION)
+    for run in (builder.count_matches,
+                lambda: select_objects(session.database, "employee",
+                                       SELECTION)):
+        calls = count_calls(session.database)
+        result = run()
+        assert [opcode for opcode, _payload in calls] == [P.OP_SELECT]
+        assert (result if isinstance(result, int) else len(result)) == 3
+
+
+def test_a_watched_selection_set_rereads_by_one_select(indexed_lab,
+                                                       sessions,
+                                                       count_calls):
+    _database, remote = indexed_lab
+    _local, session = sessions
+    node = _selection_set(session, SELECTION).node
+    writer = RemoteDatabase.connect("127.0.0.1", remote.client.port, "lab")
+    try:
+        with ReactiveBrowse(node, remote) as browse:
+            calls = count_calls(remote)
+            # employee 7 (id 7) starts matching: 16 years of service
+            writer.objects.update(Oid("lab", "employee", 7),
+                                  {"hired": datetime.date(1974, 1, 1)})
+            _wait_until(lambda: browse.pending() >= 1)
+            browse.apply_pending()
+        assert [n.number for n in node.members()] == [0, 7, 13, 15]
+        opcodes = [opcode for opcode, _payload in calls]
+        assert opcodes.count(P.OP_SELECT) == 1
+        assert P.OP_SCAN_CLUSTER not in opcodes
+    finally:
+        writer.close()
+
+
+@pytest.mark.parametrize("condition, matches", [
+    ("id >= 50", 5),
+    ('id < 30 && name != "rakesh"', 29),
+])
+def test_a_local_selection_set_decodes_at_most_its_matches(
+        sessions, monkeypatch, condition, matches):
+    import repro.ode.objectmanager as objectmanager
+
+    session, _remote = sessions
+    full = []
+    decode = objectmanager.decode_fields
+
+    def counting(data, names):
+        if names is None:
+            full.append(data)
+        return decode(data, names)
+
+    monkeypatch.setattr(objectmanager, "decode_fields", counting)
+    node = _selection_set(session, condition).node
+    assert node.member_count() == matches
+    assert len(full) <= matches
+    assert node.fetches == 0
+
+
+def _wait_until(predicate, timeout: float = 10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never became true"
+        time.sleep(0.02)

@@ -77,8 +77,7 @@ class TestReads:
         assert remote_lab.objects.cache.hits == before + 1
 
     def test_select_with_predicate(self, remote_lab):
-        low_ids = list(remote_lab.objects.select(
-            "employee", lambda b: b.value("id") < 5))
+        low_ids = remote_lab.objects.select_pushdown("employee", "id < 5")
         assert len(low_ids) == 5
         assert all(b.value("id") < 5 for b in low_ids)
 
@@ -213,17 +212,6 @@ class TestCursors:
         # the epoch-floor invalidation keeps it (no needless refetch).
         assert len(remote_lab.objects.cache) > 0
         assert cursor.next() == oid
-
-    def test_predicate_filtering(self, remote_lab):
-        cursor = remote_lab.objects.cursor(
-            "employee", lambda b: b.value("id") % 10 == 0)
-        ids = []
-        while True:
-            oid = cursor.next()
-            if oid is None:
-                break
-            ids.append(remote_lab.objects.get_buffer(oid).value("id"))
-        assert ids == [0, 10, 20, 30, 40, 50]
 
     def test_unknown_cursor_rejected(self, remote_lab):
         with pytest.raises(NetworkError, match="no cursor"):

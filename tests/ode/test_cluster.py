@@ -90,19 +90,6 @@ class TestCursor:
         assert cursor.current() is None
         assert cursor.next().number == 0
 
-    def test_predicate_skips_non_matching(self, cluster):
-        cursor = ClusterCursor(cluster, matches=lambda oid: oid.number % 2 == 0)
-        assert cursor.next().number == 0
-        assert cursor.next().number == 2
-        assert cursor.next().number == 4
-        assert cursor.next() is None
-
-    def test_predicate_backward(self, cluster):
-        cursor = ClusterCursor(cluster, matches=lambda oid: oid.number % 2 == 0)
-        for _ in range(3):
-            cursor.next()
-        assert cursor.previous().number == 2
-
     def test_seek(self, cluster):
         cursor = ClusterCursor(cluster)
         cursor.seek(Oid("db", "employee", 3))

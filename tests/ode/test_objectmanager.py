@@ -264,15 +264,6 @@ class TestCursorsAndSelect:
         assert cursor.next().number == 0
         assert cursor.next().number == 1
 
-    def test_cursor_with_predicate_pushdown(self, manager):
-        for index in range(6):
-            manager.new_object("employee", {"id": index})
-        cursor = manager.cursor(
-            "employee", predicate=lambda buffer: buffer.value("id") >= 4)
-        assert cursor.next().number == 4
-        assert cursor.next().number == 5
-        assert cursor.next() is None
-
     def test_select(self, manager):
         for index in range(5):
             manager.new_object("employee", {"id": index})
@@ -396,15 +387,13 @@ class TestFilteredScan:
 class TestSavedWork:
     """Exact counts of the work a selection does."""
 
-    # A cursor yields OIDs, so it decodes a match whole only when the
-    # check itself needs the whole buffer.
-    @pytest.mark.parametrize("source, full_decodes, cursor_decodes", [
-        ("id >= 3", 2, 0),
-        ('dept->dname == "sales" && id > 0', 2, 0),
-        ("double_id >= 6", 5, 5),   # a computed method needs every buffer
+    @pytest.mark.parametrize("source, full_decodes", [
+        ("id >= 3", 2),
+        ('dept->dname == "sales" && id > 0', 2),
+        ("double_id >= 6", 5),   # a computed method needs every buffer
     ])
     def test_filtered_scan_fully_decodes_only_the_matches(
-            self, staff, monkeypatch, source, full_decodes, cursor_decodes):
+            self, staff, monkeypatch, source, full_decodes):
         import repro.ode.objectmanager as objectmanager
 
         full = []
@@ -423,10 +412,6 @@ class TestSavedWork:
         # that reaches it
         follows = 4 if "->" in source else 0
         assert len(full) == full_decodes + follows
-        del full[:]
-        cursor = staff.cursor("employee", predicate)
-        assert [cursor.next(), cursor.next(), cursor.next()][2] is None
-        assert len(full) == cursor_decodes + follows
 
     def test_index_probe_reads_each_candidate_once(self, tmp_path):
         from repro.core.queryplan import SelectionPlanner

@@ -7,9 +7,13 @@ Exercised with the loop run inline — ``step`` stubbed, ``_stop.wait``
 recorded — so the exact delay sequence is asserted, not just "it
 slept".  A malformed unit from upstream is not a network blip: the
 loop records it in ``last_error`` and stops, as it does on divergence.
+``stop`` ends a peer probe in flight instead of waiting it out.
 """
 
 from __future__ import annotations
+
+import socket
+import time
 
 import pytest
 
@@ -108,3 +112,30 @@ def test_malformed_unit_stops_the_applier_with_last_error(applier):
     error = applier.stats()["last_error"]
     assert error.startswith("ReplicationError: malformed replication unit")
     assert applier.applied_epoch == 0
+
+
+def test_stop_ends_a_probe_blocked_on_a_silent_peer(tmp_path):
+    """The upstream is dead and the one peer accepts but never sends
+    its HELLO: the applier's probe blocks reading it, and ``stop`` must
+    not wait out the probe's client timeout."""
+    closed = socket.create_server(("127.0.0.1", 0))
+    dead_port = closed.getsockname()[1]
+    closed.close()
+    silent = socket.create_server(("127.0.0.1", 0))
+    silent.settimeout(5.0)
+    database = Database(tmp_path / "solo.odb", create=True)
+    built = ReplicaApplier(database, "127.0.0.1", dead_port,
+                           peers=[silent.getsockname()])
+    connection = None
+    try:
+        built.start()
+        connection, _address = silent.accept()   # the probe connected
+        started = time.monotonic()
+        built.stop()
+        assert time.monotonic() - started < 1.0
+    finally:
+        built.stop()
+        if connection is not None:
+            connection.close()
+        silent.close()
+        database.close()
